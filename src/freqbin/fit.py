@@ -1,11 +1,15 @@
-"""Weighted nonlinear least-squares estimation for fringe datasets.
+"""Weighted least-squares estimation for fringe datasets.
 
 Fringe fits minimize sum w_i (counts_i - N p(tau_i))^2 with Poisson weights
-w = 1/max(counts, 1) using damped least squares (MINPACK Levenberg-
-Marquardt) from a multi-start grid over phase and delay offset, with
-analytic Jacobians.  Internally all times are in picoseconds: scipy's
-finite-difference and trust-region scaling misbehave for parameters of
-order 1e-10, and the analytic Jacobian keeps the curvature matrix sane.
+w = 1/max(counts, 1).  The search is separable (variable projection, Golub
+& Pereyra 1973): at a fixed delay offset tau0 the model is linear in the
+baseline and in the cosine and sine amplitudes of the beat, so tau0 is
+profiled with weighted linear solves and the best point is polished once
+by damped least squares (MINPACK Levenberg-Marquardt) with analytic
+Jacobians, which also frees any nonlinear parameter held at its given
+value during the profile and yields the covariance.  Internally all times
+are in picoseconds: scipy's trust-region scaling misbehaves for parameters
+of order 1e-10, and the analytic Jacobian keeps the curvature matrix sane.
 
 Accidental floor note: the fringe model's (alpha, V) pair is structurally
 degenerate (only (1 - alpha) V is identifiable from a single scan), so
@@ -22,6 +26,7 @@ from scipy.optimize import least_squares
 
 from .counting import FringeDataset
 from .errors import DomainError, FitError, ReconstructionError
+from .hom import Envelope, envelope_value
 from .rng import STREAM_RECON, CounterRng
 from .states import RestrictedDensityMatrix, fidelity as state_fidelity, restricted_density
 
@@ -37,10 +42,11 @@ __all__ = [
 
 _PS = 1e-12  # seconds per picosecond
 
-_PHI_STARTS = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-
-# Costs within this relative band count as ties for start selection.
+# Profile costs within this relative band count as ties.
 _TIE_REL = 1e-6
+
+# Grid points times delays per block of the tau0 profile (bounds memory).
+_PROFILE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,59 +102,55 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _envelope_ps(t_ps: np.ndarray, sigma_ps: float) -> np.ndarray:
-    x = np.minimum(np.abs(sigma_ps * t_ps), 700.0)
-    return (1.0 + x) * np.exp(-x)
-
-
 class _FringeDesign:
     """Residual/Jacobian factory for the shared-(V, phi) fringe model.
 
-    Model: counts ~ N [ 1/2 - (1-alpha) (V/2) B(tau) E(tau) ] with
-    B = mean_m cos(2 pi d_m (tau - t0) + phi); times in ps.
+    Model: counts ~ N [ 1/2 - (1-alpha) (V/2) B(tau) E(tau - t0) ] with
+    B = mean_m cos(2 pi d_m (tau - t0) + phi); times in ps, E = 1 when
+    sigma_ps is None.  Free parameters are (N, V, phi, t0), then alpha,
+    the detuning (single pair) and u = log(sigma_ps) when each is fitted.
     """
 
-    def __init__(self, taus_ps, counts, detunings_ps, sigma_ps,
-                 fit_alpha, fit_detuning, alpha_fixed):
+    def __init__(self, taus_ps, counts, detunings_ps, sigma_ps, *, alpha=0.0,
+                 fit_alpha=False, fit_detuning=False, fit_sigma=False):
         self.t = np.asarray(taus_ps, dtype=np.float64)
         self.c = np.asarray(counts, dtype=np.float64)
         self.d = tuple(float(d) for d in detunings_ps)
         self.sigma_ps = sigma_ps
         self.fit_alpha = fit_alpha
         self.fit_detuning = fit_detuning
-        self.alpha_fixed = alpha_fixed
+        self.fit_sigma = fit_sigma
+        self.alpha_fixed = alpha
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
         self.names = ["scale", "visibility", "phi", "tau0"]
         if fit_alpha:
             self.names.append("alpha")
         if fit_detuning:
             self.names.append("detuning")
+        if fit_sigma:
+            self.names.append("log_sigma")
 
     def _unpack(self, theta):
         n, v, phi, t0 = theta[:4]
-        i = 4
-        alpha = self.alpha_fixed
-        if self.fit_alpha:
-            alpha = theta[i]
-            i += 1
-        dets = self.d
-        if self.fit_detuning:
-            dets = (theta[i],)
-        return n, v, phi, t0, alpha, dets
+        extra = iter(theta[4:])
+        alpha = next(extra) if self.fit_alpha else self.alpha_fixed
+        dets = (next(extra),) if self.fit_detuning else self.d
+        sigma_ps = math.exp(next(extra)) if self.fit_sigma else self.sigma_ps
+        return n, v, phi, t0, alpha, dets, sigma_ps
 
     def _parts(self, theta):
-        n, v, phi, t0, alpha, dets = self._unpack(theta)
+        n, v, phi, t0, alpha, dets, sigma_ps = self._unpack(theta)
         dt = self.t - t0
-        if self.sigma_ps is None:
+        if sigma_ps is None:
             env = np.ones_like(dt)
-            denv_dt0 = np.zeros_like(dt)
-            x = np.zeros_like(dt)
+            denv_dt0 = denv_du = np.zeros_like(dt)
         else:
-            x = np.minimum(np.abs(self.sigma_ps * dt), 700.0)
+            x = np.minimum(np.abs(sigma_ps * dt), 700.0)
             ex = np.exp(-x)
             env = (1.0 + x) * ex
-            # dE/dt0 = sigma sign(dt) x e^{-x}
-            denv_dt0 = self.sigma_ps * np.sign(dt) * x * ex
+            # dE/dt0 = sigma sign(dt) x e^{-x}; dE/du = -x^2 e^{-x} (x ~ e^u)
+            denv_dt0 = sigma_ps * np.sign(dt) * x * ex
+            denv_du = -(x**2) * ex
         cosb = np.zeros_like(dt)
         sinb = np.zeros_like(dt)
         sinb_d = np.zeros_like(dt)
@@ -161,17 +163,17 @@ class _FringeDesign:
         cosb /= m
         sinb /= m
         sinb_d /= m
-        return n, v, phi, t0, alpha, dets, dt, env, denv_dt0, cosb, sinb, sinb_d
+        return n, v, alpha, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d
 
     def model(self, theta):
-        n, v, _, _, alpha, _, _, env, _, cosb, _, _ = self._parts(theta)
+        n, v, alpha, _, env, _, _, cosb, _, _ = self._parts(theta)
         return n * (0.5 - (1.0 - alpha) * 0.5 * v * cosb * env)
 
     def residual(self, theta):
         return self.sw * (self.c - self.model(theta))
 
     def jacobian(self, theta):
-        (n, v, phi, t0, alpha, dets, dt, env, denv_dt0,
+        (n, v, alpha, dt, env, denv_dt0, denv_du,
          cosb, sinb, sinb_d) = self._parts(theta)
         one_m_a = 1.0 - alpha
         g = cosb * env
@@ -189,22 +191,76 @@ class _FringeDesign:
             db_dd = -sinb * 2.0 * math.pi * dt
             dp_dd = -one_m_a * 0.5 * v * db_dd * env
             cols.append(-self.sw * n * dp_dd)                       # detuning
+        if self.fit_sigma:
+            cols.append(self.sw * n * one_m_a * 0.5 * v * cosb * denv_du)  # log_sigma
         return np.column_stack(cols)
 
+    def profile(self, t0s, sigma_ps):
+        """Weighted linear fits counts ~ a + b C + c S, one per delay offset.
 
-def _run_starts(design, starts, max_nfev, tol):
-    best = []
-    for x0 in starts:
-        try:
-            res = least_squares(
-                design.residual, x0=np.asarray(x0, dtype=np.float64),
-                jac=design.jacobian, method="lm",
-                xtol=tol, ftol=tol, gtol=tol, max_nfev=max_nfev,
-            )
-        except Exception:
-            continue
-        best.append(res)
-    return best
+        C and S are E(tau - t0) mean_m cos and sin(2 pi d_m (tau - t0)) at
+        the design's fixed detunings and the given linewidth.  Returns the
+        residual sums of squares and the (a, b, c) rows.
+        """
+        t0s = np.asarray(t0s, dtype=np.float64)
+        costs = np.empty(t0s.size)
+        coefs = np.empty((t0s.size, 3))
+        y = self.sw * self.c
+        rows = max(1, _PROFILE_BLOCK // self.t.size)
+        for i in range(0, t0s.size, rows):
+            dt = self.t - t0s[i:i + rows, None]
+            cos_sum = np.zeros_like(dt)
+            sin_sum = np.zeros_like(dt)
+            for d in self.d:
+                th = 2.0 * math.pi * d * dt
+                cos_sum += np.cos(th)
+                sin_sum += np.sin(th)
+            scale = self.sw / len(self.d)
+            if sigma_ps is not None:
+                scale = scale * envelope_value(Envelope(sigma_ps), dt)
+            basis = np.stack([np.broadcast_to(self.sw, dt.shape),
+                              cos_sum * scale, sin_sum * scale], axis=-1)
+            basis_t = basis.swapaxes(1, 2)
+            beta = np.linalg.pinv(basis_t @ basis) @ (basis_t @ y)[..., None]
+            resid = y - (basis @ beta)[..., 0]
+            costs[i:i + rows] = np.sum(resid**2, axis=1)
+            coefs[i:i + rows] = beta[..., 0]
+        return costs, coefs
+
+    def start(self, t0, coef, sigma_ps):
+        """Parameter vector of the linear fit (a, b, c) at delay offset t0.
+
+        N = 2a, (1 - alpha) V = hypot(b, c)/a and phi = atan2(c, -b);
+        a free alpha starts at max(alpha, 0.01) and a free detuning at the
+        given one.
+        """
+        a, b, c = coef
+        alpha = max(self.alpha_fixed, 0.01) if self.fit_alpha else self.alpha_fixed
+        theta = [2.0 * a, math.hypot(b, c) / a / (1.0 - alpha),
+                 math.atan2(c, -b), t0]
+        if self.fit_alpha:
+            theta.append(alpha)
+        if self.fit_detuning:
+            theta.append(self.d[0])
+        if self.fit_sigma:
+            theta.append(math.log(sigma_ps))
+        return np.array(theta, dtype=np.float64)
+
+
+def _polish(design, x0, max_nfev, what):
+    """One Levenberg-Marquardt run from x0 at tight tolerance."""
+    try:
+        res = least_squares(design.residual, x0=x0, jac=design.jacobian,
+                            method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                            max_nfev=max_nfev)
+    except ValueError as exc:  # non-finite residuals at the start
+        raise FitError(f"{what} has no finite start: {exc}") from exc
+    except OverflowError as exc:  # a free log-linewidth ran past exp's range
+        raise FitError(f"{what} diverged: {exc}") from exc
+    if res.status <= 0:
+        raise FitError(f"{what} did not converge in {res.nfev} evaluations "
+                       f"(residual ss {2.0 * float(res.cost)!r})")
+    return res
 
 
 def _canonical_fringe(theta):
@@ -247,14 +303,22 @@ def fit_fringe(
     fit_detuning (single pair only) frees the beat detuning so the
     oscillation period is itself measured.
 
-    Multi-start over phi in {0, pi/2, pi, 3/2 pi} and eight tau0 offsets
-    spanning one oscillation period; ties resolved by residual, then
-    smallest |tau0|, then smallest |phi|.
+    Search: at fixed tau0 (and the given detunings) the model is linear in
+    the baseline and the beat's cosine and sine amplitudes, so each tau0
+    costs one weighted linear solve.  tau0 is profiled on a grid over
+    t0_ref +/- 1/min(d) with step at most 1/(16 max(d)), where t0_ref is
+    the delay of the lowest count when sigma is given and 0 otherwise;
+    costs within a relative 1e-6 of the lowest tie and go to the smallest
+    |tau0|.  One Levenberg-Marquardt polish from that point (at most
+    2 max_iter evaluations) frees every parameter and gives the covariance;
+    FitError if it does not converge.  `iterations` reports its evaluation
+    count.
 
     Single-pair fits without the envelope determine phi and tau0 only
-    jointly (the beat phase at zero delay); such fits are reported in the
-    tau0 = 0 gauge with phi the zero-delay beat phase, flagged
-    "phase-gauge", and sigma(tau0) set to zero.
+    jointly (the beat phase at zero delay); their profile is the single
+    solve at tau0 = 0, and they are reported in the tau0 = 0 gauge with
+    phi the zero-delay beat phase, flagged "phase-gauge", and sigma(tau0)
+    set to zero.
     """
     if len(data) < 8:
         raise DomainError("fit_fringe needs at least 8 data points")
@@ -270,8 +334,8 @@ def fit_fringe(
     d_ps = [d * _PS for d in detunings]
     sigma_ps = None if sigma is None else float(sigma) * _PS
 
-    design = _FringeDesign(taus_ps, counts, d_ps, sigma_ps,
-                           fit_alpha, fit_detuning, alpha)
+    design = _FringeDesign(taus_ps, counts, d_ps, sigma_ps, alpha=alpha,
+                           fit_alpha=fit_alpha, fit_detuning=fit_detuning)
 
     flags: list[str] = []
     if np.ptp(counts) == 0:
@@ -286,56 +350,27 @@ def fit_fringe(
         return _package_fringe(design, theta, cov, 0.0, True, 0,
                                ("degenerate-data",), sigma)
 
-    n0 = 2.0 * counts.mean()
-    v0 = float(np.clip(np.ptp(counts) / max(counts.mean(), 1.0) / 2.0, 0.05, 0.9))
-    period_ps = 1.0 / min(d_ps)
-    t0_ref = float(taus_ps[np.argmin(counts)]) if sigma_ps is not None else 0.0
-    starts = []
-    for phi0 in _PHI_STARTS:
-        for j in range(8):
-            x0 = [n0, v0, phi0, t0_ref + j * period_ps / 8.0]
-            if fit_alpha:
-                x0.append(max(alpha, 0.01))
-            if fit_detuning:
-                x0.append(d_ps[0])
-            starts.append(x0)
-
-    results = _run_starts(design, starts, max_iter, 1e-9)
-    converged = [r for r in results if r.status > 0]
-    if not converged:
-        best_cost = min((r.cost for r in results), default=math.nan)
-        raise FitError(
-            f"fringe fit did not converge from any of {len(starts)} starts "
-            f"(best residual ss {2 * best_cost!r})"
-        )
-
-    # Polish the contenders at tight tolerance, then break ties.
-    costs = np.array([r.cost for r in converged])
-    cutoff = costs.min() * (1.0 + _TIE_REL) + 1e-12
-    contenders = []
-    for r in converged:
-        if r.cost <= cutoff:
-            p = least_squares(design.residual, x0=r.x, jac=design.jacobian,
-                              method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                              max_nfev=2 * max_iter)
-            contenders.append(p)
-    costs = np.array([r.cost for r in contenders])
-    cutoff = costs.min() * (1.0 + _TIE_REL) + 1e-12
-    ties = [r for r in contenders if r.cost <= cutoff]
-    keyed = sorted(
-        (tuple(np.abs(_canonical_fringe(r.x)[[3, 2]])), i)
-        for i, r in enumerate(ties)
-    )
-    winner = ties[keyed[0][1]]
+    # Without the envelope a single-pair model depends on (phi, tau0) only
+    # through the beat phase at zero delay, so tau0 = 0 loses nothing.
+    gauge = sigma_ps is None and len(d_ps) == 1
+    if gauge:
+        t0s = np.zeros(1)
+    else:
+        t0_ref = float(taus_ps[np.argmin(counts)]) if sigma_ps is not None else 0.0
+        period_ps = 1.0 / min(d_ps)
+        steps = math.ceil(32.0 * max(detunings) / min(detunings))
+        t0s = np.linspace(t0_ref - period_ps, t0_ref + period_ps, steps + 1)
+    costs, coefs = design.profile(t0s, sigma_ps)
+    ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
+    best = ties[np.argmin(np.abs(t0s[ties]))]
+    winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps),
+                     2 * max_iter, "fringe fit")
 
     theta = _canonical_fringe(winner.x)
-    # Without the envelope a single-pair model depends on (phi, tau0) only
-    # through the beat phase at zero delay, so the pair is an exact flat
-    # direction and the optimizer parks anywhere along it.  Slide the
-    # solution to the tau0 = 0 gauge, pin tau0 there, and propagate the
-    # covariance through the reparameterization so sigma(phi) is the
-    # uncertainty of the identifiable combination.
-    gauge = sigma_ps is None and len(d_ps) == 1
+    # The polish may still park anywhere along the gauge's flat (phi, tau0)
+    # direction.  Slide the solution to the tau0 = 0 gauge, pin tau0 there,
+    # and propagate the covariance through the reparameterization so
+    # sigma(phi) is the uncertainty of the identifiable combination.
     if gauge:
         det_hat = theta[design.names.index("detuning")] if fit_detuning else d_ps[0]
         theta[2] -= 2.0 * math.pi * det_hat * theta[3]
@@ -356,9 +391,8 @@ def fit_fringe(
     cond = np.linalg.cond(jac.T @ jac)
     if cond > 1e10:
         flags.append("ill-conditioned")
-    iterations = int(winner.nfev)
     return _package_fringe(design, theta, cov, 2.0 * winner.cost, True,
-                           iterations, tuple(flags), sigma)
+                           int(winner.nfev), tuple(flags), sigma)
 
 
 def _package_fringe(design, theta, cov, residual_ss, converged, iterations,
@@ -395,70 +429,22 @@ class _EnvelopeDeviationDesign:
 
     def residual(self, theta):
         a, t0, u = theta
-        e = _envelope_ps(self.t - t0, math.exp(u))
+        e = envelope_value(Envelope(math.exp(u)), self.t - t0)
         m = np.sqrt((2.0 / math.pi * a * e) ** 2 + self.floor2)
         return self.dev - m
-
-
-class _EnvelopeFullDesign:
-    """Full fringe model with free log-linewidth for the refine stage."""
-
-    def __init__(self, taus_ps, counts, detunings_ps):
-        self.t = taus_ps
-        self.c = counts
-        self.d = detunings_ps
-        self.sw = np.sqrt(1.0 / np.maximum(counts, 1.0))
-
-    def _parts(self, theta):
-        n, v, phi, t0, u = theta
-        s = math.exp(u)
-        dt = self.t - t0
-        x = np.minimum(np.abs(s * dt), 700.0)
-        ex = np.exp(-x)
-        env = (1.0 + x) * ex
-        cosb = np.zeros_like(dt)
-        sinb = np.zeros_like(dt)
-        sinb_d = np.zeros_like(dt)
-        for d in self.d:
-            th = 2.0 * math.pi * d * dt + phi
-            cosb += np.cos(th)
-            sinb += np.sin(th)
-            sinb_d += np.sin(th) * d
-        m = len(self.d)
-        return (n, v, phi, t0, s, dt, x, ex, env,
-                cosb / m, sinb / m, sinb_d / m)
-
-    def residual(self, theta):
-        n, v, _, _, _, _, _, _, env, cosb, _, _ = self._parts(theta)
-        model = n * (0.5 - 0.5 * v * cosb * env)
-        return self.sw * (self.c - model)
-
-    def jacobian(self, theta):
-        n, v, phi, t0, s, dt, x, ex, env, cosb, sinb, sinb_d = self._parts(theta)
-        g = cosb * env
-        p = 0.5 - 0.5 * v * g
-        denv_dt0 = s * np.sign(dt) * x * ex
-        denv_du = -(x**2) * ex  # dE/du with x proportional to e^u
-        cols = [
-            -self.sw * p,
-            self.sw * n * 0.5 * g,
-            -self.sw * n * 0.5 * v * sinb * env,
-            -self.sw * n * (-0.5 * v) * (2.0 * math.pi * sinb_d * env
-                                         + cosb * denv_dt0),
-            -self.sw * n * (-0.5 * v) * cosb * denv_du,
-        ]
-        return np.column_stack(cols)
 
 
 def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> FitResult:
     """Estimate the coherence envelope linewidth from a coarse delay scan.
 
     Stage one fits the envelope-averaged model (baseline plus folded
-    envelope of the unresolved beat) to |counts - mean|; stage two refines
-    all parameters against the full fringe model with the linewidth free,
-    which needs the beat detunings (argument, else dataset metadata
-    `detunings_hz`).  Without detunings the stage-one estimate is returned
-    with flag "coarse-only".
+    envelope of the unresolved beat) to |counts - mean| from a grid of
+    delay and linewidth starts.  Stage two refines all parameters against
+    the full fringe model with the linewidth free: one linear solve for
+    scale, visibility and phase at the stage-one (t0, linewidth), then one
+    Levenberg-Marquardt polish.  It needs the beat detunings (argument,
+    else dataset metadata `detunings_hz`).  Without detunings the
+    stage-one estimate is returned with flag "coarse-only".
 
     The linewidth is reported as equivalent fwhm in Hz.
     """
@@ -509,7 +495,9 @@ def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> Fi
             r = least_squares(coarse.residual, x0=np.asarray(x0), method="lm",
                               xtol=1e-10, ftol=1e-10, gtol=1e-10,
                               max_nfev=40 * max_iter)
-        except Exception:
+        # ValueError: non-finite residuals at this start, or a linewidth
+        # that underflows to zero; OverflowError: one past exp's range.
+        except (ValueError, OverflowError):
             continue
         if best is None or r.cost < best.cost:
             best = r
@@ -521,7 +509,7 @@ def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> Fi
         sigma_ps = math.exp(u1)
         fwhm = sigma_ps / (2.0 * math.pi) / _PS
         flags.append("coarse-only")
-        if span_ps < 1.0 / sigma_ps:
+        if span_ps * sigma_ps < 1.0:
             flags.append("ill-conditioned")
         params = {"amplitude": float(abs(a1)), "fwhm": float(fwhm),
                   "tau0": float(t01 * _PS),
@@ -540,37 +528,21 @@ def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> Fi
                          float(2.0 * best.cost), True, int(best.nfev),
                          tuple(flags))
 
-    full = _EnvelopeFullDesign(taus_ps, counts, d_ps)
-    v1 = float(np.clip(abs(a1) / max(baseline, 1.0), 0.05, 1.0))
-    full_starts = [[2.0 * baseline, v1, phi0, t01, u1] for phi0 in _PHI_STARTS]
-    winner = None
-    for x0 in full_starts:
-        try:
-            r = least_squares(full.residual, x0=np.asarray(x0), jac=full.jacobian,
-                              method="lm", xtol=1e-9, ftol=1e-9, gtol=1e-9,
-                              max_nfev=40 * max_iter)
-        except Exception:
-            continue
-        if winner is None or r.cost < winner.cost:
-            winner = r
-    if winner is None or winner.status <= 0:
-        raise FitError("envelope refinement did not converge")
-    polished = least_squares(full.residual, x0=winner.x, jac=full.jacobian,
-                             method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                             max_nfev=40 * max_iter)
+    full = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
+    sigma1 = math.exp(u1)
+    _, coefs = full.profile([t01], sigma1)
+    polished = _polish(full, full.start(t01, coefs[0], sigma1), 40 * max_iter,
+                       "envelope refinement")
 
-    n, v, phi, t0, u = polished.x
-    if v < 0:
-        v, phi = -v, phi + math.pi
-    phi = math.pi - (math.pi - phi) % (2.0 * math.pi)
+    theta = _canonical_fringe(polished.x)
+    n, v, phi, t0, u = theta
     sigma_ps = math.exp(u)
     fwhm = sigma_ps / (2.0 * math.pi) / _PS
-    theta = np.array([n, v, phi, t0, u])
     j = full.jacobian(theta)
     cov = np.linalg.pinv(j.T @ j)
     d = np.array([1.0, 1.0, 1.0, _PS, fwhm])
     cov_rep = 0.5 * (cov + cov.T) * np.outer(d, d)
-    if span_ps < 1.0 / sigma_ps or math.sqrt(max(cov[4, 4], 0.0)) > 1.0:
+    if span_ps * sigma_ps < 1.0 or math.sqrt(max(cov[4, 4], 0.0)) > 1.0:
         flags.append("ill-conditioned")
     names = ("scale", "visibility", "phi", "tau0", "fwhm")
     values = {"scale": float(n), "visibility": float(v), "phi": float(phi),

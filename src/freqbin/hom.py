@@ -175,8 +175,8 @@ def central_dip_fwhm(model: FringeModel, search_span: float | None = None) -> fl
     widths = []
     for sign in (+1.0, -1.0):
         grid = sign * np.linspace(0.0, search_span, 4001)[1:]
-        vals = np.array([height(t) for t in grid])
-        crossing = np.nonzero(np.sign(vals) != np.sign(height(0.0)))[0]
+        vals = height(grid)
+        crossing = np.nonzero(np.sign(vals) != np.sign(v0 - half))[0]
         if crossing.size == 0:
             raise DomainError("no half-depth crossing within the search span")
         i = int(crossing[0])

@@ -6,23 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
+import freqbin.fit
 from freqbin.comb import DEFAULT_MODEL, pair_for_index
 from freqbin.counting import FringeDataset, ScanConfig, simulate_fringe
-from freqbin.errors import DomainError, NonPhysicalStateError, ReconstructionError
+from freqbin.errors import DomainError, FitError, NonPhysicalStateError, ReconstructionError
 from freqbin.fit import (
+    _FringeDesign,
+    _polish,
     estimate_balance,
     fit_envelope,
     fit_fringe,
     pool_phases,
     reconstruct,
 )
-from freqbin.hom import Envelope, FringeModel, hom_multi
+from freqbin.hom import Envelope, FringeModel, hom_multi, revival_period
 
 from conftest import exact_dataset
 
 DET2 = float(pair_for_index(DEFAULT_MODEL, 2).detuning)
 DET3 = float(pair_for_index(DEFAULT_MODEL, 3).detuning)
+DETS_2_5 = [float(pair_for_index(DEFAULT_MODEL, m).detuning) for m in range(2, 6)]
+DETS_2_15 = [float(pair_for_index(DEFAULT_MODEL, m).detuning) for m in range(2, 16)]
 ENV = Envelope.from_fwhm(DEFAULT_MODEL.fwhm)
 
 FINE_TAUS = np.arange(-2e-12, 2.0001e-12, 0.05e-12)
@@ -105,6 +111,114 @@ class TestFringeNoiseless:
         assert res.tau0 == res.params["tau0"]
         assert 0.0 <= res.visibility_clamped <= 1.0
 
+    def test_revival_alias_resolves_to_smallest_offset(self):
+        # Without the envelope the 2-5 model repeats every revival period.
+        tau0 = 3.0 * revival_period(DEFAULT_MODEL.fsr) + 0.37e-12
+        p = _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 1.0, tau0)
+        ds = exact_dataset(FINE_TAUS, p, 1e9)
+        res = fit_fringe(ds, DETS_2_5, sigma=None)
+        assert abs(res.params["tau0"] - 0.37e-12) < 1e-18
+        assert abs(res.params["visibility"] - 0.8) < 1e-6
+
+    def test_fit_alpha_recovers_effective_visibility(self):
+        alpha = 0.1
+        p = (1.0 - alpha) * _cosine_probability(FINE_TAUS, [DET2], 0.8, 1.0, 0.0) + alpha / 2
+        ds = exact_dataset(FINE_TAUS, p, 1e9)
+        res = fit_fringe(ds, [DET2], sigma=None, fit_alpha=True)
+        assert "alpha-degenerate" in res.flags
+        assert "alpha" in res.free_names
+        effective = (1.0 - res.params["alpha"]) * res.params["visibility"]
+        assert abs(effective - 0.72) < 1e-6
+
+
+def test_multiplexed_fit_call_budget(monkeypatch, detector):
+    model = FringeModel(tuple((d, 0.8, 0.3) for d in DETS_2_5), 0.0, 0.0, ENV)
+    scan = ScanConfig(-8e-12, 8e-12, 0.1e-12, 30.0)
+    ds = simulate_fringe(model, scan, detector, pair_rate=53.32, seed=11)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(freqbin.fit, "least_squares", counted)
+    fit_fringe(ds, DETS_2_5, sigma=None)
+    assert len(calls) <= 2
+
+
+def _grid_search_residual_ss(data, detunings, sigma=None, fit_detuning=False):
+    """Residual of the former search, kept as the reference optimum.
+
+    32 Levenberg-Marquardt starts (four phases times eight delay offsets
+    over one period of the slowest beat), each converged start polished
+    at 1e-14 tolerance; the lowest residual is returned.  Single-pair fits
+    without the envelope are evaluated where the former search reported
+    them, slid along the flat (phi, tau0) direction to tau0 = 0: a start
+    can drift to |tau0| ~ 1 us, where phase rounding alone lowers the
+    residual by about 2e-9 relative.
+    """
+    order = np.argsort(data.taus)
+    taus_ps = data.taus[order] * 1e12
+    counts = data.counts[order].astype(np.float64)
+    d_ps = [d * 1e-12 for d in detunings]
+    sigma_ps = None if sigma is None else sigma * 1e-12
+    design = _FringeDesign(taus_ps, counts, d_ps, sigma_ps,
+                           fit_detuning=fit_detuning)
+    n0 = 2.0 * counts.mean()
+    v0 = float(np.clip(np.ptp(counts) / max(counts.mean(), 1.0) / 2.0, 0.05, 0.9))
+    period_ps = 1.0 / min(d_ps)
+    t0_ref = float(taus_ps[np.argmin(counts)]) if sigma_ps is not None else 0.0
+    gauge = sigma_ps is None and len(d_ps) == 1
+    best = math.inf
+    for phi0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+        for j in range(8):
+            x0 = [n0, v0, phi0, t0_ref + j * period_ps / 8.0]
+            if fit_detuning:
+                x0.append(d_ps[0])
+            r = least_squares(design.residual, np.array(x0), jac=design.jacobian,
+                              method="lm", xtol=1e-9, ftol=1e-9, gtol=1e-9,
+                              max_nfev=200)
+            if r.status > 0:
+                x = least_squares(design.residual, r.x, jac=design.jacobian,
+                                  method="lm", xtol=1e-14, ftol=1e-14,
+                                  gtol=1e-14, max_nfev=400).x
+                if gauge:
+                    det = x[4] if fit_detuning else d_ps[0]
+                    x[2] -= 2.0 * math.pi * det * x[3]
+                    x[3] = 0.0
+                best = min(best, float(np.sum(design.residual(x) ** 2)))
+    return best
+
+
+def _reference_case(name, detector):
+    if name == "single":
+        return _poisson_scan(0.7862, 0.4, 5, detector), [DET2], {}
+    if name == "fit_detuning":
+        model = FringeModel(((DET3, 0.84, 0.0),), 0.0, 0.0, ENV)
+        scan = ScanConfig(-2e-12, 2e-12, 0.1e-12, 60.0)
+        ds = simulate_fringe(model, scan, detector, pair_rate=67.0, seed=6)
+        return ds, [DET3 * 1.0005], {"fit_detuning": True}
+    if name == "envelope":
+        # +/-100 ps: the envelope's curvature pins tau0 (a few-ps window
+        # leaves the V-tau0 direction without a finite optimum).
+        model = FringeModel(((DET2, 0.8, 1.0),), 0.37e-12, 0.0, ENV)
+        scan = ScanConfig(-100e-12, 100e-12, 0.25e-12, 60.0)
+        ds = simulate_fringe(model, scan, detector, pair_rate=13.33, seed=8)
+        return ds, [DET2], {"sigma": ENV.sigma}
+    dets = DETS_2_5 if name == "2-5" else DETS_2_15
+    model = FringeModel(tuple((d, 0.8, -0.7) for d in dets), 1.3e-12, 0.0, ENV)
+    scan = ScanConfig(-8e-12, 8e-12, 0.1e-12, 30.0)
+    ds = simulate_fringe(model, scan, detector, pair_rate=13.33 * len(dets),
+                         seed=9)
+    return ds, dets, {}
+
+
+@pytest.mark.parametrize("name", ["single", "fit_detuning", "2-5", "2-15", "envelope"])
+def test_profile_search_matches_multistart_grid(name, detector):
+    ds, dets, options = _reference_case(name, detector)
+    res = fit_fringe(ds, dets, **options)
+    assert res.residual_ss <= _grid_search_residual_ss(ds, dets, **options) * (1.0 + 1e-9)
+
 
 class TestFringePoisson:
     def test_visibility_within_three_sigma(self, detector):
@@ -171,6 +285,15 @@ class TestEnvelopeFit:
         ds = FringeDataset(taus, np.full(taus.size, 500, dtype=np.int64), 1.0)
         res = fit_envelope(ds, detunings=[DET2])
         assert "degenerate-data" in res.flags
+
+    def test_diverging_linewidth_is_a_fit_error(self):
+        # exp(u) overflows past u ~ 709.8; the polish reports a failed fit.
+        taus_ps = np.arange(0.0, 2400.0, 2.0)
+        counts = np.full(taus_ps.size, 100.0)
+        design = _FringeDesign(taus_ps, counts, [DET2 * 1e-12], None, fit_sigma=True)
+        with pytest.raises(FitError):
+            _polish(design, np.array([200.0, 0.5, 0.0, 0.0, 710.0]), 100,
+                    "envelope refinement")
 
     def test_short_scan_rejected(self):
         taus = np.arange(0.0, 0.5e-9, 2e-12)

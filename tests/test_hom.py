@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from freqbin.comb import DEFAULT_MODEL, ghz, pair_for_index, thz
 from freqbin.errors import DomainError
@@ -165,6 +166,34 @@ def test_dip_fwhm_goldens_and_monotonicity():
     assert widths[1] == pytest.approx(0.26524428364580355e-12, rel=1e-9)
     assert widths[2] == pytest.approx(0.18502248479457017e-12, rel=1e-9)
     assert widths[0] > widths[1] > widths[2]
+
+
+def _dip_fwhm_pointwise(model):
+    """Reference dip width: the search grid evaluated one delay at a time."""
+    v0 = float(hom_multi(model, model.tau0))
+    half = 0.5 * (v0 + 0.5)
+    span = 2.0 / max(d for d, _, _ in model.pairs)
+
+    def height(t):
+        return hom_multi(model, model.tau0 + t) - half
+
+    widths = []
+    for sign in (+1.0, -1.0):
+        grid = sign * np.linspace(0.0, span, 4001)[1:]
+        vals = np.array([height(t) for t in grid])
+        i = int(np.nonzero(np.sign(vals) != np.sign(height(0.0)))[0][0])
+        lo = grid[i - 1] if i > 0 else 0.0
+        widths.append(abs(brentq(height, min(lo, grid[i]), max(lo, grid[i]),
+                                 xtol=1e-18)))
+    return widths[0] + widths[1]
+
+
+@pytest.mark.parametrize("model", [
+    multi_model(range(2, 6)),
+    multi_model(range(2, 16), v=0.9, phi=0.3, tau0=3e-12, alpha=0.1),
+])
+def test_dip_fwhm_matches_pointwise_search(model):
+    assert central_dip_fwhm(model) == _dip_fwhm_pointwise(model)
 
 
 def test_model_validation():
