@@ -1,15 +1,17 @@
 """Weighted least-squares estimation for fringe datasets.
 
 Fringe fits minimize sum w_i (counts_i - N p(tau_i))^2 with Poisson weights
-w = 1/max(counts, 1).  The search is separable (variable projection, Golub
-& Pereyra 1973): at a fixed delay offset tau0 the model is linear in the
-baseline and in the cosine and sine amplitudes of the beat, so tau0 is
-profiled with weighted linear solves and the best point is polished once
-by damped least squares (MINPACK Levenberg-Marquardt) with analytic
-Jacobians, which also frees any nonlinear parameter held at its given
-value during the profile and yields the covariance.  Internally all times
-are in picoseconds: scipy's trust-region scaling misbehaves for parameters
-of order 1e-10, and the analytic Jacobian keeps the curvature matrix sane.
+w = 1/max(counts, 1).  Every search is separable (variable projection,
+Golub & Pereyra 1973): the linear coefficients are solved in closed form on
+a grid of the nonlinear parameters, and the best grid point is polished
+once by damped least squares (MINPACK Levenberg-Marquardt) with analytic
+Jacobians, which also frees any parameter held fixed during the profile
+and yields the covariance.  Fringe fits profile the delay offset tau0 with
+weighted linear solves for the baseline and the beat's cosine and sine
+amplitudes; the coarse envelope stage profiles (t0, log linewidth) with the
+folded beat amplitude in closed form.  Internally all times are in
+picoseconds: scipy's trust-region scaling misbehaves for parameters of
+order 1e-10, and the analytic Jacobian keeps the curvature matrix sane.
 
 Accidental floor note: the fringe model's (alpha, V) pair is structurally
 degenerate (only (1 - alpha) V is identifiable from a single scan), so
@@ -45,7 +47,7 @@ _PS = 1e-12  # seconds per picosecond
 # Profile costs within this relative band count as ties.
 _TIE_REL = 1e-6
 
-# Grid points times delays per block of the tau0 profile (bounds memory).
+# Grid points times delays per block of a profile (bounds memory).
 _PROFILE_BLOCK = 1 << 14
 
 
@@ -102,6 +104,14 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
+def _envelope_parts(dt, sigma_ps):
+    """E = (1 + x) e^{-x}, x = sigma |dt|, with dE/dt0 and dE/du (u = log sigma)."""
+    x = np.minimum(np.abs(sigma_ps * dt), 700.0)
+    ex = np.exp(-x)
+    # dE/dt0 = sigma sign(dt) x e^{-x}; dE/du = -x^2 e^{-x} (x ~ e^u)
+    return (1.0 + x) * ex, sigma_ps * np.sign(dt) * x * ex, -(x**2) * ex
+
+
 class _FringeDesign:
     """Residual/Jacobian factory for the shared-(V, phi) fringe model.
 
@@ -122,6 +132,7 @@ class _FringeDesign:
         self.fit_sigma = fit_sigma
         self.alpha_fixed = alpha
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
+        self._memo = (None, None)
         self.names = ["scale", "visibility", "phi", "tau0"]
         if fit_alpha:
             self.names.append("alpha")
@@ -139,18 +150,17 @@ class _FringeDesign:
         return n, v, phi, t0, alpha, dets, sigma_ps
 
     def _parts(self, theta):
+        # MINPACK asks for the Jacobian at the theta of its last residual.
+        key = np.asarray(theta, dtype=np.float64).tobytes()
+        if key == self._memo[0]:
+            return self._memo[1]
         n, v, phi, t0, alpha, dets, sigma_ps = self._unpack(theta)
         dt = self.t - t0
         if sigma_ps is None:
             env = np.ones_like(dt)
             denv_dt0 = denv_du = np.zeros_like(dt)
         else:
-            x = np.minimum(np.abs(sigma_ps * dt), 700.0)
-            ex = np.exp(-x)
-            env = (1.0 + x) * ex
-            # dE/dt0 = sigma sign(dt) x e^{-x}; dE/du = -x^2 e^{-x} (x ~ e^u)
-            denv_dt0 = sigma_ps * np.sign(dt) * x * ex
-            denv_du = -(x**2) * ex
+            env, denv_dt0, denv_du = _envelope_parts(dt, sigma_ps)
         cosb = np.zeros_like(dt)
         sinb = np.zeros_like(dt)
         sinb_d = np.zeros_like(dt)
@@ -163,7 +173,8 @@ class _FringeDesign:
         cosb /= m
         sinb /= m
         sinb_d /= m
-        return n, v, alpha, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d
+        self._memo = key, (n, v, alpha, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d)
+        return self._memo[1]
 
     def model(self, theta):
         n, v, alpha, _, env, _, _, cosb, _, _ = self._parts(theta)
@@ -247,11 +258,11 @@ class _FringeDesign:
         return np.array(theta, dtype=np.float64)
 
 
-def _polish(design, x0, max_nfev, what):
+def _polish(design, x0, max_nfev, what, tol=1e-14):
     """One Levenberg-Marquardt run from x0 at tight tolerance."""
     try:
         res = least_squares(design.residual, x0=x0, jac=design.jacobian,
-                            method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                            method="lm", xtol=tol, ftol=tol, gtol=tol,
                             max_nfev=max_nfev)
     except ValueError as exc:  # non-finite residuals at the start
         raise FitError(f"{what} has no finite start: {exc}") from exc
@@ -275,8 +286,7 @@ def _canonical_fringe(theta):
 
 def _covariance(design, theta):
     j = design.jacobian(theta)
-    jtj = j.T @ j
-    cov = np.linalg.pinv(jtj)
+    cov = np.linalg.pinv(j.T @ j)
     return 0.5 * (cov + cov.T)
 
 
@@ -363,8 +373,12 @@ def fit_fringe(
     costs, coefs = design.profile(t0s, sigma_ps)
     ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
     best = ties[np.argmin(np.abs(t0s[ties]))]
+    what = "fringe fit"
+    if sigma_ps is not None and np.ptp(taus_ps) * sigma_ps < 0.1:
+        what += (" (the window is much shorter than the envelope: V and tau0"
+                 " have no finite optimum; fit with sigma=None)")
     winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps),
-                     2 * max_iter, "fringe fit")
+                     2 * max_iter, what)
 
     theta = _canonical_fringe(winner.x)
     # The polish may still park anywhere along the gauge's flat (phi, tau0)
@@ -418,8 +432,9 @@ class _EnvelopeDeviationDesign:
     """Reduced baseline-plus-envelope model for coarse scans.
 
     The unresolved oscillation is folded out: |counts - mean| is fitted to
-    sqrt(((2/pi) A E)^2 + 2 b/pi), the folded-normal mean of beat plus
-    Poisson noise around the baseline b.
+    sqrt(k E^2 + 2 b/pi) with k = ((2/pi) A)^2, the folded-normal mean of
+    beat plus Poisson noise around the baseline b.  theta = (A, t0, u),
+    u = log(sigma_ps).
     """
 
     def __init__(self, taus_ps, dev, baseline):
@@ -427,24 +442,57 @@ class _EnvelopeDeviationDesign:
         self.dev = dev
         self.floor2 = 2.0 * baseline / math.pi
 
+    def _parts(self, theta):
+        env, denv_dt0, denv_du = _envelope_parts(self.t - theta[1], math.exp(theta[2]))
+        m = np.sqrt((2.0 / math.pi * theta[0] * env) ** 2 + self.floor2)
+        return env, denv_dt0, denv_du, m
+
     def residual(self, theta):
-        a, t0, u = theta
-        e = envelope_value(Envelope(math.exp(u)), self.t - t0)
-        m = np.sqrt((2.0 / math.pi * a * e) ** 2 + self.floor2)
-        return self.dev - m
+        return self.dev - self._parts(theta)[-1]
+
+    def jacobian(self, theta):
+        env, denv_dt0, denv_du, m = self._parts(theta)
+        a = theta[0]
+        g = -(2.0 / math.pi) ** 2 * a * env / m
+        return np.column_stack([g * env, g * a * denv_dt0, g * a * denv_du])
+
+    def profile(self, t0s, us):
+        """Folded-model costs and amplitudes A on the flattened (t0, u) grid.
+
+        At fixed (t0, u), k = sum E^2 q / sum E^4 with q = dev^2 - 2b/pi,
+        clipped at 0, fits the squared model k E^2 + 2b/pi in closed form.
+        """
+        t0g, ug = (g.ravel() for g in np.meshgrid(t0s, us, indexing="ij"))
+        q = self.dev**2 - self.floor2
+        costs = np.empty(t0g.size)
+        amps = np.empty(t0g.size)
+        rows = max(1, _PROFILE_BLOCK // self.t.size)
+        for i in range(0, t0g.size, rows):
+            blk = slice(i, i + rows)
+            x = np.abs(self.t - t0g[blk, None]) * np.exp(ug[blk, None])
+            e2 = ((1.0 + x) * np.exp(-x)) ** 2
+            k = np.maximum(e2 @ q / np.sum(e2**2, axis=1), 0.0)
+            m = np.sqrt(k[:, None] * e2 + self.floor2)
+            costs[blk] = np.sum((self.dev - m) ** 2, axis=1)
+            amps[blk] = 0.5 * math.pi * np.sqrt(k)
+        return t0g, ug, costs, amps
 
 
 def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> FitResult:
     """Estimate the coherence envelope linewidth from a coarse delay scan.
 
     Stage one fits the envelope-averaged model (baseline plus folded
-    envelope of the unresolved beat) to |counts - mean| from a grid of
-    delay and linewidth starts.  Stage two refines all parameters against
-    the full fringe model with the linewidth free: one linear solve for
-    scale, visibility and phase at the stage-one (t0, linewidth), then one
-    Levenberg-Marquardt polish.  It needs the beat detunings (argument,
-    else dataset metadata `detunings_hz`).  Without detunings the
-    stage-one estimate is returned with flag "coarse-only".
+    envelope of the unresolved beat) to |counts - mean|: a profile with the
+    amplitude in closed form over 33 delay offsets spanning the scan times
+    9 log-spaced linewidths in (1/4 .. 8) 2/span, then one Levenberg-
+    Marquardt polish from its best point.  Stage two refines all parameters
+    against the full fringe model with the linewidth free: one linear solve
+    for scale, visibility and phase at the stage-one (t0, linewidth), then
+    one polish.  It needs the beat detunings (argument, else dataset
+    metadata `detunings_hz`); without them the stage-one estimate is
+    returned, flagged "coarse-only", and `iterations` counts its polish's
+    evaluations.  Each polish stops at 2 max_iter evaluations; FitError if
+    one does not converge.
 
     The linewidth is reported as equivalent fwhm in Hz.
     """
@@ -480,89 +528,41 @@ def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> Fi
                          0.0, True, 0, ("ill-conditioned", "degenerate-data"))
 
     coarse = _EnvelopeDeviationDesign(taus_ps, dev, baseline)
-    sigma0 = 2.0 / span_ps
-    starts = []
-    for t0_frac in (0.0, 0.25, 0.5, 0.75):
-        for mult in (0.5, 1.0, 2.0, 4.0):
-            starts.append([
-                max(dev.max(), 1.0),
-                taus_ps[0] + t0_frac * span_ps,
-                math.log(sigma0 * mult),
-            ])
-    best = None
-    for x0 in starts:
-        try:
-            r = least_squares(coarse.residual, x0=np.asarray(x0), method="lm",
-                              xtol=1e-10, ftol=1e-10, gtol=1e-10,
-                              max_nfev=40 * max_iter)
-        # ValueError: non-finite residuals at this start, or a linewidth
-        # that underflows to zero; OverflowError: one past exp's range.
-        except (ValueError, OverflowError):
-            continue
-        if best is None or r.cost < best.cost:
-            best = r
-    if best is None:
-        raise FitError("envelope fit did not converge from any start")
-    a1, t01, u1 = best.x
-
+    t0g, ug, costs, amps = coarse.profile(
+        np.linspace(taus_ps[0], taus_ps[-1], 33),
+        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)))
+    i = int(np.argmin(costs))
+    res = _polish(coarse, np.array([amps[i], t0g[i], ug[i]]), 2 * max_iter,
+                  "coarse envelope fit", tol=1e-10)
     if d_ps is None:
-        sigma_ps = math.exp(u1)
-        fwhm = sigma_ps / (2.0 * math.pi) / _PS
+        design, names = coarse, ("amplitude", "tau0", "fwhm")
+        theta = np.r_[abs(res.x[0]), res.x[1:]]  # the model depends on A^2 only
         flags.append("coarse-only")
-        if span_ps * sigma_ps < 1.0:
-            flags.append("ill-conditioned")
-        params = {"amplitude": float(abs(a1)), "fwhm": float(fwhm),
-                  "tau0": float(t01 * _PS),
-                  "scale": float(2.0 * baseline),
-                  "visibility": float(np.clip(abs(a1) / max(baseline, 1.0), 0.0, 1.0)),
-                  "phi": 0.0}
-        # Coarse-stage curvature in (A, t0, u), mapped onto (tau0, fwhm).
-        j = _numeric_jacobian(coarse.residual, best.x)
-        cov = np.linalg.pinv(j.T @ j)
-        d = np.array([1.0, _PS, fwhm])
-        cov_rep = cov * np.outer(d, d)
-        sig = {"amplitude": float(math.sqrt(max(cov_rep[0, 0], 0.0))),
-               "fwhm": float(math.sqrt(max(cov_rep[2, 2], 0.0))),
-               "tau0": float(math.sqrt(max(cov_rep[1, 1], 0.0)))}
-        return FitResult(params, sig, cov_rep, ("amplitude", "tau0", "fwhm"),
-                         float(2.0 * best.cost), True, int(best.nfev),
-                         tuple(flags))
+    else:
+        design = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
+        t01, sigma1 = res.x[1], math.exp(res.x[2])
+        _, coefs = design.profile([t01], sigma1)
+        res = _polish(design, design.start(t01, coefs[0], sigma1), 2 * max_iter,
+                      "envelope refinement")
+        theta = _canonical_fringe(res.x)
+        names = ("scale", "visibility", "phi", "tau0", "fwhm")
 
-    full = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
-    sigma1 = math.exp(u1)
-    _, coefs = full.profile([t01], sigma1)
-    polished = _polish(full, full.start(t01, coefs[0], sigma1), 40 * max_iter,
-                       "envelope refinement")
-
-    theta = _canonical_fringe(polished.x)
-    n, v, phi, t0, u = theta
-    sigma_ps = math.exp(u)
+    # Curvature in (..., t0, u), mapped onto (tau0 in s, fwhm in Hz).
+    sigma_ps = math.exp(theta[-1])
     fwhm = sigma_ps / (2.0 * math.pi) / _PS
-    j = full.jacobian(theta)
-    cov = np.linalg.pinv(j.T @ j)
-    d = np.array([1.0, 1.0, 1.0, _PS, fwhm])
-    cov_rep = 0.5 * (cov + cov.T) * np.outer(d, d)
-    if span_ps * sigma_ps < 1.0 or math.sqrt(max(cov[4, 4], 0.0)) > 1.0:
+    cov = _covariance(design, theta)
+    d = np.r_[np.ones(len(names) - 2), _PS, fwhm]
+    cov_rep = cov * np.outer(d, d)
+    if span_ps * sigma_ps < 1.0 or (d_ps is not None and cov[-1, -1] > 1.0):
         flags.append("ill-conditioned")
-    names = ("scale", "visibility", "phi", "tau0", "fwhm")
-    values = {"scale": float(n), "visibility": float(v), "phi": float(phi),
-              "tau0": float(t0 * _PS), "fwhm": float(fwhm)}
-    sig = {name: float(math.sqrt(max(cov_rep[i, i], 0.0)))
-           for i, name in enumerate(names)}
-    return FitResult(values, sig, cov_rep, names, float(2.0 * polished.cost),
-                     True, int(polished.nfev), tuple(flags))
-
-
-def _numeric_jacobian(fun, x, rel=1e-6):
-    x = np.asarray(x, dtype=np.float64)
-    f0 = fun(x)
-    cols = []
-    for i in range(x.size):
-        h = rel * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xp[i] += h
-        cols.append((fun(xp) - f0) / h)
-    return np.column_stack(cols)
+    values = dict(zip(names[:-2], map(float, theta[:-2])))
+    values.update(tau0=float(theta[-2] * _PS), fwhm=float(fwhm))
+    if d_ps is None:  # the reduced model's fixed entries
+        vis = float(np.clip(theta[0] / max(baseline, 1.0), 0.0, 1.0))
+        values.update(scale=float(2.0 * baseline), visibility=vis, phi=0.0)
+    sig = {n: float(math.sqrt(max(cov_rep[i, i], 0.0))) for i, n in enumerate(names)}
+    return FitResult(values, sig, cov_rep, names, float(2.0 * res.cost), True,
+                     int(res.nfev), tuple(flags))
 
 
 def estimate_balance(n1: float, s1: float, n2: float, s2: float) -> tuple[float, float]:

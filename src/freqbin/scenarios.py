@@ -24,7 +24,7 @@ from .counting import (
     computational_basis_counts,
     simulate_fringe,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FitError
 from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
 from .states import (
@@ -214,6 +214,8 @@ def _run_fig2(cfg, out_dir, seed, workers):
                  coarse_scan.grid(), hom_multi(model, coarse_scan.grid()))
 
     env_fit = fit_envelope(coarse)
+    if "degenerate-data" in env_fit.flags:
+        raise FitError("coarse scan has constant counts: no envelope to fit")
     _write_fit(out_dir, "envelope", env_fit)
 
     window = {}

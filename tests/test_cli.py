@@ -60,6 +60,15 @@ class TestMain:
         ])
         assert code == 3
 
+    def test_constant_coarse_scan_exits_3(self, tmp_path, capsys):
+        # Near-zero rates give a constant-count coarse scan: no envelope.
+        dark = tmp_path / "dark.ini"
+        dark.write_text("[source]\npair_rate_hz = 1e-9\n"
+                        "singles_signal_hz = 1e-9\nsingles_idler_hz = 1e-9\n")
+        code = main(["fig2", "--config", str(dark), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "coarse scan" in capsys.readouterr().err
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["fig9"])

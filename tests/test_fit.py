@@ -10,9 +10,11 @@ from scipy.optimize import least_squares
 
 import freqbin.fit
 from freqbin.comb import DEFAULT_MODEL, pair_for_index
-from freqbin.counting import FringeDataset, ScanConfig, simulate_fringe
+from freqbin.counting import FringeDataset, ScanConfig, accidental_rate, simulate_fringe
 from freqbin.errors import DomainError, FitError, NonPhysicalStateError, ReconstructionError
 from freqbin.fit import (
+    _canonical_fringe,
+    _EnvelopeDeviationDesign,
     _FringeDesign,
     _polish,
     estimate_balance,
@@ -300,6 +302,152 @@ class TestEnvelopeFit:
         ds = FringeDataset(taus, np.full(taus.size, 500, dtype=np.int64), 1.0)
         with pytest.raises(DomainError):
             fit_envelope(ds, detunings=[DET2])
+
+
+def _coarse_scan(name, seed, detector):
+    """Poisson 0-2.4 ns coarse scan of the stock fig2 source or a variant."""
+    rate, tau0, fwhm = 67.0, 0.3e-9, float(DEFAULT_MODEL.fwhm)
+    if name == "low-rate":
+        rate /= 10.0
+    elif name == "tau0-1.5ns":
+        tau0 = 1.5e-9
+    elif name == "fwhm-400MHz":
+        fwhm = 400e6
+    model = FringeModel(((DET2, 0.84, 0.0),), tau0, 0.0, Envelope.from_fwhm(fwhm))
+    scan = ScanConfig(0.0, 2.4e-9, 2e-12, 60.0)
+    return simulate_fringe(model, scan, detector, rate, seed,
+                           accidental=accidental_rate(1e4, 1e4, 1e-9))
+
+
+def _multistart_envelope(data, detunings):
+    """The former envelope search, kept as the reference optimum.
+
+    Stage one: 16 finite-difference Levenberg-Marquardt starts of the
+    folded model (four delay offsets times four linewidths), the lowest
+    cost kept.  Stage two (with detunings): one linear solve and one
+    polish of the full model from there.  Returns (residual_ss, params).
+    """
+    order = np.argsort(data.taus)
+    taus_ps = data.taus[order] * 1e12
+    counts = data.counts[order].astype(np.float64)
+    span_ps = float(taus_ps[-1] - taus_ps[0])
+    baseline = counts.mean()
+    dev = np.abs(counts - baseline)
+    coarse = _EnvelopeDeviationDesign(taus_ps, dev, baseline)
+    best = None
+    for t0_frac in (0.0, 0.25, 0.5, 0.75):
+        for mult in (0.5, 1.0, 2.0, 4.0):
+            x0 = [max(dev.max(), 1.0), taus_ps[0] + t0_frac * span_ps,
+                  math.log(2.0 / span_ps * mult)]
+            try:
+                r = least_squares(coarse.residual, x0=np.asarray(x0), method="lm",
+                                  xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=8000)
+            except (ValueError, OverflowError):
+                continue
+            if best is None or r.cost < best.cost:
+                best = r
+    _, t01, u1 = best.x
+    if detunings is None:
+        return 2.0 * best.cost, None
+    full = _FringeDesign(taus_ps, counts, [d * 1e-12 for d in detunings], None,
+                         fit_sigma=True)
+    _, coefs = full.profile([t01], math.exp(u1))
+    res = _polish(full, full.start(t01, coefs[0], math.exp(u1)), 8000, "reference")
+    n, v, phi, t0, u = _canonical_fringe(res.x)
+    params = {"scale": n, "visibility": v, "phi": phi, "tau0": t0 * 1e-12,
+              "fwhm": math.exp(u) / (2.0 * math.pi) * 1e12}
+    return 2.0 * res.cost, params
+
+
+COARSE_CASES = ["stock", "low-rate", "tau0-1.5ns", "fwhm-400MHz"]
+
+
+@pytest.mark.parametrize("name", COARSE_CASES)
+def test_envelope_profile_matches_multistart_grid(name, detector):
+    for seed in (1, 2, 3):
+        ds = _coarse_scan(name, seed, detector)
+        coarse_ref, _ = _multistart_envelope(ds, None)
+        coarse = fit_envelope(FringeDataset(ds.taus, ds.counts, ds.dwell))
+        assert "coarse-only" in coarse.flags
+        assert coarse.residual_ss <= coarse_ref * (1.0 + 1e-9)
+
+        full_ref, ref = _multistart_envelope(ds, [DET2])
+        full = fit_envelope(ds, detunings=[DET2])
+        assert full.residual_ss <= full_ref * (1.0 + 1e-9)
+        for key, value in ref.items():
+            delta = full.params[key] - value
+            if key == "phi":
+                delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(delta) <= 1e-3 * full.sigmas[key], key
+
+
+def _count_least_squares(monkeypatch):
+    """Record the nfev of every least_squares call made through freqbin.fit."""
+    nfevs = []
+
+    def counted(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        nfevs.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(freqbin.fit, "least_squares", counted)
+    return nfevs
+
+
+def test_envelope_fit_call_budget(monkeypatch, detector):
+    ds = _coarse_scan("stock", 4, detector)
+    nfevs = _count_least_squares(monkeypatch)
+    fit_envelope(ds, detunings=[DET2])
+    assert len(nfevs) <= 2
+    nfevs.clear()
+    fit_envelope(FringeDataset(ds.taus, ds.counts, ds.dwell))
+    assert len(nfevs) <= 1
+
+
+def test_structureless_scans_end_quickly(monkeypatch):
+    # Uniform-random counts hold no envelope: a fit either ends with finite
+    # estimates or raises FitError, within both polishes' evaluation caps.
+    nfevs = _count_least_squares(monkeypatch)
+    taus = np.linspace(0.0, 2.4e-9, 14)
+    for seed in range(20):
+        counts = np.random.default_rng(seed).integers(0, 1000, taus.size)
+        nfevs.clear()
+        try:
+            res = fit_envelope(FringeDataset(taus, counts, 1.0), detunings=[DET2])
+        except FitError:
+            pass
+        else:
+            assert all(math.isfinite(v) for v in res.params.values())
+            assert all(math.isfinite(v) for v in res.sigmas.values())
+        assert sum(nfevs) <= 4 * 200
+
+
+@pytest.mark.parametrize("theta", [(60.0, 301.3, math.log(ENV.sigma * 1e-12)),
+                                   (25.0, 1800.7, math.log(2.5 * ENV.sigma * 1e-12))])
+def test_coarse_jacobian_matches_central_differences(theta, detector):
+    ds = _coarse_scan("stock", 5, detector)
+    counts = ds.counts.astype(np.float64)
+    design = _EnvelopeDeviationDesign(ds.taus * 1e12, np.abs(counts - counts.mean()),
+                                      counts.mean())
+    theta = np.array(theta)
+    jac = design.jacobian(theta)
+    for i in range(theta.size):
+        h = 1e-6 * max(abs(theta[i]), 1.0)
+        step = np.zeros_like(theta)
+        step[i] = h
+        numeric = (design.residual(theta + step) - design.residual(theta - step)) / 2 / h
+        scale = np.max(np.abs(jac[:, i]))
+        assert scale > 0.0
+        assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * scale
+
+
+def test_short_window_with_envelope_names_the_cause(detector):
+    # On +/-2 ps the envelope is flat, so V and tau0 have no finite optimum.
+    model = FringeModel(((DET2, 0.8, 1.0),), 0.37e-12, 0.0, ENV)
+    scan = ScanConfig(-2e-12, 2e-12, 0.1e-12, 60.0)
+    ds = simulate_fringe(model, scan, detector, pair_rate=13.33, seed=8)
+    with pytest.raises(FitError, match="shorter than the envelope.*sigma=None"):
+        fit_fringe(ds, [DET2], sigma=ENV.sigma)
 
 
 class TestBalance:
