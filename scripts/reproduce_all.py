@@ -39,7 +39,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed for every scenario")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for inner sweeps")
+                        help="accepted and ignored; output is byte-identical "
+                             "for any value")
     args = parser.parse_args(argv)
 
     cfg = load_config(args.config)

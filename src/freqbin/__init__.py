@@ -51,8 +51,6 @@ from .hom import (
     central_dip_fwhm,
     envelope_value,
     hom_multi,
-    hom_single,
-    hom_single_product,
     oscillation_period,
     revival_period,
 )

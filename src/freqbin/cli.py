@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 fit non-convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import load_config
@@ -35,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv"], default="csv",
                        help="output format (csv only)")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for inner sweeps")
+                       help="accepted and ignored; output is byte-identical "
+                            "for any value")
         if name == "fig3":
             p.add_argument("--pairs", required=True,
                            help="pair index or range: 5, 10, 15, 2-5, 2-10, 2-15")
@@ -52,11 +54,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.workers < 1:
             raise ConfigurationError("--workers must be at least 1")
+        phase = getattr(args, "phase", None)
+        if phase is not None and not math.isfinite(phase):
+            raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
         summary = run_scenario(
             args.scenario, cfg, args.out,
             seed=args.seed, workers=args.workers,
             pairs=getattr(args, "pairs", None),
-            phase=getattr(args, "phase", None),
+            phase=phase,
         )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,13 +162,17 @@ def load_config(path=None) -> ScenarioConfig:
 
 
 def _number(merged, section, key, cast=float):
-    raw = merged[section][key]
+    return _finite(merged[section][key], f"[{section}] {key}", cast)
+
+
+def _finite(raw, label, cast=float):
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
-        raise ConfigurationError(
-            f"[{section}] {key}: expected a number, got {raw!r}"
-        ) from exc
+        raise ConfigurationError(f"{label}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{label}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _build(merged) -> ScenarioConfig:
@@ -192,7 +196,7 @@ def _build(merged) -> ScenarioConfig:
             raise ConfigurationError(
                 f"[wss] scan_band_thz: expected 'low,high', got {band_raw!r}"
             )
-        scan_band = (thz(float(parts[0])), thz(float(parts[1])))
+        scan_band = tuple(thz(_finite(part, "[wss] scan_band_thz")) for part in parts)
         if not scan_band[0] < scan_band[1]:
             raise ConfigurationError("[wss] scan_band_thz: low must be below high")
         tomography = TomographyInputs(

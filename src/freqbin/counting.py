@@ -8,7 +8,6 @@ reproducible and independent of evaluation order or thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +153,8 @@ def simulate_fringe(
 
     Per point, mean = dwell * (pair_rate * eta_s * eta_i * p(tau) +
     accidental), with accidental an additive coincidence rate in counts/s.
-    The draw for point i uses counter i of (seed, fringe stream), so any
-    worker partition yields identical output.
+    The draw for point i uses counter i of (seed, fringe stream).  workers
+    is accepted and ignored: the output is the same for any value.
     """
     if pair_rate < 0:
         raise DomainError("pair_rate must be non-negative")
@@ -164,20 +163,8 @@ def simulate_fringe(
     taus = scan.grid()
     eta = det.efficiency_signal * det.efficiency_idler
     rng = CounterRng(seed, STREAM_FRINGE)
-
-    def sample(indices: np.ndarray) -> np.ndarray:
-        p = hom_multi(fringe, taus[indices])
-        means = scan.dwell * (pair_rate * eta * p + accidental)
-        return rng.poisson(means, counter=indices)
-
-    indices = np.arange(taus.size)
-    if workers <= 1 or taus.size < 2:
-        counts = sample(indices)
-    else:
-        chunks = np.array_split(indices, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sample, chunks))
-        counts = np.concatenate(parts)
+    means = scan.dwell * (pair_rate * eta * hom_multi(fringe, taus) + accidental)
+    counts = rng.poisson(means, counter=np.arange(taus.size))
 
     detunings = ",".join(repr(float(d)) for d, _, _ in fringe.pairs)
     metadata = {

@@ -321,8 +321,8 @@ def fit_fringe(
     costs within a relative 1e-6 of the lowest tie and go to the smallest
     |tau0|.  One Levenberg-Marquardt polish from that point (at most
     2 max_iter evaluations) frees every parameter and gives the covariance;
-    FitError if it does not converge.  `iterations` reports its evaluation
-    count.
+    FitError if it does not converge, or, when sigma is given, if tau0 ends
+    outside the scanned window.  `iterations` reports its evaluation count.
 
     Single-pair fits without the envelope determine phi and tau0 only
     jointly (the beat phase at zero delay); their profile is the single
@@ -381,6 +381,9 @@ def fit_fringe(
                      2 * max_iter, what)
 
     theta = _canonical_fringe(winner.x)
+    if sigma_ps is not None and not taus_ps[0] <= theta[3] <= taus_ps[-1]:
+        raise FitError(f"{what}: tau0 = {theta[3]:.6g} ps lies outside the scanned "
+                       f"window [{taus_ps[0]:.6g}, {taus_ps[-1]:.6g}] ps")
     # The polish may still park anywhere along the gauge's flat (phi, tau0)
     # direction.  Slide the solution to the tau0 = 0 gauge, pin tau0 there,
     # and propagate the covariance through the reparameterization so

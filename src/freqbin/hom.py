@@ -19,8 +19,6 @@ __all__ = [
     "Envelope",
     "FringeModel",
     "envelope_value",
-    "hom_single",
-    "hom_single_product",
     "hom_multi",
     "oscillation_period",
     "revival_period",
@@ -95,38 +93,6 @@ def _beat_average(model: FringeModel, tau):
     return acc / len(model.pairs) * e
 
 
-def _mix_floor(p, alpha: float):
-    return (1.0 - alpha) * p + 0.5 * alpha
-
-
-def hom_single(model: FringeModel, tau):
-    """Single-pair coincidence probability.
-
-    p(tau) = 1/2 [1 - V cos(2 pi dnu (tau - tau0) + phi) E(tau - tau0)],
-    mixed with the accidental floor when model.alpha > 0; clamped to [0, 1].
-    """
-    if len(model.pairs) != 1:
-        raise DomainError("hom_single requires exactly one pair")
-    return hom_multi(model, tau)
-
-
-def hom_single_product(model: FringeModel, tau):
-    """Product form: the envelope multiplies the full bracket.
-
-    p(tau) = 1/2 [1 - V cos(...)] E(tau - tau0), which decays to zero at
-    large delay; kept as a reference mode for envelope studies.
-    """
-    if len(model.pairs) != 1:
-        raise DomainError("hom_single_product requires exactly one pair")
-    tau = np.asarray(tau, dtype=np.float64)
-    t = tau - model.tau0
-    detuning, visibility, phi = model.pairs[0]
-    bracket = 0.5 * (1.0 - visibility * np.cos(2.0 * math.pi * detuning * t + phi))
-    p = bracket * envelope_value(model.envelope, t)
-    p = np.clip(_mix_floor(p, model.alpha), 0.0, 1.0)
-    return p if p.shape else float(p)
-
-
 def hom_multi(model: FringeModel, tau):
     """Multiplexed coincidence probability: mean of the per-pair fringes.
 
@@ -135,7 +101,7 @@ def hom_multi(model: FringeModel, tau):
     M = 1.  Result clamped to [0, 1].
     """
     p = 0.5 * (1.0 - _beat_average(model, tau))
-    p = np.clip(_mix_floor(p, model.alpha), 0.0, 1.0)
+    p = np.clip((1.0 - model.alpha) * p + 0.5 * model.alpha, 0.0, 1.0)
     return p if p.shape else float(p)
 
 

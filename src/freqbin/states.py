@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .comb import FrequencyPair
 from .errors import DomainError, NonPhysicalStateError, PhaseGateError
@@ -150,65 +148,17 @@ def phase_from_stack(stack: WaveplateStack, tol: float = 1e-9) -> float:
     return theta
 
 
-@lru_cache(maxsize=1)
-def _hwp_calibration_table(n: int = 1024):
-    """Numerically tabulate theta(alpha) for QWP(45) HWP(alpha) QWP(45).
-
-    The mapping is computed from the composed Jones matrices, never assumed;
-    unwrapping makes it monotonic so it can be inverted by root bracketing.
-    """
-    alphas = np.linspace(0.0, math.pi, n)
-    thetas = np.empty(n)
-    for i, a in enumerate(alphas):
-        stack = WaveplateStack(
-            (("quarter", math.pi / 4), ("half", float(a)), ("quarter", math.pi / 4))
-        )
-        thetas[i] = phase_from_stack(stack)
-    unwrapped = np.unwrap(thetas)
-    return alphas, unwrapped
-
-
-def _qhq_phase(alpha: float) -> float:
-    stack = WaveplateStack(
-        (("quarter", math.pi / 4), ("half", float(alpha)), ("quarter", math.pi / 4))
-    )
-    return phase_from_stack(stack)
-
-
 def hwp_angle_for_phase(theta: float) -> float:
     """Half-wave-plate angle alpha realizing relative phase theta.
 
-    Inverts the numerically tabulated alpha -> theta calibration of the
-    QWP-HWP-QWP stack (unwrapped to a monotonic branch), then polishes the
-    bracketed root of the wrapped phase difference.
+    For QWP(45) HWP(alpha) QWP(45) the phase is theta = 4 alpha + pi
+    (mod 2 pi), so alpha = pi/2 - ((pi - theta) mod 2 pi)/4, on the branch
+    alpha in (0, pi/2].  `phase_from_stack` on `stack_for_phase(theta)` is
+    the independent Jones-matrix check of this closed form.
     """
-    alphas, unwrapped = _hwp_calibration_table()
-    if unwrapped[-1] < unwrapped[0]:
-        alphas, unwrapped = alphas[::-1], unwrapped[::-1]
-    theta = float(theta) % TWO_PI
-    # Shift the target onto the branch covered by the table.
-    target = theta + TWO_PI * math.ceil((unwrapped[0] - theta) / TWO_PI)
-    if target > unwrapped[-1]:
-        target = unwrapped[0] if target - unwrapped[-1] > 1e-9 else unwrapped[-1]
-    idx = int(np.clip(np.searchsorted(unwrapped, target), 1, len(unwrapped) - 1))
-    lo, hi = sorted((float(alphas[idx - 1]), float(alphas[idx])))
-
-    def objective(a):
-        return (_qhq_phase(a) - theta + math.pi) % TWO_PI - math.pi
-
-    flo, fhi = objective(lo), objective(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        # The wrapped difference jumps inside the bracket; widen by one cell.
-        lo = max(lo - float(alphas[1] - alphas[0]), float(alphas[0]))
-        hi = min(hi + float(alphas[1] - alphas[0]), float(alphas[-1]))
-        flo, fhi = objective(lo), objective(hi)
-        if flo * fhi > 0:
-            raise PhaseGateError(f"calibration could not bracket theta={theta:.6f}")
-    return float(brentq(objective, lo, hi, xtol=1e-13))
+    if not math.isfinite(theta):
+        raise PhaseGateError(f"phase must be finite, got {theta!r}")
+    return 0.5 * math.pi - ((math.pi - float(theta)) % TWO_PI) / 4.0
 
 
 def stack_for_phase(theta: float) -> WaveplateStack:

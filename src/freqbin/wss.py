@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .comb import CombLine, ResonatorModel, pair_for_index
+from .comb import CombLine, ResonatorModel, pair_for_index, resonance_lines
 from .errors import ConfigurationError, DomainError
 from .rng import STREAM_SCAN, CounterRng
 
@@ -170,7 +170,7 @@ def singles_spectrum_scan(
         raise DomainError("rates must be non-negative")
 
     margin = _CAPTURE_CUTOFF_LINEWIDTHS * model.fwhm + width
-    lines = resonance_candidates(model, lo - margin, hi + margin)
+    lines = resonance_lines(model, (max(lo - margin, 1), hi + margin))
 
     centers = []
     c = int(lo)
@@ -187,13 +187,3 @@ def singles_spectrum_scan(
         means.append(dwell * (dark_rate + line_flux * capture))
     counts = rng.poisson(means, counter=range(len(centers)))
     return [(center, int(n)) for center, n in zip(centers, counts)]
-
-
-def resonance_candidates(model: ResonatorModel, lo: float, hi: float) -> list[CombLine]:
-    """Comb lines in [lo, hi] without the positivity demands of a user band."""
-    k_min = math.ceil((lo - model.pump_frequency) / model.fsr)
-    k_max = math.floor((hi - model.pump_frequency) / model.fsr)
-    return [
-        CombLine(k, model.pump_frequency + k * model.fsr, model.fwhm)
-        for k in range(k_min, k_max + 1)
-    ]

@@ -69,6 +69,23 @@ class TestMain:
         assert code == 3
         assert "coarse scan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,ini,argv,key", [
+        ("fig2", "[source]\nsingles_signal_hz = nan\n", [], "singles_signal_hz"),
+        ("fig2", "[source]\npair_rate_hz = inf\n", [], "pair_rate_hz"),
+        ("fig2", "[state]\ntau0_ns = nan\n", [], "tau0_ns"),
+        ("fig5", "[tomography]\nsigma_phase = inf\n", [], "sigma_phase"),
+        ("spectrum", "[wss]\nscan_band_thz = 193.0,inf\n", [], "scan_band_thz"),
+        ("fig4", "", ["--phase", "nan"], "--phase"),
+    ], ids=["singles", "pair_rate", "tau0", "sigma_phase", "scan_band", "phase"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, scenario, ini, argv, key):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        code = main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and "finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["fig9"])

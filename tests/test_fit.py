@@ -450,6 +450,16 @@ def test_short_window_with_envelope_names_the_cause(detector):
         fit_fringe(ds, [DET2], sigma=ENV.sigma)
 
 
+@pytest.mark.parametrize("half_ps,seed", [(10.0, 8), (50.0, 1)])
+def test_envelope_weighted_tau0_outside_window_raises(half_ps, seed, detector):
+    # Unguarded, these polishes end at tau0 = -3.92 ns and +147 ps.
+    model = FringeModel(((DET2, 0.8, 1.0),), 0.37e-12, 0.0, ENV)
+    scan = ScanConfig(-half_ps * 1e-12, half_ps * 1e-12, 0.1e-12, 60.0)
+    ds = simulate_fringe(model, scan, detector, pair_rate=13.33, seed=seed)
+    with pytest.raises(FitError, match="outside the scanned window"):
+        fit_fringe(ds, [DET2], sigma=ENV.sigma)
+
+
 class TestBalance:
     def test_reference_counts(self):
         p, sigma = estimate_balance(5914.0, 77.0, 2527.0, 50.0)

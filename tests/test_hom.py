@@ -16,8 +16,6 @@ from freqbin.hom import (
     central_dip_fwhm,
     envelope_value,
     hom_multi,
-    hom_single,
-    hom_single_product,
     oscillation_period,
     revival_period,
 )
@@ -91,14 +89,14 @@ def test_envelope_strictly_decreasing(t, scale):
 
 def test_single_perfect_dip_and_peak():
     dip = multi_model([5], v=1.0, phi=0.0)
-    assert hom_single(dip, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert hom_multi(dip, 0.0) == pytest.approx(0.0, abs=1e-15)
     peak = multi_model([5], v=1.0, phi=math.pi)
-    assert hom_single(peak, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert hom_multi(peak, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_single_baseline_far_out():
     model = multi_model([5], v=1.0)
-    assert hom_single(model, 20e-9) == pytest.approx(0.5, abs=1e-8)
+    assert hom_multi(model, 20e-9) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_single_adjacent_minima_spacing():
@@ -106,31 +104,11 @@ def test_single_adjacent_minima_spacing():
     period = oscillation_period(detuning(5))
     assert period == pytest.approx(1.0098e-12, rel=1e-4)
     taus = np.arange(-3, 4) * period
-    values = hom_single(model, taus)
+    values = hom_multi(model, taus)
     # Each grid point sits on a minimum: small values, envelope-limited.
     assert np.all(values < 0.01)
-    mid = hom_single(model, period / 2.0)
+    mid = hom_multi(model, period / 2.0)
     assert mid > 0.9
-
-
-def test_single_requires_one_pair():
-    model = multi_model([2, 3])
-    with pytest.raises(DomainError):
-        hom_single(model, 0.0)
-
-
-def test_product_form_decays_to_zero():
-    model = multi_model([5], v=1.0, phi=math.pi)
-    # Peak at zero delay, but the product form has no 1/2 baseline.
-    assert hom_single_product(model, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert hom_single_product(model, 20e-9) < 1e-8
-    assert hom_single(model, 20e-9) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_multi_reduces_to_single():
-    model = multi_model([7], v=0.8, phi=0.4, tau0=1e-12, alpha=0.1)
-    taus = np.linspace(-5e-12, 5e-12, 301)
-    np.testing.assert_array_equal(hom_multi(model, taus), hom_single(model, taus))
 
 
 def test_multi_revival_minima():
@@ -236,8 +214,8 @@ def test_probability_bounds(model, tau):
 def test_single_reflection_symmetry(v, phi, t, tau0):
     left = multi_model([3], v=v, phi=phi, tau0=tau0)
     right = multi_model([3], v=v, phi=-phi, tau0=tau0)
-    a = float(hom_single(left, tau0 + t))
-    b = float(hom_single(right, tau0 - t))
+    a = float(hom_multi(left, tau0 + t))
+    b = float(hom_multi(right, tau0 - t))
     assert a == pytest.approx(b, abs=1e-12)
 
 

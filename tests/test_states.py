@@ -140,8 +140,8 @@ def test_calibration_grid_roundtrip():
 
 def test_calibration_matches_closed_form_oracle():
     # Brute-force Jones oracle: QWP(45) HWP(a) QWP(45) gives
-    # theta = (pi + 4a) mod 2pi.  Frozen here as an independent cross-check
-    # of the numeric table; the library never assumes it.
+    # theta = (pi + 4a) mod 2pi.  Composed from Jones matrices here, it is
+    # an independent check of the closed form hwp_angle_for_phase inverts.
     for alpha in np.linspace(0.01, math.pi - 0.01, 25):
         stack = WaveplateStack((
             ("quarter", math.pi / 4), ("half", float(alpha)), ("quarter", math.pi / 4),
@@ -155,6 +155,21 @@ def test_hwp_angle_in_range():
     for theta in (0.0, 1.0, 3.0, 6.0):
         alpha = hwp_angle_for_phase(theta)
         assert 0.0 <= alpha <= math.pi
+
+
+@pytest.mark.parametrize("degrees,alpha", [
+    (0.0, math.pi / 4), (90.0, 3 * math.pi / 8),
+    (180.0, math.pi / 2), (270.0, math.pi / 8),
+])
+def test_hwp_angle_branch(degrees, alpha):
+    # The branch alpha in (0, pi/2] fixes fig4's reported hwp_angle_rad.
+    assert abs(hwp_angle_for_phase(math.radians(degrees)) - alpha) <= math.ulp(alpha)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_hwp_angle_rejects_non_finite(theta):
+    with pytest.raises(PhaseGateError):
+        hwp_angle_for_phase(theta)
 
 
 # ----------------------------------------------------------- density matrix
