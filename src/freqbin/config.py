@@ -175,13 +175,23 @@ def _finite(raw, label, cast=float):
     return value
 
 
+def _hertz(raw, label, to_hz):
+    """Integer hertz via thz/ghz/mhz; a value that overflows once scaled is an error."""
+    try:
+        return to_hz(_finite(raw, label))
+    except OverflowError:
+        raise ConfigurationError(f"{label}: expected a finite number, got {raw!r}, "
+                                 "which overflows once scaled to hertz") from None
+
+
 def _build(merged) -> ScenarioConfig:
     num = lambda s, k: _number(merged, s, k)
+    hz = lambda s, k, to_hz: _hertz(merged[s][k], f"[{s}] {k}", to_hz)
     try:
         resonator = ResonatorModel(
-            pump_frequency=thz(num("resonator", "pump_thz")),
-            fsr=ghz(num("resonator", "fsr_ghz")),
-            fwhm=mhz(num("resonator", "fwhm_mhz")),
+            pump_frequency=hz("resonator", "pump_thz", thz),
+            fsr=hz("resonator", "fsr_ghz", ghz),
+            fwhm=hz("resonator", "fwhm_mhz", mhz),
             extinction=num("resonator", "extinction"),
         )
         detector = DetectorModel(
@@ -196,7 +206,7 @@ def _build(merged) -> ScenarioConfig:
             raise ConfigurationError(
                 f"[wss] scan_band_thz: expected 'low,high', got {band_raw!r}"
             )
-        scan_band = tuple(thz(_finite(part, "[wss] scan_band_thz")) for part in parts)
+        scan_band = tuple(_hertz(part, "[wss] scan_band_thz", thz) for part in parts)
         if not scan_band[0] < scan_band[1]:
             raise ConfigurationError("[wss] scan_band_thz: low must be below high")
         tomography = TomographyInputs(
@@ -228,8 +238,8 @@ def _build(merged) -> ScenarioConfig:
             multi_span=num("scan", "multi_span_ps") * 1e-12,
             dwell_single=num("scan", "dwell_single_s"),
             dwell_multi=num("scan", "dwell_multi_s"),
-            channel_width=ghz(num("wss", "channel_width_ghz")),
-            scan_step=ghz(num("wss", "scan_step_ghz")),
+            channel_width=hz("wss", "channel_width_ghz", ghz),
+            scan_step=hz("wss", "scan_step_ghz", ghz),
             scan_line_flux=num("wss", "scan_line_flux_hz"),
             scan_dwell=num("wss", "scan_dwell_s"),
             scan_band=scan_band,

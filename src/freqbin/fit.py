@@ -4,18 +4,19 @@ Fringe fits minimize sum w_i (counts_i - N p(tau_i))^2 with Poisson weights
 w = 1/max(counts, 1).  Every search is separable (variable projection,
 Golub & Pereyra 1973): the linear coefficients are solved in closed form on
 a grid of the nonlinear parameters, and the best grid point is polished
-once by damped least squares (MINPACK Levenberg-Marquardt) with analytic
-Jacobians, which also frees any parameter held fixed during the profile
-and yields the covariance.  Fringe fits profile the delay offset tau0 with
-weighted linear solves for the baseline and the beat's cosine and sine
-amplitudes; the coarse envelope stage profiles (t0, log linewidth) with the
-folded beat amplitude in closed form.  Internally all times are in
-picoseconds: scipy's trust-region scaling misbehaves for parameters of
-order 1e-10, and the analytic Jacobian keeps the curvature matrix sane.
+once by damped least squares (MINPACK Levenberg-Marquardt) with an
+analytic Jacobian, which also frees any parameter held fixed during the
+profile and yields the covariance.  Fringe fits profile the delay offset
+tau0 with weighted linear solves for the baseline and the beat's cosine
+and sine amplitudes; envelope fits pick their start from a (t0, log
+linewidth) grid of the folded envelope with its amplitude in closed form.
+Internally all times are in picoseconds: scipy's trust-region scaling
+misbehaves for parameters of order 1e-10, and the analytic Jacobian keeps
+the curvature matrix sane.
 
 Accidental floor note: the fringe model's (alpha, V) pair is structurally
 degenerate (only (1 - alpha) V is identifiable from a single scan), so
-fits hold alpha fixed unless explicitly asked; freeing it is flagged.
+fits hold alpha fixed at the given value.
 """
 
 from __future__ import annotations
@@ -117,25 +118,23 @@ class _FringeDesign:
 
     Model: counts ~ N [ 1/2 - (1-alpha) (V/2) B(tau) E(tau - t0) ] with
     B = mean_m cos(2 pi d_m (tau - t0) + phi); times in ps, E = 1 when
-    sigma_ps is None.  Free parameters are (N, V, phi, t0), then alpha,
-    the detuning (single pair) and u = log(sigma_ps) when each is fitted.
+    sigma_ps is None.  alpha is fixed.  Free parameters are (N, V, phi,
+    t0), then the detuning (single pair) and u = log(sigma_ps) when each is
+    fitted.
     """
 
     def __init__(self, taus_ps, counts, detunings_ps, sigma_ps, *, alpha=0.0,
-                 fit_alpha=False, fit_detuning=False, fit_sigma=False):
+                 fit_detuning=False, fit_sigma=False):
         self.t = np.asarray(taus_ps, dtype=np.float64)
         self.c = np.asarray(counts, dtype=np.float64)
         self.d = tuple(float(d) for d in detunings_ps)
         self.sigma_ps = sigma_ps
-        self.fit_alpha = fit_alpha
+        self.alpha = alpha
         self.fit_detuning = fit_detuning
         self.fit_sigma = fit_sigma
-        self.alpha_fixed = alpha
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
         self._memo = (None, None)
         self.names = ["scale", "visibility", "phi", "tau0"]
-        if fit_alpha:
-            self.names.append("alpha")
         if fit_detuning:
             self.names.append("detuning")
         if fit_sigma:
@@ -144,17 +143,16 @@ class _FringeDesign:
     def _unpack(self, theta):
         n, v, phi, t0 = theta[:4]
         extra = iter(theta[4:])
-        alpha = next(extra) if self.fit_alpha else self.alpha_fixed
         dets = (next(extra),) if self.fit_detuning else self.d
         sigma_ps = math.exp(next(extra)) if self.fit_sigma else self.sigma_ps
-        return n, v, phi, t0, alpha, dets, sigma_ps
+        return n, v, phi, t0, dets, sigma_ps
 
     def _parts(self, theta):
         # MINPACK asks for the Jacobian at the theta of its last residual.
         key = np.asarray(theta, dtype=np.float64).tobytes()
         if key == self._memo[0]:
             return self._memo[1]
-        n, v, phi, t0, alpha, dets, sigma_ps = self._unpack(theta)
+        n, v, phi, t0, dets, sigma_ps = self._unpack(theta)
         dt = self.t - t0
         if sigma_ps is None:
             env = np.ones_like(dt)
@@ -173,20 +171,19 @@ class _FringeDesign:
         cosb /= m
         sinb /= m
         sinb_d /= m
-        self._memo = key, (n, v, alpha, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d)
+        self._memo = key, (n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d)
         return self._memo[1]
 
     def model(self, theta):
-        n, v, alpha, _, env, _, _, cosb, _, _ = self._parts(theta)
-        return n * (0.5 - (1.0 - alpha) * 0.5 * v * cosb * env)
+        n, v, _, env, _, _, cosb, _, _ = self._parts(theta)
+        return n * (0.5 - (1.0 - self.alpha) * 0.5 * v * cosb * env)
 
     def residual(self, theta):
         return self.sw * (self.c - self.model(theta))
 
     def jacobian(self, theta):
-        (n, v, alpha, dt, env, denv_dt0, denv_du,
-         cosb, sinb, sinb_d) = self._parts(theta)
-        one_m_a = 1.0 - alpha
+        n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d = self._parts(theta)
+        one_m_a = 1.0 - self.alpha
         g = cosb * env
         p = 0.5 - one_m_a * 0.5 * v * g
         cols = []
@@ -196,8 +193,6 @@ class _FringeDesign:
         db_dt0 = 2.0 * math.pi * sinb_d
         dp_dt0 = -one_m_a * 0.5 * v * (db_dt0 * env + cosb * denv_dt0)
         cols.append(-self.sw * n * dp_dt0)                          # tau0
-        if self.fit_alpha:
-            cols.append(-self.sw * n * 0.5 * v * g)                 # alpha
         if self.fit_detuning:
             db_dd = -sinb * 2.0 * math.pi * dt
             dp_dd = -one_m_a * 0.5 * v * db_dd * env
@@ -241,16 +236,12 @@ class _FringeDesign:
     def start(self, t0, coef, sigma_ps):
         """Parameter vector of the linear fit (a, b, c) at delay offset t0.
 
-        N = 2a, (1 - alpha) V = hypot(b, c)/a and phi = atan2(c, -b);
-        a free alpha starts at max(alpha, 0.01) and a free detuning at the
-        given one.
+        N = 2a, (1 - alpha) V = hypot(b, c)/a and phi = atan2(c, -b); a free
+        detuning starts at the given one.
         """
         a, b, c = coef
-        alpha = max(self.alpha_fixed, 0.01) if self.fit_alpha else self.alpha_fixed
-        theta = [2.0 * a, math.hypot(b, c) / a / (1.0 - alpha),
+        theta = [2.0 * a, math.hypot(b, c) / a / (1.0 - self.alpha),
                  math.atan2(c, -b), t0]
-        if self.fit_alpha:
-            theta.append(alpha)
         if self.fit_detuning:
             theta.append(self.d[0])
         if self.fit_sigma:
@@ -258,12 +249,12 @@ class _FringeDesign:
         return np.array(theta, dtype=np.float64)
 
 
-def _polish(design, x0, max_nfev, what, tol=1e-14):
-    """One Levenberg-Marquardt run from x0 at tight tolerance."""
+def _polish(design, x0, what):
+    """One Levenberg-Marquardt run from x0: tolerance 1e-14, 400 evaluations."""
     try:
         res = least_squares(design.residual, x0=x0, jac=design.jacobian,
-                            method="lm", xtol=tol, ftol=tol, gtol=tol,
-                            max_nfev=max_nfev)
+                            method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                            max_nfev=400)
     except ValueError as exc:  # non-finite residuals at the start
         raise FitError(f"{what} has no finite start: {exc}") from exc
     except OverflowError as exc:  # a free log-linewidth ran past exp's range
@@ -296,9 +287,7 @@ def fit_fringe(
     sigma: float | None = None,
     *,
     alpha: float = 0.0,
-    fit_alpha: bool = False,
     fit_detuning: bool = False,
-    max_iter: int = 200,
 ) -> FitResult:
     """Fit scale, visibility, phase, and delay offset to a count scan.
 
@@ -308,8 +297,8 @@ def fit_fringe(
     the locally flat model (envelope factor omitted), appropriate for fine
     windows much shorter than the envelope.
 
-    alpha fixes the accidental floor fraction; fit_alpha frees it (flagged:
-    alpha and visibility are jointly unidentifiable from one scan).
+    alpha fixes the accidental floor fraction (alpha and visibility are
+    jointly unidentifiable from one scan, so it is never fitted).
     fit_detuning (single pair only) frees the beat detuning so the
     oscillation period is itself measured.
 
@@ -319,8 +308,8 @@ def fit_fringe(
     t0_ref +/- 1/min(d) with step at most 1/(16 max(d)), where t0_ref is
     the delay of the lowest count when sigma is given and 0 otherwise;
     costs within a relative 1e-6 of the lowest tie and go to the smallest
-    |tau0|.  One Levenberg-Marquardt polish from that point (at most
-    2 max_iter evaluations) frees every parameter and gives the covariance;
+    |tau0|.  One Levenberg-Marquardt polish from that point (at most 400
+    evaluations) frees every parameter and gives the covariance;
     FitError if it does not converge, or, when sigma is given, if tau0 ends
     outside the scanned window.  `iterations` reports its evaluation count.
 
@@ -345,14 +334,12 @@ def fit_fringe(
     sigma_ps = None if sigma is None else float(sigma) * _PS
 
     design = _FringeDesign(taus_ps, counts, d_ps, sigma_ps, alpha=alpha,
-                           fit_alpha=fit_alpha, fit_detuning=fit_detuning)
+                           fit_detuning=fit_detuning)
 
     flags: list[str] = []
     if np.ptp(counts) == 0:
         # Degenerate data: no fringe information; report V = 0, not an error.
         theta = [2.0 * counts.mean() if counts.mean() > 0 else 1.0, 0.0, 0.0, 0.0]
-        if fit_alpha:
-            theta.append(alpha)
         if fit_detuning:
             theta.append(d_ps[0])
         theta = np.array(theta)
@@ -377,8 +364,7 @@ def fit_fringe(
     if sigma_ps is not None and np.ptp(taus_ps) * sigma_ps < 0.1:
         what += (" (the window is much shorter than the envelope: V and tau0"
                  " have no finite optimum; fit with sigma=None)")
-    winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps),
-                     2 * max_iter, what)
+    winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps), what)
 
     theta = _canonical_fringe(winner.x)
     if sigma_ps is not None and not taus_ps[0] <= theta[3] <= taus_ps[-1]:
@@ -403,8 +389,6 @@ def fit_fringe(
         cov[:, 3] = 0.0
         flags.append("phase-gauge")
         jac = np.delete(jac, 3, axis=1)
-    if fit_alpha:
-        flags.append("alpha-degenerate")
     cond = np.linalg.cond(jac.T @ jac)
     if cond > 1e10:
         flags.append("ill-conditioned")
@@ -423,79 +407,54 @@ def _package_fringe(design, theta, cov, residual_ss, converged, iterations,
     for i, name in enumerate(names):
         values[name] = float(theta[i] * d[i])
         sigmas[name] = float(math.sqrt(max(cov_rep[i, i], 0.0)))
-    if not design.fit_alpha:
-        values["alpha"] = design.alpha_fixed
+    values["alpha"] = design.alpha
     if sigma is not None:
         values["sigma"] = float(sigma)
     return FitResult(values, sigmas, cov_rep, names, float(residual_ss),
                      converged, iterations, flags)
 
 
-class _EnvelopeDeviationDesign:
-    """Reduced baseline-plus-envelope model for coarse scans.
+def _envelope_start(taus_ps, counts):
+    """Best (t0, u = log sigma_ps) of the folded envelope model on a grid.
 
-    The unresolved oscillation is folded out: |counts - mean| is fitted to
-    sqrt(k E^2 + 2 b/pi) with k = ((2/pi) A)^2, the folded-normal mean of
-    beat plus Poisson noise around the baseline b.  theta = (A, t0, u),
-    u = log(sigma_ps).
+    The unresolved oscillation is folded out: |counts - mean| is compared
+    with sqrt(k E^2 + 2 b/pi), the folded-normal mean of beat plus Poisson
+    noise around the baseline b.  At fixed (t0, u), k = sum E^2 q / sum E^4
+    with q = dev^2 - 2b/pi, clipped at 0, fits the squared model in closed
+    form.  The grid is 33 delay offsets spanning the scan times 9
+    log-spaced linewidths in (1/4 .. 8) 2/span.
     """
-
-    def __init__(self, taus_ps, dev, baseline):
-        self.t = taus_ps
-        self.dev = dev
-        self.floor2 = 2.0 * baseline / math.pi
-
-    def _parts(self, theta):
-        env, denv_dt0, denv_du = _envelope_parts(self.t - theta[1], math.exp(theta[2]))
-        m = np.sqrt((2.0 / math.pi * theta[0] * env) ** 2 + self.floor2)
-        return env, denv_dt0, denv_du, m
-
-    def residual(self, theta):
-        return self.dev - self._parts(theta)[-1]
-
-    def jacobian(self, theta):
-        env, denv_dt0, denv_du, m = self._parts(theta)
-        a = theta[0]
-        g = -(2.0 / math.pi) ** 2 * a * env / m
-        return np.column_stack([g * env, g * a * denv_dt0, g * a * denv_du])
-
-    def profile(self, t0s, us):
-        """Folded-model costs and amplitudes A on the flattened (t0, u) grid.
-
-        At fixed (t0, u), k = sum E^2 q / sum E^4 with q = dev^2 - 2b/pi,
-        clipped at 0, fits the squared model k E^2 + 2b/pi in closed form.
-        """
-        t0g, ug = (g.ravel() for g in np.meshgrid(t0s, us, indexing="ij"))
-        q = self.dev**2 - self.floor2
-        costs = np.empty(t0g.size)
-        amps = np.empty(t0g.size)
-        rows = max(1, _PROFILE_BLOCK // self.t.size)
-        for i in range(0, t0g.size, rows):
-            blk = slice(i, i + rows)
-            x = np.abs(self.t - t0g[blk, None]) * np.exp(ug[blk, None])
-            e2 = ((1.0 + x) * np.exp(-x)) ** 2
-            k = np.maximum(e2 @ q / np.sum(e2**2, axis=1), 0.0)
-            m = np.sqrt(k[:, None] * e2 + self.floor2)
-            costs[blk] = np.sum((self.dev - m) ** 2, axis=1)
-            amps[blk] = 0.5 * math.pi * np.sqrt(k)
-        return t0g, ug, costs, amps
+    baseline = counts.mean()
+    dev = np.abs(counts - baseline)
+    floor2 = 2.0 * baseline / math.pi
+    span_ps = float(taus_ps[-1] - taus_ps[0])
+    t0g, ug = (g.ravel() for g in np.meshgrid(
+        np.linspace(taus_ps[0], taus_ps[-1], 33),
+        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)), indexing="ij"))
+    q = dev**2 - floor2
+    costs = np.empty(t0g.size)
+    rows = max(1, _PROFILE_BLOCK // taus_ps.size)
+    for i in range(0, t0g.size, rows):
+        blk = slice(i, i + rows)
+        x = np.abs(taus_ps - t0g[blk, None]) * np.exp(ug[blk, None])
+        e2 = ((1.0 + x) * np.exp(-x)) ** 2
+        k = np.maximum(e2 @ q / np.sum(e2**2, axis=1), 0.0)
+        costs[blk] = np.sum((dev - np.sqrt(k[:, None] * e2 + floor2)) ** 2, axis=1)
+    i = int(np.argmin(costs))
+    return float(t0g[i]), float(ug[i])
 
 
-def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> FitResult:
+def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     """Estimate the coherence envelope linewidth from a coarse delay scan.
 
-    Stage one fits the envelope-averaged model (baseline plus folded
-    envelope of the unresolved beat) to |counts - mean|: a profile with the
-    amplitude in closed form over 33 delay offsets spanning the scan times
-    9 log-spaced linewidths in (1/4 .. 8) 2/span, then one Levenberg-
-    Marquardt polish from its best point.  Stage two refines all parameters
-    against the full fringe model with the linewidth free: one linear solve
-    for scale, visibility and phase at the stage-one (t0, linewidth), then
-    one polish.  It needs the beat detunings (argument, else dataset
-    metadata `detunings_hz`); without them the stage-one estimate is
-    returned, flagged "coarse-only", and `iterations` counts its polish's
-    evaluations.  Each polish stops at 2 max_iter evaluations; FitError if
-    one does not converge.
+    The full fringe model is fitted with the linewidth free.  Its start is
+    the best point of the folded-envelope grid (see `_envelope_start`) with
+    scale, visibility and phase from one linear solve there; one
+    Levenberg-Marquardt polish (at most 400 evaluations) then frees every
+    parameter and gives the covariance; FitError if it does not converge.
+    The beat detunings are required: the argument, else the dataset
+    metadata `detunings_hz`.  A constant scan returns nan estimates
+    flagged "degenerate-data".
 
     The linewidth is reported as equivalent fwhm in Hz.
     """
@@ -508,64 +467,45 @@ def fit_envelope(data: FringeDataset, detunings=None, max_iter: int = 200) -> Fi
     if span_ps < 1000.0:
         raise DomainError("envelope fit needs a scan spanning at least 1 ns")
 
-    if detunings is None and "detunings_hz" in data.metadata:
+    if detunings is None:
+        if "detunings_hz" not in data.metadata:
+            raise DomainError("fit_envelope needs the beat detunings (argument or "
+                              "dataset metadata detunings_hz)")
         raw = str(data.metadata["detunings_hz"])
         detunings = [float(tok) for tok in raw.split(",") if tok]
-    d_ps = None
-    if detunings is not None:
-        d_ps = [float(d) * _PS for d in np.atleast_1d(detunings)]
-        if any(d <= 0 for d in d_ps):
-            raise DomainError("detunings must be positive")
-
-    baseline = counts.mean()
-    dev = np.abs(counts - baseline)
-    flags: list[str] = []
+    d_ps = [float(d) * _PS for d in np.atleast_1d(detunings)]
+    if not d_ps or any(d <= 0 for d in d_ps):
+        raise DomainError("detunings must be positive")
 
     if np.ptp(counts) == 0:
         nanv = float("nan")
-        params = {"fwhm": nanv, "tau0": nanv, "scale": 2.0 * baseline,
+        params = {"fwhm": nanv, "tau0": nanv, "scale": 2.0 * counts.mean(),
                   "visibility": 0.0, "phi": 0.0}
         sig = {k: nanv for k in ("fwhm", "tau0", "scale", "visibility", "phi")}
         return FitResult(params, sig, np.full((5, 5), np.nan),
                          ("scale", "visibility", "phi", "tau0", "fwhm"),
                          0.0, True, 0, ("ill-conditioned", "degenerate-data"))
 
-    coarse = _EnvelopeDeviationDesign(taus_ps, dev, baseline)
-    t0g, ug, costs, amps = coarse.profile(
-        np.linspace(taus_ps[0], taus_ps[-1], 33),
-        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)))
-    i = int(np.argmin(costs))
-    res = _polish(coarse, np.array([amps[i], t0g[i], ug[i]]), 2 * max_iter,
-                  "coarse envelope fit", tol=1e-10)
-    if d_ps is None:
-        design, names = coarse, ("amplitude", "tau0", "fwhm")
-        theta = np.r_[abs(res.x[0]), res.x[1:]]  # the model depends on A^2 only
-        flags.append("coarse-only")
-    else:
-        design = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
-        t01, sigma1 = res.x[1], math.exp(res.x[2])
-        _, coefs = design.profile([t01], sigma1)
-        res = _polish(design, design.start(t01, coefs[0], sigma1), 2 * max_iter,
-                      "envelope refinement")
-        theta = _canonical_fringe(res.x)
-        names = ("scale", "visibility", "phi", "tau0", "fwhm")
+    design = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
+    t0, u = _envelope_start(taus_ps, counts)
+    sigma0 = math.exp(u)
+    _, coefs = design.profile([t0], sigma0)
+    res = _polish(design, design.start(t0, coefs[0], sigma0), "envelope fit")
+    theta = _canonical_fringe(res.x)
 
-    # Curvature in (..., t0, u), mapped onto (tau0 in s, fwhm in Hz).
-    sigma_ps = math.exp(theta[-1])
+    # Curvature in (N, V, phi, t0, u), mapped onto (tau0 in s, fwhm in Hz).
+    names = ("scale", "visibility", "phi", "tau0", "fwhm")
+    sigma_ps = math.exp(theta[4])
     fwhm = sigma_ps / (2.0 * math.pi) / _PS
     cov = _covariance(design, theta)
-    d = np.r_[np.ones(len(names) - 2), _PS, fwhm]
+    d = np.array([1.0, 1.0, 1.0, _PS, fwhm])
     cov_rep = cov * np.outer(d, d)
-    if span_ps * sigma_ps < 1.0 or (d_ps is not None and cov[-1, -1] > 1.0):
-        flags.append("ill-conditioned")
-    values = dict(zip(names[:-2], map(float, theta[:-2])))
-    values.update(tau0=float(theta[-2] * _PS), fwhm=float(fwhm))
-    if d_ps is None:  # the reduced model's fixed entries
-        vis = float(np.clip(theta[0] / max(baseline, 1.0), 0.0, 1.0))
-        values.update(scale=float(2.0 * baseline), visibility=vis, phi=0.0)
+    ill = span_ps * sigma_ps < 1.0 or cov[4, 4] > 1.0
+    values = dict(zip(names[:3], map(float, theta[:3])))
+    values.update(tau0=float(theta[3] * _PS), fwhm=float(fwhm))
     sig = {n: float(math.sqrt(max(cov_rep[i, i], 0.0))) for i, n in enumerate(names)}
     return FitResult(values, sig, cov_rep, names, float(2.0 * res.cost), True,
-                     int(res.nfev), tuple(flags))
+                     int(res.nfev), ("ill-conditioned",) if ill else ())
 
 
 def estimate_balance(n1: float, s1: float, n2: float, s2: float) -> tuple[float, float]:

@@ -119,28 +119,26 @@ def revival_period(fsr: float) -> float:
     return 1.0 / (2.0 * fsr)
 
 
-def central_dip_fwhm(model: FringeModel, search_span: float | None = None) -> float:
+def central_dip_fwhm(model: FringeModel) -> float:
     """Full width at half depth of the dip at tau0.
 
     Half depth is measured between the dip value and the 1/2 baseline.
-    The half-crossing on each side is located on a dense grid and polished
-    with a root bracketing solve.
+    The half-crossing on each side is located on a dense grid out to two
+    periods of the fastest beat and polished with a root bracketing solve.
     """
     v0 = float(hom_multi(model, model.tau0))
     baseline = 0.5
     if abs(baseline - v0) < 1e-12:
         raise DomainError("model has no central dip")
     half = 0.5 * (v0 + baseline)
-    if search_span is None:
-        fastest = max(d for d, _, _ in model.pairs)
-        search_span = 2.0 / fastest
+    reach = 2.0 / max(d for d, _, _ in model.pairs)
 
     def height(t):
         return hom_multi(model, model.tau0 + t) - half
 
     widths = []
     for sign in (+1.0, -1.0):
-        grid = sign * np.linspace(0.0, search_span, 4001)[1:]
+        grid = sign * np.linspace(0.0, reach, 4001)[1:]
         vals = height(grid)
         crossing = np.nonzero(np.sign(vals) != np.sign(v0 - half))[0]
         if crossing.size == 0:

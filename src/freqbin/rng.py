@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import DomainError
+
 __all__ = [
     "CounterRng",
     "STREAM_SCAN",
@@ -83,12 +85,13 @@ class CounterRng:
         """Poisson draws with means lam, one per counter element.
 
         Each draw consumes exactly one uniform (slot 0 of its counter).
+        A negative or non-finite mean raises DomainError (a ValueError).
         """
         lam = np.asarray(lam, dtype=np.float64)
         counter = np.asarray(counter, dtype=np.uint64)
         lam, counter = np.broadcast_arrays(lam, counter)
-        if np.any(lam < 0):
-            raise ValueError("Poisson mean must be non-negative")
+        if not np.all(np.isfinite(lam) & (lam >= 0)):
+            raise DomainError("Poisson mean must be finite and non-negative")
         u = self.uniforms(counter)
         out = np.zeros(lam.shape, dtype=np.int64)
 

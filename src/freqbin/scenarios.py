@@ -49,7 +49,7 @@ def run_scenario(
     pairs: str | None = None,
     phase: float | None = None,
 ) -> str:
-    """Run one named scenario; returns the summary text it wrote."""
+    """Run one named scenario (workers is ignored); returns its summary text."""
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r} (choose from {', '.join(SCENARIOS)})"
@@ -76,7 +76,7 @@ def run_scenario(
         kwargs["pairs"] = pairs
     if name == "fig4":
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
-    summary = runner(cfg, out_dir, seed, workers, **kwargs)
+    summary = runner(cfg, out_dir, seed, **kwargs)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary)
     return summary
@@ -148,11 +148,11 @@ def _accidental(cfg: ScenarioConfig, n_channels: int) -> float:
     )
 
 
-def _sim(cfg, model, scan, seed, workers, n_channels=1):
+def _sim(cfg, model, scan, seed, n_channels=1):
     rate = cfg.pair_rate * len(model.pairs)
     return simulate_fringe(
         model, scan, cfg.detector, rate, seed,
-        accidental=_accidental(cfg, n_channels), workers=workers,
+        accidental=_accidental(cfg, n_channels),
     )
 
 
@@ -168,7 +168,7 @@ def _write_curve(path, taus, values) -> None:
             fh.write(f"{float(tau) * 1e12!r},{float(value)!r}\n")
 
 
-def _run_spectrum(cfg, out_dir, seed, workers):
+def _run_spectrum(cfg, out_dir, seed):
     model = cfg.resonator
     span = 3 * model.fsr
     step = max(model.fwhm // 10, 1)
@@ -201,14 +201,14 @@ def _run_spectrum(cfg, out_dir, seed, workers):
     ]) + "\n"
 
 
-def _run_fig2(cfg, out_dir, seed, workers):
+def _run_fig2(cfg, out_dir, seed):
     pair = pair_for_index(cfg.resonator, 2)
     detuning = float(pair.detuning)
     phi = cfg.theta + cfg.phi_instr
     model = _fringe_model(cfg, [2], phi)
 
     coarse_scan = ScanConfig(0.0, cfg.span, cfg.coarse_step, cfg.dwell_single)
-    coarse = _sim(cfg, model, coarse_scan, seed, workers)
+    coarse = _sim(cfg, model, coarse_scan, seed)
     coarse.to_csv(os.path.join(out_dir, "coarse.csv"))
     _write_curve(os.path.join(out_dir, "curve_coarse.csv"),
                  coarse_scan.grid(), hom_multi(model, coarse_scan.grid()))
@@ -225,7 +225,7 @@ def _run_fig2(cfg, out_dir, seed, workers):
     ):
         scan = ScanConfig(start, start + cfg.fine_span, cfg.fine_step,
                           cfg.dwell_single)
-        ds = _sim(cfg, model, scan, seed + sub, workers)
+        ds = _sim(cfg, model, scan, seed + sub)
         ds.to_csv(os.path.join(out_dir, f"{stem}.csv"))
         res = fit_fringe(ds, [detuning], sigma=None)
         _write_fit(out_dir, stem, res)
@@ -244,7 +244,7 @@ def _run_fig2(cfg, out_dir, seed, workers):
     ]) + "\n"
 
 
-def _run_fig3(cfg, out_dir, seed, workers, pairs):
+def _run_fig3(cfg, out_dir, seed, pairs):
     indices = parse_pairs_argument(pairs)
     phi = cfg.theta + cfg.phi_instr
     model = _fringe_model(cfg, indices, phi)
@@ -268,7 +268,7 @@ def _run_fig3(cfg, out_dir, seed, workers, pairs):
         half = cfg.fine_span / 2.0
         scan = ScanConfig(tau0 - half, tau0 + half, cfg.fine_step,
                           cfg.dwell_single)
-        ds = _sim(cfg, model, scan, seed, workers)
+        ds = _sim(cfg, model, scan, seed)
         ds.to_csv(os.path.join(out_dir, "fringe.csv"))
         res = fit_fringe(ds, [detuning], sigma=None, fit_detuning=True)
         _write_fit(out_dir, "fringe", res)
@@ -285,7 +285,7 @@ def _run_fig3(cfg, out_dir, seed, workers, pairs):
         half = cfg.multi_span / 2.0
         scan = ScanConfig(tau0 - half, tau0 + half, cfg.fine_step,
                           cfg.dwell_multi)
-        ds = _sim(cfg, model, scan, seed, workers, n_channels=len(indices))
+        ds = _sim(cfg, model, scan, seed, n_channels=len(indices))
         ds.to_csv(os.path.join(out_dir, "fringe.csv"))
         _write_curve(os.path.join(out_dir, "curve.csv"),
                      scan.grid(), hom_multi(model, scan.grid()))
@@ -300,7 +300,7 @@ def _run_fig3(cfg, out_dir, seed, workers, pairs):
     return "\n".join(lines) + "\n"
 
 
-def _run_fig4(cfg, out_dir, seed, workers, phase_deg):
+def _run_fig4(cfg, out_dir, seed, phase_deg):
     theta_t = math.radians(phase_deg) % (2.0 * math.pi)
     alpha_hwp = hwp_angle_for_phase(theta_t)
     theta_real = phase_from_stack(stack_for_phase(theta_t))
@@ -318,8 +318,7 @@ def _run_fig4(cfg, out_dir, seed, workers, phase_deg):
         model = _fringe_model(cfg, indices, phi)
         half = span / 2.0
         scan = ScanConfig(tau0 - half, tau0 + half, cfg.fine_step, dwell)
-        ds = _sim(cfg, model, scan, seed + sub, workers,
-                  n_channels=len(indices))
+        ds = _sim(cfg, model, scan, seed + sub, n_channels=len(indices))
         ds.to_csv(os.path.join(out_dir, f"{stem}.csv"))
         res = fit_fringe(ds, [d for d, _, _ in model.pairs], sigma=None)
         _write_fit(out_dir, stem, res)
@@ -332,7 +331,7 @@ def _run_fig4(cfg, out_dir, seed, workers, phase_deg):
     return "\n".join(lines) + "\n"
 
 
-def _run_fig5(cfg, out_dir, seed, workers):
+def _run_fig5(cfg, out_dir, seed):
     t = cfg.tomography
     recon = reconstruct(
         t.balance, t.sigma_balance,

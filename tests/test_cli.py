@@ -76,7 +76,10 @@ class TestMain:
         ("fig5", "[tomography]\nsigma_phase = inf\n", [], "sigma_phase"),
         ("spectrum", "[wss]\nscan_band_thz = 193.0,inf\n", [], "scan_band_thz"),
         ("fig4", "", ["--phase", "nan"], "--phase"),
-    ], ids=["singles", "pair_rate", "tau0", "sigma_phase", "scan_band", "phase"])
+        ("fig5", "[resonator]\npump_thz = 1e300\n", [], "pump_thz"),
+        ("spectrum", "[wss]\nscan_band_thz = 193.0,1e300\n", [], "scan_band_thz"),
+    ], ids=["singles", "pair_rate", "tau0", "sigma_phase", "scan_band", "phase",
+            "pump_overflow", "scan_band_overflow"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, scenario, ini, argv, key):
         cfg = tmp_path / "c.ini"
         cfg.write_text(ini)

@@ -76,8 +76,9 @@ def test_poisson_zero_mean_is_zero():
 
 def test_poisson_negative_mean_rejected():
     rng = CounterRng(1, STREAM_FRINGE)
-    with pytest.raises(ValueError):
-        rng.poisson([-1.0], counter=[0])
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rng.poisson([lam], counter=[0])
 
 
 @pytest.mark.parametrize("lam", [0.5, 5.0, 25.0, 100.0, 3000.0])
