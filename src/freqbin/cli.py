@@ -1,7 +1,7 @@
 """Command-line scenario runner.
 
     freqbin <scenario> [--pairs ...] [--phase ...] --config FILE --seed N
-            --out DIR [--format csv] [--workers N]
+            --out DIR [--workers N]
 
 Exit codes: 0 success, 2 configuration/usage error, 3 fit non-convergence.
 """
@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default="out",
                        help="output directory (default: out)")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format (csv only)")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored; output is byte-identical "
                             "for any value")

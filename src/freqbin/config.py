@@ -1,8 +1,11 @@
 """Flat INI-style configuration for the scenario runner.
 
 Every key has a built-in default, so an empty (or absent) file is a valid
-configuration; file values override defaults section by section.  Phases
-are accepted in degrees where the experimental convention uses them.
+configuration; file values override defaults section by section.  Each key
+is declared once, as a row of `_KEYS`: its default text, the field it fills,
+the exact conversion to SI units and the bound the converted value must
+meet.  Phases are accepted in degrees where the experimental convention
+uses them.
 """
 
 from __future__ import annotations
@@ -13,74 +16,78 @@ from dataclasses import dataclass
 
 from .comb import ResonatorModel, ghz, mhz, thz
 from .counting import DetectorModel
-from .errors import ConfigurationError, FreqbinError
+from .errors import ConfigurationError, NonPhysicalStateError
+from .states import restricted_density
 from .wss import FilterProgram, Passband
 
 __all__ = [
     "ScenarioConfig",
     "TomographyInputs",
     "load_config",
-    "default_config",
     "parse_passbands",
     "format_passbands",
 ]
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "resonator": {
-        "pump_thz": "193.5",
-        "fsr_ghz": "99.03",
-        "fwhm_mhz": "190.41",
-        "extinction": "0.9",
-    },
-    "detector": {
-        "efficiency_signal": "0.5",
-        "efficiency_idler": "0.5",
-        "dark_rate_hz": "100.0",
-        "coincidence_window_ns": "1.0",
-    },
-    "source": {
-        "pair_rate_hz": "67.0",
-        "singles_signal_hz": "10000.0",
-        "singles_idler_hz": "10000.0",
-    },
-    "state": {
-        "visibility": "0.84",
-        "tau0_ns": "0.3",
-        "theta_deg": "0.0",
-        "phi_instr_rad": "0.0",
-    },
-    "scan": {
-        "coarse_step_ps": "2.0",
-        "fine_step_ps": "0.1",
-        "span_ns": "2.4",
-        "fine_span_ps": "4.0",
-        "fine_offset_ns": "2.0",
-        "multi_span_ps": "16.0",
-        "dwell_single_s": "60.0",
-        "dwell_multi_s": "30.0",
-    },
-    "wss": {
-        "channel_width_ghz": "20.0",
-        "scan_step_ghz": "33.01",
-        "scan_line_flux_hz": "2000.0",
-        "scan_dwell_s": "1.0",
-        "scan_band_thz": "193.0,194.0",
-    },
-    "tomography": {
-        "balance": "0.701",
-        "sigma_balance": "0.005",
-        "visibility": "0.7713",
-        "sigma_visibility": "0.0193",
-        "phase_rad": "-0.1168",
-        "sigma_phase": "0.1094",
-        "theta_target_deg": "0.0",
-        "samples": "20000",
-        "total_rate_hz": "140.68",
-    },
-    "run": {
-        "seed": "12345",
-    },
-}
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_AT_LEAST_2 = (lambda v: v >= 2, "must be at least 2")
+_ns = lambda x: x * 1e-9
+_ps = lambda x: x * 1e-12
+
+# Every delay or frequency grid a scenario builds from the config holds at
+# most this many points, so a tiny step is an error and not a huge allocation.
+_MAX_SCAN_POINTS = 1_000_000
+
+# (section, key, default text, field, conversion, bound).  Resonator, detector
+# and tomography rows fill ResonatorModel, DetectorModel and TomographyInputs;
+# the rest fill ScenarioConfig.  A conversion of `int` parses the text as an
+# integer; every other conversion receives the text parsed as a float.
+# `scan_band_thz` holds two comma-separated values, each converted and bounded.
+_KEYS = (
+    ("resonator", "pump_thz", "193.5", "pump_frequency", thz, _POSITIVE),
+    ("resonator", "fsr_ghz", "99.03", "fsr", ghz, _POSITIVE),
+    ("resonator", "fwhm_mhz", "190.41", "fwhm", mhz, _POSITIVE),
+    ("resonator", "extinction", "0.9", "extinction", float, _UNIT),
+    ("detector", "efficiency_signal", "0.5", "efficiency_signal", float, _UNIT),
+    ("detector", "efficiency_idler", "0.5", "efficiency_idler", float, _UNIT),
+    ("detector", "dark_rate_hz", "100.0", "dark_rate", float, _NON_NEGATIVE),
+    ("detector", "coincidence_window_ns", "1.0", "coincidence_window", _ns, _POSITIVE),
+    ("source", "pair_rate_hz", "67.0", "pair_rate", float, _POSITIVE),
+    ("source", "singles_signal_hz", "10000.0", "singles_signal", float, _NON_NEGATIVE),
+    ("source", "singles_idler_hz", "10000.0", "singles_idler", float, _NON_NEGATIVE),
+    ("state", "visibility", "0.84", "visibility", float, _UNIT),
+    ("state", "tau0_ns", "0.3", "tau0", _ns, _NON_NEGATIVE),
+    ("state", "theta_deg", "0.0", "theta", math.radians, None),
+    ("state", "phi_instr_rad", "0.0", "phi_instr", float, None),
+    ("scan", "coarse_step_ps", "2.0", "coarse_step", _ps, _POSITIVE),
+    ("scan", "fine_step_ps", "0.1", "fine_step", _ps, _POSITIVE),
+    ("scan", "span_ns", "2.4", "span", _ns, _POSITIVE),
+    ("scan", "fine_span_ps", "4.0", "fine_span", _ps, _POSITIVE),
+    ("scan", "fine_offset_ns", "2.0", "fine_offset", _ns, _NON_NEGATIVE),
+    ("scan", "multi_span_ps", "16.0", "multi_span", _ps, _POSITIVE),
+    ("scan", "dwell_single_s", "60.0", "dwell_single", float, _POSITIVE),
+    ("scan", "dwell_multi_s", "30.0", "dwell_multi", float, _POSITIVE),
+    ("wss", "channel_width_ghz", "20.0", "channel_width", ghz, _POSITIVE),
+    ("wss", "scan_step_ghz", "33.01", "scan_step", ghz, _POSITIVE),
+    ("wss", "scan_line_flux_hz", "2000.0", "scan_line_flux", float, _NON_NEGATIVE),
+    ("wss", "scan_dwell_s", "1.0", "scan_dwell", float, _POSITIVE),
+    ("wss", "scan_band_thz", "193.0,194.0", "scan_band", thz, _POSITIVE),
+    ("tomography", "balance", "0.701", "balance", float, _UNIT),
+    ("tomography", "sigma_balance", "0.005", "sigma_balance", float, _NON_NEGATIVE),
+    ("tomography", "visibility", "0.7713", "visibility", float, _UNIT),
+    ("tomography", "sigma_visibility", "0.0193", "sigma_visibility", float, _NON_NEGATIVE),
+    ("tomography", "phase_rad", "-0.1168", "phase", float, None),
+    ("tomography", "sigma_phase", "0.1094", "sigma_phase", float, _NON_NEGATIVE),
+    ("tomography", "theta_target_deg", "0.0", "theta_target", math.radians, None),
+    ("tomography", "samples", "20000", "samples", int, _AT_LEAST_2),
+    ("tomography", "total_rate_hz", "140.68", "total_rate", float, _NON_NEGATIVE),
+    ("run", "seed", "12345", "seed", int, None),
+)
+
+DEFAULTS: dict[str, dict[str, str]] = {}
+for _row in _KEYS:
+    DEFAULTS.setdefault(_row[0], {})[_row[1]] = _row[2]
 
 
 @dataclass(frozen=True)
@@ -129,10 +136,6 @@ class ScenarioConfig:
     raw: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 
 
-def default_config() -> ScenarioConfig:
-    return _build(DEFAULTS)
-
-
 def load_config(path=None) -> ScenarioConfig:
     """Parse an INI file over the defaults; None loads pure defaults."""
     merged = {s: dict(kv) for s, kv in DEFAULTS.items()}
@@ -161,139 +164,71 @@ def load_config(path=None) -> ScenarioConfig:
     return _build(merged)
 
 
-def _number(merged, section, key, cast=float):
-    return _finite(merged[section][key], f"[{section}] {key}", cast)
-
-
-def _finite(raw, label, cast=float):
+def _value(raw, label, convert=float, bound=None):
+    """One config number: parsed, finite, converted exactly, inside its bound."""
     try:
-        value = cast(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{label}: expected a number, got {raw!r}") from exc
-    if not math.isfinite(value):
+        number = (int if convert is int else float)(raw)
+    except ValueError:
+        raise ConfigurationError(f"{label}: expected a number, got {raw!r}") from None
+    if not -math.inf < number < math.inf:
         raise ConfigurationError(f"{label}: expected a finite number, got {raw!r}")
-    return value
-
-
-def _hertz(raw, label, to_hz):
-    """Integer hertz via thz/ghz/mhz; a value that overflows once scaled is an error."""
     try:
-        return to_hz(_finite(raw, label))
+        value = convert(number)
     except OverflowError:
         raise ConfigurationError(f"{label}: expected a finite number, got {raw!r}, "
                                  "which overflows once scaled to hertz") from None
+    if bound is not None and not bound[0](value):
+        raise ConfigurationError(f"{label} {bound[1]} (got {raw!r})")
+    return value
 
 
 def _build(merged) -> ScenarioConfig:
-    num = lambda s, k: _number(merged, s, k)
-    hz = lambda s, k, to_hz: _hertz(merged[s][k], f"[{s}] {k}", to_hz)
+    values = {section: {} for section in merged}
+    for section, key, _, field, convert, bound in _KEYS:
+        raw, label = merged[section][key], f"[{section}] {key}"
+        if field == "scan_band":
+            parts = raw.split(",")
+            if len(parts) != 2:
+                raise ConfigurationError(f"{label}: expected 'low,high', got {raw!r}")
+            values[section][field] = tuple(_value(p, label, convert, bound) for p in parts)
+        else:
+            values[section][field] = _value(raw, label, convert, bound)
+
+    res, scan, wss, tomo = (values[s] for s in ("resonator", "scan", "wss", "tomography"))
+    if not res["fwhm"] < res["fsr"]:
+        raise ConfigurationError(
+            "[resonator] fwhm_mhz must be below [resonator] fsr_ghz (resolvable modes)")
+    low, high = wss["scan_band"]
+    if not low < high:
+        raise ConfigurationError("[wss] scan_band_thz: low must be below high")
     try:
-        resonator = ResonatorModel(
-            pump_frequency=hz("resonator", "pump_thz", thz),
-            fsr=hz("resonator", "fsr_ghz", ghz),
-            fwhm=hz("resonator", "fwhm_mhz", mhz),
-            extinction=num("resonator", "extinction"),
-        )
-        detector = DetectorModel(
-            efficiency_signal=num("detector", "efficiency_signal"),
-            efficiency_idler=num("detector", "efficiency_idler"),
-            dark_rate=num("detector", "dark_rate_hz"),
-            coincidence_window=num("detector", "coincidence_window_ns") * 1e-9,
-        )
-        band_raw = merged["wss"]["scan_band_thz"]
-        parts = band_raw.split(",")
-        if len(parts) != 2:
+        restricted_density(tomo["balance"], tomo["visibility"], tomo["phase"])
+    except NonPhysicalStateError as exc:
+        raise ConfigurationError(
+            f"[tomography] balance and [tomography] visibility: {exc}") from None
+
+    # Steps of each grid: coarse, fine (zero, offset and single-pair
+    # windows), multiplexed, WSS singles scan, spectrum transmission.
+    steps = {
+        "[scan] span_ns / [scan] coarse_step_ps": scan["span"] / scan["coarse_step"],
+        "[scan] fine_span_ps / [scan] fine_step_ps": scan["fine_span"] / scan["fine_step"],
+        "[scan] multi_span_ps / [scan] fine_step_ps": scan["multi_span"] / scan["fine_step"],
+        "[wss] scan_band_thz / [wss] scan_step_ghz": (high - low) // wss["scan_step"],
+        "[resonator] fsr_ghz / [resonator] fwhm_mhz":
+            3 * res["fsr"] // max(res["fwhm"] // 10, 1),
+    }
+    for keys, n in steps.items():
+        if n >= _MAX_SCAN_POINTS:
             raise ConfigurationError(
-                f"[wss] scan_band_thz: expected 'low,high', got {band_raw!r}"
-            )
-        scan_band = tuple(_hertz(part, "[wss] scan_band_thz", thz) for part in parts)
-        if not scan_band[0] < scan_band[1]:
-            raise ConfigurationError("[wss] scan_band_thz: low must be below high")
-        tomography = TomographyInputs(
-            balance=num("tomography", "balance"),
-            sigma_balance=num("tomography", "sigma_balance"),
-            visibility=num("tomography", "visibility"),
-            sigma_visibility=num("tomography", "sigma_visibility"),
-            phase=num("tomography", "phase_rad"),
-            sigma_phase=num("tomography", "sigma_phase"),
-            theta_target=math.radians(num("tomography", "theta_target_deg")),
-            samples=_number(merged, "tomography", "samples", int),
-            total_rate=num("tomography", "total_rate_hz"),
-        )
-        cfg = ScenarioConfig(
-            resonator=resonator,
-            detector=detector,
-            pair_rate=num("source", "pair_rate_hz"),
-            singles_signal=num("source", "singles_signal_hz"),
-            singles_idler=num("source", "singles_idler_hz"),
-            visibility=num("state", "visibility"),
-            tau0=num("state", "tau0_ns") * 1e-9,
-            theta=math.radians(num("state", "theta_deg")),
-            phi_instr=num("state", "phi_instr_rad"),
-            coarse_step=num("scan", "coarse_step_ps") * 1e-12,
-            fine_step=num("scan", "fine_step_ps") * 1e-12,
-            span=num("scan", "span_ns") * 1e-9,
-            fine_span=num("scan", "fine_span_ps") * 1e-12,
-            fine_offset=num("scan", "fine_offset_ns") * 1e-9,
-            multi_span=num("scan", "multi_span_ps") * 1e-12,
-            dwell_single=num("scan", "dwell_single_s"),
-            dwell_multi=num("scan", "dwell_multi_s"),
-            channel_width=hz("wss", "channel_width_ghz", ghz),
-            scan_step=hz("wss", "scan_step_ghz", ghz),
-            scan_line_flux=num("wss", "scan_line_flux_hz"),
-            scan_dwell=num("wss", "scan_dwell_s"),
-            scan_band=scan_band,
-            tomography=tomography,
-            seed=_number(merged, "run", "seed", int),
-            raw=tuple(
-                (section, tuple(sorted(kv.items())))
-                for section, kv in sorted(merged.items())
-            ),
-        )
-    except ConfigurationError:
-        raise
-    except FreqbinError as exc:
-        raise ConfigurationError(f"invalid configuration: {exc}") from exc
-    _validate(cfg)
-    return cfg
+                f"{keys}: the scan grid would exceed {_MAX_SCAN_POINTS:,} points")
 
-
-def _validate(cfg: ScenarioConfig) -> None:
-    positive = {
-        "[source] pair_rate_hz": cfg.pair_rate,
-        "[scan] coarse_step_ps": cfg.coarse_step,
-        "[scan] fine_step_ps": cfg.fine_step,
-        "[scan] span_ns": cfg.span,
-        "[scan] fine_span_ps": cfg.fine_span,
-        "[scan] multi_span_ps": cfg.multi_span,
-        "[scan] dwell_single_s": cfg.dwell_single,
-        "[scan] dwell_multi_s": cfg.dwell_multi,
-        "[wss] channel_width_ghz": cfg.channel_width,
-        "[wss] scan_step_ghz": cfg.scan_step,
-        "[wss] scan_dwell_s": cfg.scan_dwell,
-        "[tomography] samples": cfg.tomography.samples,
-    }
-    for label, value in positive.items():
-        if not value > 0:
-            raise ConfigurationError(f"{label} must be positive (got {value})")
-    non_negative = {
-        "[source] singles_signal_hz": cfg.singles_signal,
-        "[source] singles_idler_hz": cfg.singles_idler,
-        "[wss] scan_line_flux_hz": cfg.scan_line_flux,
-        "[tomography] sigma_balance": cfg.tomography.sigma_balance,
-        "[tomography] sigma_visibility": cfg.tomography.sigma_visibility,
-        "[tomography] sigma_phase": cfg.tomography.sigma_phase,
-        "[tomography] total_rate_hz": cfg.tomography.total_rate,
-    }
-    for label, value in non_negative.items():
-        if value < 0:
-            raise ConfigurationError(f"{label} must be non-negative (got {value})")
-    if not 0.0 <= cfg.visibility <= 1.0:
-        raise ConfigurationError("[state] visibility must lie in [0, 1]")
-    if cfg.tau0 < 0:
-        raise ConfigurationError("[state] tau0_ns must be non-negative")
-    if cfg.fine_offset < 0:
-        raise ConfigurationError("[scan] fine_offset_ns must be non-negative")
+    return ScenarioConfig(
+        resonator=ResonatorModel(**values.pop("resonator")),
+        detector=DetectorModel(**values.pop("detector")),
+        tomography=TomographyInputs(**values.pop("tomography")),
+        raw=tuple((s, tuple(sorted(kv.items()))) for s, kv in sorted(merged.items())),
+        **{field: v for fields in values.values() for field, v in fields.items()},
+    )
 
 
 def parse_passbands(text: str) -> FilterProgram:
@@ -304,21 +239,14 @@ def parse_passbands(text: str) -> FilterProgram:
         if not chunk:
             continue
         parts = [p.strip() for p in chunk.split(",")]
+        label = f"passband entry {chunk!r}"
         if len(parts) != 3:
-            raise ConfigurationError(
-                f"passband entry {chunk!r}: expected center_ghz,width_ghz,port"
-            )
-        try:
-            center, width, port = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigurationError(f"passband entry {chunk!r}: {exc}") from exc
-        bands.append(Passband(ghz(center), ghz(width), port))
+            raise ConfigurationError(f"{label}: expected center_ghz,width_ghz,port")
+        center, width = (_value(p, label, ghz, _POSITIVE) for p in parts[:2])
+        bands.append(Passband(center, width, _value(parts[2], label, int)))
     if not bands:
         raise ConfigurationError("passband list is empty")
-    try:
-        return FilterProgram(tuple(bands))
-    except FreqbinError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return FilterProgram(tuple(bands))
 
 
 def format_passbands(program: FilterProgram) -> str:

@@ -39,6 +39,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # Normal-approximation threshold for Poisson sampling.
 _POISSON_EXACT_MAX = 30.0
 
+# Largest Poisson mean: its draws stay far inside int64 (2**63 - 1), since
+# sqrt(2**62) * |z| is at most about 2e10 for any double uniform.
+_POISSON_MEAN_MAX = 2.0**62
+
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on a uint64 array (wrapping arithmetic)."""
@@ -85,13 +89,14 @@ class CounterRng:
         """Poisson draws with means lam, one per counter element.
 
         Each draw consumes exactly one uniform (slot 0 of its counter).
-        A negative or non-finite mean raises DomainError (a ValueError).
+        A negative, non-finite or above-2**62 mean raises DomainError (a
+        ValueError).
         """
         lam = np.asarray(lam, dtype=np.float64)
         counter = np.asarray(counter, dtype=np.uint64)
         lam, counter = np.broadcast_arrays(lam, counter)
-        if not np.all(np.isfinite(lam) & (lam >= 0)):
-            raise DomainError("Poisson mean must be finite and non-negative")
+        if not np.all((lam >= 0) & (lam <= _POISSON_MEAN_MAX)):
+            raise DomainError("Poisson mean must be finite, non-negative and at most 2**62")
         u = self.uniforms(counter)
         out = np.zeros(lam.shape, dtype=np.int64)
 

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from freqbin.comb import DEFAULT_MODEL, pair_for_index
-from freqbin.config import default_config
+from freqbin.config import load_config
 from freqbin.counting import DetectorModel, ScanConfig, simulate_fringe
 from freqbin.errors import NonPhysicalStateError
 from freqbin.fit import estimate_balance, fit_fringe, reconstruct
@@ -179,7 +179,7 @@ def test_acceptance_06_visibility_error_bars_cover_truth():
 
 def test_acceptance_07_programmed_phases_recovered_from_fits(tmp_path):
     """The four phase settings come back within 0.1 rad, V > 0.75."""
-    cfg = default_config()
+    cfg = load_config()
     for degrees in (0.0, 90.0, 180.0, 270.0):
         theta_target = math.radians(degrees)
         stack = stack_for_phase(theta_target)
@@ -237,7 +237,7 @@ def test_acceptance_08_bulk_state_and_waveplate_checks():
 
 def test_acceptance_09_worker_count_does_not_change_outputs(tmp_path):
     """fig3 with 1, 2, or 8 workers writes byte-identical files."""
-    cfg = default_config()
+    cfg = load_config()
     outputs = {}
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"

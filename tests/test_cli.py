@@ -1,11 +1,19 @@
 """Command-line entry point: exit codes, outputs, argument parsing."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import freqbin.scenarios
 from freqbin.cli import build_parser, main
+from freqbin.config import DEFAULTS
 from freqbin.errors import ConfigurationError, FitError
 from freqbin.scenarios import parse_pairs_argument
+
+CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
 
 
 class TestMain:
@@ -89,6 +97,68 @@ class TestMain:
         assert key in err and "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario,ini,label", [
+        ("fig5", "[resonator]\nextinction = 1.5\n", "[resonator] extinction"),
+        ("fig5", "[resonator]\npump_thz = 0\n", "[resonator] pump_thz"),
+        ("fig5", "[resonator]\nfwhm_mhz = 200000\n", "[resonator] fwhm_mhz"),
+        ("fig5", "[detector]\nefficiency_signal = 2\n", "[detector] efficiency_signal"),
+        ("fig5", "[detector]\nefficiency_idler = -0.1\n", "[detector] efficiency_idler"),
+        ("fig5", "[detector]\ndark_rate_hz = -1\n", "[detector] dark_rate_hz"),
+        ("fig5", "[detector]\ncoincidence_window_ns = 0\n",
+         "[detector] coincidence_window_ns"),
+        ("spectrum", "[wss]\nscan_band_thz = 0,194\n", "[wss] scan_band_thz"),
+        ("fig5", "[tomography]\nbalance = 2\n", "[tomography] balance"),
+        ("fig5", "[tomography]\nvisibility = 1.5\n", "[tomography] visibility"),
+        ("fig5", "[tomography]\nbalance = 1\n", "[tomography] balance"),
+        ("fig5", "[tomography]\nsamples = 1\n", "[tomography] samples"),
+    ], ids=["extinction", "pump", "fwhm_vs_fsr", "efficiency_signal",
+            "efficiency_idler", "dark_rate", "window", "band_low", "balance",
+            "tomography_visibility", "non_physical", "samples"])
+    def test_out_of_bound_value_exits_2(self, tmp_path, capsys, scenario, ini, label):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = main([scenario, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert label in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,ini,argv,label", [
+        ("fig2", "[scan]\ncoarse_step_ps = 1e-6\n", [], "[scan] coarse_step_ps"),
+        ("fig2", "[scan]\nfine_step_ps = 1e-9\n", [], "[scan] fine_step_ps"),
+        ("fig4", "[scan]\nfine_span_ps = 1e6\n", [], "[scan] fine_span_ps"),
+        ("fig3", "[scan]\nmulti_span_ps = 1e6\n", ["--pairs", "2-5"],
+         "[scan] multi_span_ps"),
+        ("spectrum", "[wss]\nscan_step_ghz = 1e-6\n", [], "[wss] scan_step_ghz"),
+        ("spectrum", "[resonator]\nfwhm_mhz = 1e-3\n", [], "[resonator] fwhm_mhz"),
+    ], ids=["coarse", "fine", "fine_span", "multi", "wss_scan", "transmission"])
+    def test_scan_point_cap_exits_2(self, tmp_path, capsys, scenario, ini, argv, label):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = main([scenario, "--config", str(cfg), "--out", str(out), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert label in err and "1,000,000 points" in err
+        # Rejected while loading the config: no grid was built, no file written.
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,ini", [
+        ("spectrum", "[wss]\nscan_line_flux_hz = 1e300\n"),
+        ("fig5", "[scan]\ndwell_single_s = 1e300\n"),
+    ], ids=["spectrum_flux", "fig5_dwell"])
+    def test_poisson_mean_past_int64_exits_2(self, tmp_path, capsys, scenario, ini):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = main([scenario, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Poisson mean" in err
+        assert not (out / "summary.txt").exists()
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["fig9"])
@@ -105,6 +175,27 @@ class TestMain:
         assert "fidelity" in out
 
 
+@given(scenario=st.sampled_from(["spectrum", "fig5"]),
+       entry=st.sampled_from(CONFIG_KEYS),
+       value=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "x"]))
+@example(scenario="spectrum", entry=("wss", "scan_line_flux_hz"), value="1e300")
+@example(scenario="fig5", entry=("scan", "dwell_single_s"), value="1e300")
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_hostile_config_value_runs_or_exits_2(scenario, entry, value):
+    """Every key with a hostile value: a clean run or exit 2, never a bad summary."""
+    section, key = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        out = Path(tmp) / "o"
+        code = main([scenario, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            summary = (out / "summary.txt").read_text()
+            assert not re.search(r"\b(nan|inf)\b", summary)
+            assert not re.search(r"= -\d+$", summary, re.MULTILINE)
+
+
 class TestParser:
     def test_all_scenarios_registered(self):
         parser = build_parser()
@@ -118,7 +209,6 @@ class TestParser:
         assert args.out == "out"
         assert args.workers == 1
         assert args.seed is None
-        assert args.format == "csv"
 
 
 class TestParsePairs:

@@ -5,25 +5,20 @@ import math
 import pytest
 
 from freqbin.comb import ghz
-from freqbin.config import (
-    default_config,
-    format_passbands,
-    load_config,
-    parse_passbands,
-)
+from freqbin.config import format_passbands, load_config, parse_passbands
 from freqbin.errors import ConfigurationError
 
 
 class TestDefaults:
     def test_resonator_defaults(self):
-        cfg = default_config()
+        cfg = load_config()
         assert cfg.resonator.pump_frequency == 193_500_000_000_000
         assert cfg.resonator.fsr == 99_030_000_000
         assert cfg.resonator.fwhm == 190_410_000
         assert cfg.resonator.extinction == 0.9
 
     def test_detector_and_source_defaults(self):
-        cfg = default_config()
+        cfg = load_config()
         assert cfg.detector.efficiency_signal == 0.5
         assert cfg.detector.efficiency_idler == 0.5
         assert cfg.detector.dark_rate == 100.0
@@ -32,7 +27,7 @@ class TestDefaults:
         assert cfg.singles_signal == 10000.0
 
     def test_state_and_scan_defaults(self):
-        cfg = default_config()
+        cfg = load_config()
         assert cfg.visibility == 0.84
         assert cfg.tau0 == 0.3e-9
         assert cfg.theta == 0.0
@@ -43,7 +38,7 @@ class TestDefaults:
         assert cfg.dwell_multi == 30.0
 
     def test_tomography_defaults(self):
-        tomo = default_config().tomography
+        tomo = load_config().tomography
         assert tomo.balance == 0.701
         assert tomo.sigma_balance == 0.005
         assert tomo.visibility == 0.7713
@@ -55,14 +50,16 @@ class TestDefaults:
         assert tomo.total_rate == 140.68
 
     def test_wss_and_seed_defaults(self):
-        cfg = default_config()
+        cfg = load_config()
         assert cfg.channel_width == 20_000_000_000
         assert cfg.scan_step == 33_010_000_000
         assert cfg.scan_band == (193_000_000_000_000, 194_000_000_000_000)
         assert cfg.seed == 12345
 
-    def test_none_path_equals_defaults(self):
-        assert load_config(None) == default_config()
+    def test_empty_file_equals_no_file(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        assert load_config(path) == load_config(None)
 
 
 class TestFileOverrides:
@@ -151,7 +148,8 @@ class TestPassbandStrings:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "193301.94,20", "193301.94,20,1,4", "a,b,c", "193301.94,w,1"],
+        ["", "193301.94,20", "193301.94,20,1,4", "a,b,c", "193301.94,w,1",
+         "nan,20,1", "1e300,20,1", "193301.94,inf,1"],
     )
     def test_malformed_entries_rejected(self, text):
         with pytest.raises(ConfigurationError):

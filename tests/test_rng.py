@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freqbin.errors import DomainError
 from freqbin.rng import (
     STREAM_BASIS,
     STREAM_FRINGE,
@@ -79,6 +80,14 @@ def test_poisson_negative_mean_rejected():
     for lam in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             rng.poisson([lam], counter=[0])
+
+
+def test_poisson_mean_past_int64_rejected():
+    rng = CounterRng(1, STREAM_FRINGE)
+    with pytest.raises(DomainError, match="2\\*\\*62"):
+        rng.poisson([1e19, 1e300], counter=[0, 1])
+    draws = rng.poisson(np.full(4, 2.0**62), counter=np.arange(4))
+    assert np.all(draws > 0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 5.0, 25.0, 100.0, 3000.0])
