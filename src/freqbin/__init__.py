@@ -42,7 +42,6 @@ from .fit import (
     estimate_balance,
     fit_envelope,
     fit_fringe,
-    pool_phases,
     reconstruct,
 )
 from .hom import (
@@ -51,18 +50,15 @@ from .hom import (
     central_dip_fwhm,
     envelope_value,
     hom_multi,
-    oscillation_period,
     revival_period,
 )
 from .states import (
-    FrequencyBinState,
     RestrictedDensityMatrix,
     WaveplateStack,
     compose_waveplates,
     density_report,
     fidelity,
     fidelity_from_matrix,
-    frequency_bin_state,
     hwp_angle_for_phase,
     phase_from_stack,
     restricted_density,

@@ -4,8 +4,9 @@ Every key has a built-in default, so an empty (or absent) file is a valid
 configuration; file values override defaults section by section.  Each key
 is declared once, as a row of `_KEYS`: its default text, the field it fills,
 the exact conversion to SI units and the bound the converted value must
-meet.  Phases are accepted in degrees where the experimental convention
-uses them.
+meet.  Each delay window the scenarios scan is declared once, as a row of
+`_SCANS`, and is built and checked when the config loads.  Phases are
+accepted in degrees where the experimental convention uses them.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import configparser
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .comb import ResonatorModel, ghz, mhz, thz
-from .counting import DetectorModel
-from .errors import ConfigurationError, NonPhysicalStateError
+from .counting import MAX_SCAN_POINTS, DetectorModel, ScanConfig
+from .errors import ConfigurationError, DomainError, NonPhysicalStateError
+from .fit import MIN_ENVELOPE_SPAN_PS, MIN_FIT_POINTS
+from .hom import revival_period
 from .states import restricted_density
 from .wss import FilterProgram, Passband
 
@@ -31,13 +36,9 @@ __all__ = [
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-_AT_LEAST_2 = (lambda v: v >= 2, "must be at least 2")
+_SAMPLES = (lambda v: 2 <= v <= 1_000_000, "must lie in [2, 1,000,000]")
 _ns = lambda x: x * 1e-9
 _ps = lambda x: x * 1e-12
-
-# Every delay or frequency grid a scenario builds from the config holds at
-# most this many points, so a tiny step is an error and not a huge allocation.
-_MAX_SCAN_POINTS = 1_000_000
 
 # (section, key, default text, field, conversion, bound).  Resonator, detector
 # and tomography rows fill ResonatorModel, DetectorModel and TomographyInputs;
@@ -80,7 +81,7 @@ _KEYS = (
     ("tomography", "phase_rad", "-0.1168", "phase", float, None),
     ("tomography", "sigma_phase", "0.1094", "sigma_phase", float, _NON_NEGATIVE),
     ("tomography", "theta_target_deg", "0.0", "theta_target", math.radians, None),
-    ("tomography", "samples", "20000", "samples", int, _AT_LEAST_2),
+    ("tomography", "samples", "20000", "samples", int, _SAMPLES),
     ("tomography", "total_rate_hz", "140.68", "total_rate", float, _NON_NEGATIVE),
     ("run", "seed", "12345", "seed", int, None),
 )
@@ -88,6 +89,26 @@ _KEYS = (
 DEFAULTS: dict[str, dict[str, str]] = {}
 for _row in _KEYS:
     DEFAULTS.setdefault(_row[0], {})[_row[1]] = _row[2]
+
+
+# name: (keys that set the window, its (start, stop, step, dwell) from the
+# config).  fig2 scans coarse, fine_zero and fine_offset; fig3 and fig4 scan
+# pair and multi, centred on the revival-snapped delay offset.
+_SCANS = {
+    "coarse": ("[scan] span_ns, [scan] coarse_step_ps",
+               lambda c: (0.0, c.span, c.coarse_step, c.dwell_single)),
+    "fine_zero": ("[scan] fine_span_ps, [scan] fine_step_ps",
+                  lambda c: (0.0, c.fine_span, c.fine_step, c.dwell_single)),
+    "fine_offset": ("[scan] fine_offset_ns, [scan] fine_span_ps, [scan] fine_step_ps",
+                    lambda c: (c.fine_offset, c.fine_offset + c.fine_span,
+                               c.fine_step, c.dwell_single)),
+    "pair": ("[state] tau0_ns, [scan] fine_span_ps, [scan] fine_step_ps",
+             lambda c: (c.snapped_tau0 - c.fine_span / 2.0, c.snapped_tau0 + c.fine_span / 2.0,
+                        c.fine_step, c.dwell_single)),
+    "multi": ("[state] tau0_ns, [scan] multi_span_ps, [scan] fine_step_ps",
+              lambda c: (c.snapped_tau0 - c.multi_span / 2.0, c.snapped_tau0 + c.multi_span / 2.0,
+                         c.fine_step, c.dwell_multi)),
+}
 
 
 @dataclass(frozen=True)
@@ -134,6 +155,39 @@ class ScenarioConfig:
     tomography: TomographyInputs
     seed: int
     raw: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+
+    @property
+    def snapped_tau0(self) -> float:
+        """tau0 on the revival grid j/(2 fsr): each fringe carries its prepared phase."""
+        period = revival_period(self.resonator.fsr)
+        return float(np.rint(self.tau0 / period)) * period
+
+    def delay_scan(self, name: str) -> ScanConfig:
+        """Delay window `name` of `_SCANS`, checked for the fits that scan it."""
+        keys, bounds = _SCANS[name]
+        try:
+            scan = ScanConfig(*bounds(self))
+            if len(scan) < MIN_FIT_POINTS:
+                raise DomainError(f"{len(scan)}-point window; the fits need at least {MIN_FIT_POINTS}")
+            # The span fit_envelope measures: last minus first delay, in ps.
+            last = scan.tau_start + scan.tau_step * (len(scan) - 1)
+            if name == "coarse" and last * 1e12 - scan.tau_start * 1e12 < MIN_ENVELOPE_SPAN_PS:
+                raise DomainError("the envelope fit needs a scan spanning at least 1 ns")
+        except DomainError as exc:
+            raise ConfigurationError(f"{keys}: {exc}") from None
+        return scan
+
+    def transmission_sweep(self) -> np.ndarray:
+        """Spectrum's transmission frequencies (Hz): pump +/- 1.5 fsr in fwhm/10 steps."""
+        model = self.resonator
+        half, step = 3 * model.fsr // 2, max(model.fwhm // 10, 1)
+        start, stop = model.pump_frequency - half, model.pump_frequency + half + step
+        keys = "[resonator] pump_thz, [resonator] fsr_ghz, [resonator] fwhm_mhz"
+        if not start > 0:
+            raise ConfigurationError(f"{keys}: the sweep must stay above 0 Hz")
+        if len(range(start, stop, step)) > MAX_SCAN_POINTS:
+            raise ConfigurationError(f"{keys}: the sweep would exceed {MAX_SCAN_POINTS:,} points")
+        return np.arange(start, stop, step, dtype=np.float64)
 
 
 def load_config(path=None) -> ScenarioConfig:
@@ -194,7 +248,7 @@ def _build(merged) -> ScenarioConfig:
         else:
             values[section][field] = _value(raw, label, convert, bound)
 
-    res, scan, wss, tomo = (values[s] for s in ("resonator", "scan", "wss", "tomography"))
+    res, wss, tomo = (values[s] for s in ("resonator", "wss", "tomography"))
     if not res["fwhm"] < res["fsr"]:
         raise ConfigurationError(
             "[resonator] fwhm_mhz must be below [resonator] fsr_ghz (resolvable modes)")
@@ -207,28 +261,21 @@ def _build(merged) -> ScenarioConfig:
         raise ConfigurationError(
             f"[tomography] balance and [tomography] visibility: {exc}") from None
 
-    # Steps of each grid: coarse, fine (zero, offset and single-pair
-    # windows), multiplexed, WSS singles scan, spectrum transmission.
-    steps = {
-        "[scan] span_ns / [scan] coarse_step_ps": scan["span"] / scan["coarse_step"],
-        "[scan] fine_span_ps / [scan] fine_step_ps": scan["fine_span"] / scan["fine_step"],
-        "[scan] multi_span_ps / [scan] fine_step_ps": scan["multi_span"] / scan["fine_step"],
-        "[wss] scan_band_thz / [wss] scan_step_ghz": (high - low) // wss["scan_step"],
-        "[resonator] fsr_ghz / [resonator] fwhm_mhz":
-            3 * res["fsr"] // max(res["fwhm"] // 10, 1),
-    }
-    for keys, n in steps.items():
-        if n >= _MAX_SCAN_POINTS:
-            raise ConfigurationError(
-                f"{keys}: the scan grid would exceed {_MAX_SCAN_POINTS:,} points")
+    if (high - low) // wss["scan_step"] >= MAX_SCAN_POINTS:
+        raise ConfigurationError("[wss] scan_band_thz / [wss] scan_step_ghz: "
+                                 f"the scan grid would exceed {MAX_SCAN_POINTS:,} points")
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         resonator=ResonatorModel(**values.pop("resonator")),
         detector=DetectorModel(**values.pop("detector")),
         tomography=TomographyInputs(**values.pop("tomography")),
         raw=tuple((s, tuple(sorted(kv.items()))) for s, kv in sorted(merged.items())),
         **{field: v for fields in values.values() for field, v in fields.items()},
     )
+    for name in _SCANS:
+        cfg.delay_scan(name)
+    cfg.transmission_sweep()
+    return cfg
 
 
 def parse_passbands(text: str) -> FilterProgram:

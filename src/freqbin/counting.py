@@ -16,7 +16,11 @@ from .errors import DomainError
 from .hom import FringeModel, hom_multi
 from .rng import STREAM_BASIS, STREAM_FRINGE, CounterRng
 
+# Most points a scan grid holds, so a tiny step is an error, not a huge allocation.
+MAX_SCAN_POINTS = 1_000_000
+
 __all__ = [
+    "MAX_SCAN_POINTS",
     "DetectorModel",
     "ScanConfig",
     "FringeDataset",
@@ -52,7 +56,8 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Delay scan: [tau_start, tau_stop] stepped by tau_step, dwell per point."""
+    """Delay scan: [tau_start, tau_stop] stepped by tau_step, dwell per point;
+    at most MAX_SCAN_POINTS points, and a step above the delays' rounding."""
 
     tau_start: float
     tau_stop: float
@@ -66,11 +71,20 @@ class ScanConfig:
             raise DomainError("tau_stop must exceed tau_start")
         if not self.dwell > 0:
             raise DomainError("dwell must be positive")
+        if not self._steps() < MAX_SCAN_POINTS:
+            raise DomainError(f"the scan grid would exceed {MAX_SCAN_POINTS:,} points")
+        if not self.tau_step > 2.0 * np.spacing(max(abs(self.tau_start), abs(self.tau_stop))):
+            raise DomainError("tau_step is below the rounding of the delays")
+
+    def _steps(self) -> float:
+        return (self.tau_stop - self.tau_start) / self.tau_step + 0.5
+
+    def __len__(self) -> int:
+        return math.floor(self._steps()) + 1
 
     def grid(self) -> np.ndarray:
         """Scan delays; the canonical grid every dataset reproduces exactly."""
-        n = int(math.floor((self.tau_stop - self.tau_start) / self.tau_step + 0.5)) + 1
-        return self.tau_start + self.tau_step * np.arange(n)
+        return self.tau_start + self.tau_step * np.arange(len(self))
 
 
 @dataclass(frozen=True, eq=False)

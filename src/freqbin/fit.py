@@ -40,10 +40,16 @@ __all__ = [
     "fit_envelope",
     "estimate_balance",
     "reconstruct",
-    "pool_phases",
+    "MIN_FIT_POINTS",
+    "MIN_ENVELOPE_SPAN_PS",
 ]
 
 _PS = 1e-12  # seconds per picosecond
+
+# Fewest delays a fringe or envelope fit accepts, and the shortest delay span
+# (in ps) from which an envelope linewidth is fitted.
+MIN_FIT_POINTS = 8
+MIN_ENVELOPE_SPAN_PS = 1000.0
 
 # Profile costs within this relative band count as ties.
 _TIE_REL = 1e-6
@@ -319,8 +325,8 @@ def fit_fringe(
     phi the zero-delay beat phase, flagged "phase-gauge", and sigma(tau0)
     set to zero.
     """
-    if len(data) < 8:
-        raise DomainError("fit_fringe needs at least 8 data points")
+    if len(data) < MIN_FIT_POINTS:
+        raise DomainError(f"fit_fringe needs at least {MIN_FIT_POINTS} data points")
     detunings = [float(d) for d in np.atleast_1d(detunings)]
     if not detunings or any(d <= 0 for d in detunings):
         raise DomainError("detunings must be positive")
@@ -453,18 +459,17 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     Levenberg-Marquardt polish (at most 400 evaluations) then frees every
     parameter and gives the covariance; FitError if it does not converge.
     The beat detunings are required: the argument, else the dataset
-    metadata `detunings_hz`.  A constant scan returns nan estimates
-    flagged "degenerate-data".
+    metadata `detunings_hz`.  A constant scan raises FitError.
 
     The linewidth is reported as equivalent fwhm in Hz.
     """
-    if len(data) < 8:
-        raise DomainError("fit_envelope needs at least 8 data points")
+    if len(data) < MIN_FIT_POINTS:
+        raise DomainError(f"fit_envelope needs at least {MIN_FIT_POINTS} data points")
     order = np.argsort(data.taus)
     taus_ps = data.taus[order] * 1e12
     counts = data.counts[order].astype(np.float64)
     span_ps = float(taus_ps[-1] - taus_ps[0])
-    if span_ps < 1000.0:
+    if span_ps < MIN_ENVELOPE_SPAN_PS:
         raise DomainError("envelope fit needs a scan spanning at least 1 ns")
 
     if detunings is None:
@@ -478,13 +483,7 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
         raise DomainError("detunings must be positive")
 
     if np.ptp(counts) == 0:
-        nanv = float("nan")
-        params = {"fwhm": nanv, "tau0": nanv, "scale": 2.0 * counts.mean(),
-                  "visibility": 0.0, "phi": 0.0}
-        sig = {k: nanv for k in ("fwhm", "tau0", "scale", "visibility", "phi")}
-        return FitResult(params, sig, np.full((5, 5), np.nan),
-                         ("scale", "visibility", "phi", "tau0", "fwhm"),
-                         0.0, True, 0, ("ill-conditioned", "degenerate-data"))
+        raise FitError("coarse scan has constant counts: no envelope to fit")
 
     design = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
     t0, u = _envelope_start(taus_ps, counts)
@@ -576,22 +575,3 @@ def reconstruct(
     return ReconstructionResult(rho, float(f_central), sigma_f,
                                 float(rejection), accepted, float(theta_target))
 
-
-def pool_phases(phis, sigmas) -> tuple[float, float]:
-    """Inverse-variance pooling of phase estimates.
-
-    Phases are unwrapped relative to the first entry before averaging, so
-    estimates straddling the wrap seam pool correctly.
-    """
-    phis = np.asarray(phis, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if phis.size == 0 or phis.shape != sigmas.shape:
-        raise DomainError("phis and sigmas must be equal-length and non-empty")
-    if np.any(sigmas <= 0):
-        raise DomainError("sigmas must be positive")
-    ref = phis.flat[0]
-    adj = ref + (phis - ref + math.pi) % (2.0 * math.pi) - math.pi
-    w = 1.0 / sigmas**2
-    mean = float(np.sum(w * adj) / np.sum(w))
-    mean = math.pi - (math.pi - mean) % (2.0 * math.pi)
-    return mean, float(1.0 / math.sqrt(np.sum(w)))

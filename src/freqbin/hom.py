@@ -20,7 +20,6 @@ __all__ = [
     "FringeModel",
     "envelope_value",
     "hom_multi",
-    "oscillation_period",
     "revival_period",
     "central_dip_fwhm",
 ]
@@ -103,13 +102,6 @@ def hom_multi(model: FringeModel, tau):
     p = 0.5 * (1.0 - _beat_average(model, tau))
     p = np.clip((1.0 - model.alpha) * p + 0.5 * model.alpha, 0.0, 1.0)
     return p if p.shape else float(p)
-
-
-def oscillation_period(detuning: float) -> float:
-    """Fringe period 1/detuning in seconds."""
-    if not detuning > 0:
-        raise DomainError("detuning must be positive")
-    return 1.0 / detuning
 
 
 def revival_period(fsr: float) -> float:

@@ -4,6 +4,11 @@ Each scenario writes its data/fit files plus a manifest (resolved config,
 seed, versions) into the output directory and returns a text summary.
 Sub-scans within a scenario use consecutive derived seeds so their draws
 are independent while the whole run stays a pure function of (config, seed).
+
+The delay windows and the transmission sweep come from the config, which
+checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
+least 1 ns, a sweep above 0 Hz), so none fails after output is written.
+Each fringe window runs through `_fit_scan`.
 """
 
 from __future__ import annotations
@@ -17,14 +22,8 @@ import scipy
 from . import __version__
 from .comb import pair_for_index, q_factor, resonance_lines, transmission
 from .config import ScenarioConfig, format_passbands
-from .counting import (
-    FringeDataset,
-    ScanConfig,
-    accidental_rate,
-    computational_basis_counts,
-    simulate_fringe,
-)
-from .errors import ConfigurationError, FitError
+from .counting import accidental_rate, computational_basis_counts, simulate_fringe
+from .errors import ConfigurationError
 from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
 from .states import (
@@ -54,6 +53,13 @@ def run_scenario(
         raise ConfigurationError(
             f"unknown scenario {name!r} (choose from {', '.join(SCENARIOS)})"
         )
+    kwargs = {}
+    if name == "fig3":
+        if pairs is None:
+            raise ConfigurationError("fig3 requires --pairs (e.g. 5 or 2-5)")
+        kwargs["indices"] = parse_pairs_argument(pairs)
+    if name == "fig4":
+        kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
     seed = cfg.seed if seed is None else int(seed)
     os.makedirs(out_dir, exist_ok=True)
     args = {}
@@ -69,13 +75,6 @@ def run_scenario(
         "fig4": _run_fig4,
         "fig5": _run_fig5,
     }[name]
-    kwargs = {}
-    if name == "fig3":
-        if pairs is None:
-            raise ConfigurationError("fig3 requires --pairs (e.g. 5 or 2-5)")
-        kwargs["pairs"] = pairs
-    if name == "fig4":
-        kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
     summary = runner(cfg, out_dir, seed, **kwargs)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary)
@@ -120,45 +119,31 @@ def _write_manifest(out_dir, cfg: ScenarioConfig, name: str, seed: int, args: di
         fh.write("\n".join(lines) + "\n")
 
 
-def _snapped_tau0(cfg: ScenarioConfig) -> float:
-    """Delay offset aligned to the revival grid j/(2 fsr).
-
-    With whole beat cycles between the delay origin and the envelope
-    center, every pair's fringe carries the prepared phase directly, so
-    fitted phases compare to waveplate settings without a carrier term.
-    """
-    period = revival_period(cfg.resonator.fsr)
-    return round(cfg.tau0 / period) * period
-
-
 def _fringe_model(cfg: ScenarioConfig, indices, phi: float) -> FringeModel:
     env = Envelope.from_fwhm(cfg.resonator.fwhm)
     pairs = tuple(
         (float(pair_for_index(cfg.resonator, m).detuning), cfg.visibility, phi)
         for m in indices
     )
-    return FringeModel(pairs, _snapped_tau0(cfg), 0.0, env)
+    return FringeModel(pairs, cfg.snapped_tau0, 0.0, env)
 
 
-def _accidental(cfg: ScenarioConfig, n_channels: int) -> float:
-    return accidental_rate(
-        cfg.singles_signal * n_channels,
-        cfg.singles_idler * n_channels,
-        cfg.detector.coincidence_window,
-    )
+def _sim(cfg, model, scan, seed):
+    n = len(model.pairs)
+    accidental = accidental_rate(cfg.singles_signal * n, cfg.singles_idler * n,
+                                 cfg.detector.coincidence_window)
+    return simulate_fringe(model, scan, cfg.detector, cfg.pair_rate * n, seed,
+                           accidental=accidental)
 
 
-def _sim(cfg, model, scan, seed, n_channels=1):
-    rate = cfg.pair_rate * len(model.pairs)
-    return simulate_fringe(
-        model, scan, cfg.detector, rate, seed,
-        accidental=_accidental(cfg, n_channels),
-    )
-
-
-def _write_fit(out_dir, stem: str, result) -> None:
+def _fit_scan(cfg, out_dir, stem, model, window, seed, **fit_options):
+    """Simulate delay window `window`, write `<stem>.csv`, fit it, write `<stem>_fit.txt`."""
+    ds = _sim(cfg, model, cfg.delay_scan(window), seed)
+    ds.to_csv(os.path.join(out_dir, f"{stem}.csv"))
+    res = fit_fringe(ds, [d for d, _, _ in model.pairs], sigma=None, **fit_options)
     with open(os.path.join(out_dir, f"{stem}_fit.txt"), "w") as fh:
-        fh.write(result.report())
+        fh.write(res.report())
+    return res
 
 
 def _write_curve(path, taus, values) -> None:
@@ -170,10 +155,7 @@ def _write_curve(path, taus, values) -> None:
 
 def _run_spectrum(cfg, out_dir, seed):
     model = cfg.resonator
-    span = 3 * model.fsr
-    step = max(model.fwhm // 10, 1)
-    freqs = np.arange(model.pump_frequency - span // 2,
-                      model.pump_frequency + span // 2 + step, step, dtype=np.float64)
+    freqs = cfg.transmission_sweep()
     trans = transmission(model, freqs)
     with open(os.path.join(out_dir, "transmission.csv"), "w") as fh:
         fh.write("frequency_thz,transmittance\n")
@@ -202,36 +184,19 @@ def _run_spectrum(cfg, out_dir, seed):
 
 
 def _run_fig2(cfg, out_dir, seed):
-    pair = pair_for_index(cfg.resonator, 2)
-    detuning = float(pair.detuning)
-    phi = cfg.theta + cfg.phi_instr
-    model = _fringe_model(cfg, [2], phi)
+    model = _fringe_model(cfg, [2], cfg.theta + cfg.phi_instr)
 
-    coarse_scan = ScanConfig(0.0, cfg.span, cfg.coarse_step, cfg.dwell_single)
+    coarse_scan = cfg.delay_scan("coarse")
     coarse = _sim(cfg, model, coarse_scan, seed)
     coarse.to_csv(os.path.join(out_dir, "coarse.csv"))
     _write_curve(os.path.join(out_dir, "curve_coarse.csv"),
                  coarse_scan.grid(), hom_multi(model, coarse_scan.grid()))
-
     env_fit = fit_envelope(coarse)
-    if "degenerate-data" in env_fit.flags:
-        raise FitError("coarse scan has constant counts: no envelope to fit")
-    _write_fit(out_dir, "envelope", env_fit)
+    with open(os.path.join(out_dir, "envelope_fit.txt"), "w") as fh:
+        fh.write(env_fit.report())
 
-    window = {}
-    for stem, start, sub in (
-        ("fine_zero", 0.0, 1),
-        ("fine_offset", cfg.fine_offset, 2),
-    ):
-        scan = ScanConfig(start, start + cfg.fine_span, cfg.fine_step,
-                          cfg.dwell_single)
-        ds = _sim(cfg, model, scan, seed + sub)
-        ds.to_csv(os.path.join(out_dir, f"{stem}.csv"))
-        res = fit_fringe(ds, [detuning], sigma=None)
-        _write_fit(out_dir, stem, res)
-        window[stem] = res
-
-    za, zb = window["fine_zero"], window["fine_offset"]
+    za = _fit_scan(cfg, out_dir, "fine_zero", model, "fine_zero", seed + 1)
+    zb = _fit_scan(cfg, out_dir, "fine_offset", model, "fine_offset", seed + 2)
     return "\n".join([
         "scenario = fig2",
         f"fwhm_true_hz = {float(cfg.resonator.fwhm)!r}",
@@ -240,14 +205,12 @@ def _run_fig2(cfg, out_dir, seed):
         f"visibility_zero = {za.visibility_clamped!r} +/- {za.sigmas['visibility']!r}",
         f"visibility_offset = {zb.visibility_clamped!r} +/- {zb.sigmas['visibility']!r}",
         f"phi_zero = {za.phi!r} +/- {za.sigmas['phi']!r}",
-        f"oscillation_period_ps = {1e12 / detuning!r}",
+        f"oscillation_period_ps = {1e12 / model.pairs[0][0]!r}",
     ]) + "\n"
 
 
-def _run_fig3(cfg, out_dir, seed, pairs):
-    indices = parse_pairs_argument(pairs)
-    phi = cfg.theta + cfg.phi_instr
-    model = _fringe_model(cfg, indices, phi)
+def _run_fig3(cfg, out_dir, seed, indices):
+    model = _fringe_model(cfg, indices, cfg.theta + cfg.phi_instr)
     program = select_pairs(cfg.resonator, indices, cfg.channel_width)
     routed = route_lines(program, [
         line
@@ -255,45 +218,26 @@ def _run_fig3(cfg, out_dir, seed, pairs):
         for line in (pair_for_index(cfg.resonator, m).signal,
                      pair_for_index(cfg.resonator, m).idler)
     ])
-    n_routed = sum(len(v) for v in routed.values())
-    tau0 = model.tau0
-
+    single = len(indices) == 1
+    res = _fit_scan(cfg, out_dir, "fringe", model, "pair" if single else "multi", seed,
+                    fit_detuning=single)
     lines = ["scenario = fig3",
              f"pairs = {','.join(str(m) for m in indices)}",
              f"wss_program = {format_passbands(program)}",
-             f"wss_lines_routed = {n_routed}"]
-
-    if len(indices) == 1:
-        detuning = model.pairs[0][0]
-        half = cfg.fine_span / 2.0
-        scan = ScanConfig(tau0 - half, tau0 + half, cfg.fine_step,
-                          cfg.dwell_single)
-        ds = _sim(cfg, model, scan, seed)
-        ds.to_csv(os.path.join(out_dir, "fringe.csv"))
-        res = fit_fringe(ds, [detuning], sigma=None, fit_detuning=True)
-        _write_fit(out_dir, "fringe", res)
+             f"wss_lines_routed = {sum(len(v) for v in routed.values())}",
+             f"visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",
+             f"phi = {res.phi!r} +/- {res.sigmas['phi']!r}"]
+    if single:
         period_fit = 1.0 / res.params["detuning"]
         period_sigma = res.sigmas["detuning"] / res.params["detuning"] ** 2
         lines += [
-            f"visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",
-            f"phi = {res.phi!r} +/- {res.sigmas['phi']!r}",
             f"period_fit_ps = {period_fit * 1e12!r} +/- {period_sigma * 1e12!r}",
-            f"period_expected_ps = {1e12 / detuning!r}",
+            f"period_expected_ps = {1e12 / model.pairs[0][0]!r}",
         ]
     else:
-        detunings = [d for d, _, _ in model.pairs]
-        half = cfg.multi_span / 2.0
-        scan = ScanConfig(tau0 - half, tau0 + half, cfg.fine_step,
-                          cfg.dwell_multi)
-        ds = _sim(cfg, model, scan, seed, n_channels=len(indices))
-        ds.to_csv(os.path.join(out_dir, "fringe.csv"))
-        _write_curve(os.path.join(out_dir, "curve.csv"),
-                     scan.grid(), hom_multi(model, scan.grid()))
-        res = fit_fringe(ds, detunings, sigma=None)
-        _write_fit(out_dir, "fringe", res)
+        grid = cfg.delay_scan("multi").grid()
+        _write_curve(os.path.join(out_dir, "curve.csv"), grid, hom_multi(model, grid))
         lines += [
-            f"visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",
-            f"phi = {res.phi!r} +/- {res.sigmas['phi']!r}",
             f"revival_period_ps = {revival_period(cfg.resonator.fsr) * 1e12!r}",
             f"dip_fwhm_ps = {central_dip_fwhm(model) * 1e12!r}",
         ]
@@ -305,23 +249,17 @@ def _run_fig4(cfg, out_dir, seed, phase_deg):
     alpha_hwp = hwp_angle_for_phase(theta_t)
     theta_real = phase_from_stack(stack_for_phase(theta_t))
     phi = theta_real + cfg.phi_instr
-    tau0 = _snapped_tau0(cfg)
     lines = ["scenario = fig4",
              f"phase_target_deg = {float(phase_deg)!r}",
              f"hwp_angle_rad = {alpha_hwp!r}",
              f"phase_realized_rad = {theta_real!r}"]
 
-    for stem, indices, dwell, span, sub in (
-        ("single", [2], cfg.dwell_single, cfg.fine_span, 0),
-        ("multi", [2, 3, 4, 5], cfg.dwell_multi, cfg.multi_span, 1),
+    for stem, indices, window, sub in (
+        ("single", [2], "pair", 0),
+        ("multi", [2, 3, 4, 5], "multi", 1),
     ):
         model = _fringe_model(cfg, indices, phi)
-        half = span / 2.0
-        scan = ScanConfig(tau0 - half, tau0 + half, cfg.fine_step, dwell)
-        ds = _sim(cfg, model, scan, seed + sub, n_channels=len(indices))
-        ds.to_csv(os.path.join(out_dir, f"{stem}.csv"))
-        res = fit_fringe(ds, [d for d, _, _ in model.pairs], sigma=None)
-        _write_fit(out_dir, stem, res)
+        res = _fit_scan(cfg, out_dir, stem, model, window, seed + sub)
         err = (res.phi - theta_t + math.pi) % (2.0 * math.pi) - math.pi
         lines += [
             f"{stem}_visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",

@@ -1,4 +1,4 @@
-"""Frequency-bin states, waveplate phase control, restricted density matrix.
+"""Waveplate phase control and the restricted density matrix.
 
 The two-photon Hilbert space is restricted to the four-dimensional basis
 {|ss>, |si>, |is>, |ii>} of one signal/idler bin pair; the density matrix
@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb import FrequencyPair
 from .errors import DomainError, NonPhysicalStateError, PhaseGateError
 
 __all__ = [
-    "FrequencyBinState",
     "WaveplateStack",
     "RestrictedDensityMatrix",
-    "frequency_bin_state",
     "compose_waveplates",
     "phase_from_stack",
     "stack_for_phase",
@@ -34,61 +31,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _PHYSICALITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FrequencyBinState:
-    """Normalized superposition over signal/idler bin pairs.
-
-    Each entry couples a pair to a probability weight and a relative phase
-    theta between its |si> and |is> components; weights sum to one.
-    """
-
-    pairs: tuple[FrequencyPair, ...]
-    weights: tuple[float, ...]
-    thetas: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise DomainError("state needs at least one frequency pair")
-        if not (len(self.pairs) == len(self.weights) == len(self.thetas)):
-            raise DomainError("pairs, weights, thetas must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise DomainError("weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise DomainError("weights must sum to 1 within 1e-12")
-
-    @property
-    def M(self) -> int:
-        return len(self.pairs)
-
-
-def frequency_bin_state(pairs, thetas=None, weights=None) -> FrequencyBinState:
-    """Build a normalized state; weights default to equal, thetas to zero.
-
-    Weights are auto-normalized (they must be non-negative with a positive
-    sum); thetas are reduced modulo 2*pi.  The single-pair case with theta
-    is the usual (|si> + e^{i theta}|is>)/sqrt(2) beat state.
-    """
-    pairs = tuple(pairs)
-    if not pairs:
-        raise DomainError("state needs at least one frequency pair")
-    n = len(pairs)
-    if thetas is None:
-        thetas = (0.0,) * n
-    if weights is None:
-        weights = (1.0,) * n
-    thetas = tuple(float(t) % TWO_PI for t in thetas)
-    weights = tuple(float(w) for w in weights)
-    if len(thetas) != n or len(weights) != n:
-        raise DomainError("pairs, weights, thetas must have equal length")
-    if any(w < 0 for w in weights):
-        raise DomainError("weights must be non-negative")
-    total = sum(weights)
-    if total <= 0:
-        raise DomainError("weights must have positive sum")
-    weights = tuple(w / total for w in weights)
-    return FrequencyBinState(pairs, weights, thetas)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,6 @@ class FilterProgram:
                 )
         object.__setattr__(self, "passbands", tuple(bands))
 
-    @property
-    def ports(self) -> tuple[int, ...]:
-        return tuple(sorted({b.output_port for b in self.passbands}))
-
 
 def route_lines(program: FilterProgram, lines: list[CombLine]) -> dict[int, list[CombLine]]:
     """Map output port -> lines whose centers fall in that port's passbands.

@@ -56,6 +56,7 @@ class TestMain:
             "fig3", "--pairs", "5-2", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_fit_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -111,9 +112,10 @@ class TestMain:
         ("fig5", "[tomography]\nvisibility = 1.5\n", "[tomography] visibility"),
         ("fig5", "[tomography]\nbalance = 1\n", "[tomography] balance"),
         ("fig5", "[tomography]\nsamples = 1\n", "[tomography] samples"),
+        ("fig5", "[tomography]\nsamples = 1000001\n", "[tomography] samples"),
     ], ids=["extinction", "pump", "fwhm_vs_fsr", "efficiency_signal",
             "efficiency_idler", "dark_rate", "window", "band_low", "balance",
-            "tomography_visibility", "non_physical", "samples"])
+            "tomography_visibility", "non_physical", "samples", "samples_cap"])
     def test_out_of_bound_value_exits_2(self, tmp_path, capsys, scenario, ini, label):
         cfg = tmp_path / "c.ini"
         cfg.write_text(ini)
@@ -143,6 +145,29 @@ class TestMain:
         assert code == 2
         assert label in err and "1,000,000 points" in err
         # Rejected while loading the config: no grid was built, no file written.
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,ini,argv,labels", [
+        ("fig2", "[scan]\nfine_offset_ns = 1e300\n", [], ["[scan] fine_offset_ns"]),
+        ("fig3", "[state]\ntau0_ns = 1e12\n", ["--pairs", "2-5"], ["[state] tau0_ns"]),
+        ("fig3", "[state]\ntau0_ns = 1e308\n", ["--pairs", "2-5"], ["[state] tau0_ns"]),
+        ("fig2", "[scan]\nfine_step_ps = 1\n", [], ["[scan] fine_step_ps"]),
+        ("fig2", "[scan]\ncoarse_step_ps = 500\n", [], ["[scan] coarse_step_ps"]),
+        ("fig2", "[scan]\nspan_ns = 0.5\n", [], ["[scan] span_ns"]),
+        ("spectrum", "[resonator]\npump_thz = 0.1\n", [],
+         ["[resonator] pump_thz", "[resonator] fsr_ghz"]),
+    ], ids=["offset_swamps_span", "tau0_rounding", "tau0_overflow", "fine_points",
+            "coarse_points", "coarse_span", "sweep_below_zero"])
+    def test_bad_scan_window_exits_2_at_load(self, tmp_path, capsys, scenario, ini,
+                                             argv, labels):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = main([scenario, "--config", str(cfg), "--out", str(out), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert all(label in err for label in labels)
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario,ini", [

@@ -6,7 +6,9 @@ import pytest
 
 from freqbin.comb import ghz
 from freqbin.config import format_passbands, load_config, parse_passbands
+from freqbin.counting import ScanConfig
 from freqbin.errors import ConfigurationError
+from freqbin.hom import revival_period
 
 
 class TestDefaults:
@@ -126,6 +128,27 @@ class TestFileOverrides:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read config"):
             load_config(tmp_path / "absent.ini")
+
+
+@pytest.mark.parametrize("name", ["coarse", "fine_zero", "fine_offset", "pair", "multi"])
+def test_stock_windows_equal_inline_grids(name):
+    """Each window equals, bitwise, the ScanConfig the scenarios once built inline."""
+    cfg = load_config()
+    period = revival_period(cfg.resonator.fsr)
+    t = round(cfg.tau0 / period) * period
+    inline = {
+        "coarse": ScanConfig(0.0, cfg.span, cfg.coarse_step, cfg.dwell_single),
+        "fine_zero": ScanConfig(0.0, 0.0 + cfg.fine_span, cfg.fine_step, cfg.dwell_single),
+        "fine_offset": ScanConfig(cfg.fine_offset, cfg.fine_offset + cfg.fine_span,
+                                  cfg.fine_step, cfg.dwell_single),
+        "pair": ScanConfig(t - cfg.fine_span / 2.0, t + cfg.fine_span / 2.0,
+                           cfg.fine_step, cfg.dwell_single),
+        "multi": ScanConfig(t - cfg.multi_span / 2.0, t + cfg.multi_span / 2.0,
+                            cfg.fine_step, cfg.dwell_multi),
+    }[name]
+    window = cfg.delay_scan(name)
+    assert window == inline
+    assert window.grid().tobytes() == inline.grid().tobytes()
 
 
 class TestPassbandStrings:

@@ -1,6 +1,7 @@
 """Scan schedules, Poisson sampling of fringes, dataset round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freqbin.comb import DEFAULT_MODEL, pair_for_index
 from freqbin.counting import (
+    MAX_SCAN_POINTS,
     DetectorModel,
     FringeDataset,
     ScanConfig,
@@ -42,6 +44,22 @@ def test_scan_validation():
         ScanConfig(1e-9, 0.0, 1e-12, 1.0)
     with pytest.raises(DomainError):
         ScanConfig(0.0, 1e-9, 1e-12, 0.0)
+
+
+def test_scan_cap_and_rounding_rejected_without_allocating():
+    assert len(ScanConfig(0.0, MAX_SCAN_POINTS - 1.0, 1.0, 1.0)) == MAX_SCAN_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="1,000,000 points"):
+            ScanConfig(0.0, float(MAX_SCAN_POINTS), 1.0, 1.0)
+        # At 1 ks a double resolves about 1.1e-13 s: a 0.1 ps step repeats delays.
+        with pytest.raises(DomainError, match="rounding"):
+            ScanConfig(1e3, 1e3 + 4e-12, 1e-13, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(ScanConfig(1e3, 1e3 + 4e-12, 3e-13, 1.0).grid()) == 14
 
 
 def test_dataset_validation():

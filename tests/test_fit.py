@@ -19,7 +19,6 @@ from freqbin.fit import (
     estimate_balance,
     fit_envelope,
     fit_fringe,
-    pool_phases,
     reconstruct,
 )
 from freqbin.hom import Envelope, FringeModel, hom_multi, revival_period
@@ -274,8 +273,8 @@ class TestEnvelopeFit:
     def test_flat_data_flagged(self):
         taus = np.arange(0.0, 2.4e-9 + 1e-15, 2e-12)
         ds = FringeDataset(taus, np.full(taus.size, 500, dtype=np.int64), 1.0)
-        res = fit_envelope(ds, detunings=[DET2])
-        assert "degenerate-data" in res.flags
+        with pytest.raises(FitError, match="constant counts"):
+            fit_envelope(ds, detunings=[DET2])
 
     def test_diverging_linewidth_is_a_fit_error(self):
         # exp(u) overflows past u ~ 709.8; the polish reports a failed fit.
@@ -508,23 +507,3 @@ class TestReconstruct:
             theta_target=math.pi / 2, seed=6,
         )
         assert res.theta_target == math.pi / 2
-
-
-class TestPoolPhases:
-    def test_equal_weights_average(self):
-        phi, sigma = pool_phases([0.1, 0.3], [0.05, 0.05])
-        assert phi == pytest.approx(0.2, abs=1e-12)
-        assert sigma == pytest.approx(0.05 / math.sqrt(2.0), abs=1e-12)
-
-    def test_single_input_is_identity(self):
-        phi, sigma = pool_phases([1.2], [0.1])
-        assert phi == pytest.approx(1.2, abs=1e-12)
-        assert sigma == 0.1
-
-    def test_wraparound_at_branch_cut(self):
-        phi, sigma = pool_phases(
-            [math.pi - 0.05, -math.pi + 0.05], [0.02, 0.02]
-        )
-        delta = (phi - math.pi + math.pi) % (2.0 * math.pi) - math.pi
-        assert abs(delta) < 1e-9
-        assert sigma == pytest.approx(0.02 / math.sqrt(2.0), abs=1e-12)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from freqbin.comb import DEFAULT_MODEL, ghz, pair_for_index, thz
+from freqbin.comb import DEFAULT_MODEL, pair_for_index
 from freqbin.errors import DomainError
 from freqbin.hom import (
     Envelope,
@@ -16,7 +16,6 @@ from freqbin.hom import (
     central_dip_fwhm,
     envelope_value,
     hom_multi,
-    oscillation_period,
     revival_period,
 )
 
@@ -101,7 +100,7 @@ def test_single_baseline_far_out():
 
 def test_single_adjacent_minima_spacing():
     model = multi_model([5], v=1.0)
-    period = oscillation_period(detuning(5))
+    period = 1.0 / detuning(5)
     assert period == pytest.approx(1.0098e-12, rel=1e-4)
     taus = np.arange(-3, 4) * period
     values = hom_multi(model, taus)
@@ -123,17 +122,7 @@ def test_multi_revival_minima():
     assert np.all(between > 0.25)
 
 
-@pytest.mark.parametrize("det, period", [
-    (ghz(990.3), 1.0098e-12),
-    (thz(2.9709), 0.3366e-12),
-])
-def test_oscillation_periods(det, period):
-    assert oscillation_period(det) == pytest.approx(period, rel=1e-4)
-
-
 def test_period_validation():
-    with pytest.raises(DomainError):
-        oscillation_period(0.0)
     with pytest.raises(DomainError):
         revival_period(-1.0)
 

@@ -1,4 +1,4 @@
-"""Bin states, waveplate phase control, and the restricted density matrix."""
+"""Waveplate phase control and the restricted density matrix."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freqbin.comb import DEFAULT_MODEL, pair_for_index
 from freqbin.errors import DomainError, NonPhysicalStateError, PhaseGateError
 from freqbin.states import (
     WaveplateStack,
@@ -14,7 +13,6 @@ from freqbin.states import (
     density_report,
     fidelity,
     fidelity_from_matrix,
-    frequency_bin_state,
     hwp_angle_for_phase,
     phase_from_stack,
     restricted_density,
@@ -38,50 +36,6 @@ def random_stack(rng, max_len=6):
     kinds = rng.choice(["quarter", "half"], size=n)
     angles = rng.uniform(0.0, math.pi, size=n)
     return WaveplateStack(tuple(zip(kinds.tolist(), angles.tolist())))
-
-
-# ---------------------------------------------------------------- bin states
-
-def test_state_defaults_and_normalization():
-    pairs = [pair_for_index(DEFAULT_MODEL, m) for m in (2, 3, 5)]
-    state = frequency_bin_state(pairs, weights=[2.0, 1.0, 1.0])
-    assert state.M == 3
-    assert state.weights == (0.5, 0.25, 0.25)
-    assert state.thetas == (0.0, 0.0, 0.0)
-
-
-def test_state_single_pair_beat():
-    pair = pair_for_index(DEFAULT_MODEL, 2)
-    state = frequency_bin_state([pair], thetas=[math.pi])
-    assert state.M == 1
-    assert state.weights == (1.0,)
-    assert state.thetas == (math.pi,)
-
-
-def test_state_fourteen_equal_pairs():
-    pairs = [pair_for_index(DEFAULT_MODEL, m) for m in range(2, 16)]
-    state = frequency_bin_state(pairs)
-    assert state.M == 14
-    assert all(w == pytest.approx(1.0 / 14) for w in state.weights)
-    assert sum(state.weights) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_state_theta_modulo():
-    pair = pair_for_index(DEFAULT_MODEL, 2)
-    state = frequency_bin_state([pair], thetas=[2.0 * TWO_PI + 0.25])
-    assert state.thetas[0] == pytest.approx(0.25, abs=1e-12)
-
-
-def test_state_validation():
-    pair = pair_for_index(DEFAULT_MODEL, 2)
-    with pytest.raises(DomainError):
-        frequency_bin_state([])
-    with pytest.raises(DomainError):
-        frequency_bin_state([pair], weights=[-1.0])
-    with pytest.raises(DomainError):
-        frequency_bin_state([pair], weights=[0.0])
-    with pytest.raises(DomainError):
-        frequency_bin_state([pair], thetas=[0.0, 1.0])
 
 
 # ----------------------------------------------------------------- waveplates
