@@ -3,6 +3,11 @@
 Counts are aggregated per scan point (no time tags); every draw comes from
 the counter-based generator keyed by (seed, point index), so simulations are
 reproducible and independent of evaluation order or thread count.
+
+A dataset's CSV holds `# key=value` header lines, a `delay_ps,counts` line
+and one row per point.  A simulated dataset's headers include the grid's
+`tau_start_s` and `tau_step_s`, from which `load_dataset` rebuilds the
+delays bit for bit; the picosecond column alone can come back 1 ulp off.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from .rng import STREAM_BASIS, STREAM_FRINGE, CounterRng
 
 # Most points a scan grid holds, so a tiny step is an error, not a huge allocation.
 MAX_SCAN_POINTS = 1_000_000
+# Rows formatted per write: whole blocks are fast, and one block of row
+# strings at a time keeps a large scan from holding every row in memory.
+_WRITE_BLOCK = 1 << 14
+# One CSV row as np.loadtxt parses it: the delay in ps and an exact count.
+_ROW = np.dtype([("t", "f8"), ("n", "i8")])
 
 __all__ = [
     "MAX_SCAN_POINTS",
@@ -28,6 +38,7 @@ __all__ = [
     "accidental_rate",
     "computational_basis_counts",
     "load_dataset",
+    "write_rows",
 ]
 
 
@@ -84,7 +95,12 @@ class ScanConfig:
 
     def grid(self) -> np.ndarray:
         """Scan delays; the canonical grid every dataset reproduces exactly."""
-        return self.tau_start + self.tau_step * np.arange(len(self))
+        return _delay_grid(self.tau_start, self.tau_step, len(self))
+
+
+def _delay_grid(start: float, step: float, n: int) -> np.ndarray:
+    """The n delays start + step * i: a scan's grid, also as rebuilt from a CSV."""
+    return start + step * np.arange(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +117,8 @@ class FringeDataset:
         counts = np.asarray(self.counts, dtype=np.int64)
         if taus.ndim != 1 or counts.ndim != 1 or taus.size != counts.size:
             raise DomainError("taus and counts must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(taus)):
+            raise DomainError("taus must be finite")
         if taus.size and np.any(np.diff(taus) <= 0):
             raise DomainError("taus must be strictly increasing")
         if np.any(counts < 0):
@@ -114,44 +132,72 @@ class FringeDataset:
         return int(self.taus.size)
 
     def to_csv(self, path) -> None:
-        """Write `delay_ps,counts` rows under `# key=value` metadata lines."""
+        """Write `# dwell_s=` and one `# key=value` line per metadata entry
+        (sorted by key), a `delay_ps,counts` line, then one row per point:
+        the delay in ps as its shortest round-trip repr, and the count."""
         with open(path, "w") as fh:
             fh.write(f"# dwell_s={self.dwell!r}\n")
             for key in sorted(self.metadata):
                 fh.write(f"# {key}={self.metadata[key]}\n")
             fh.write("delay_ps,counts\n")
-            for tau, n in zip(self.taus, self.counts):
-                fh.write(f"{float(tau) * 1e12!r},{int(n)}\n")
+            write_rows(fh, self.taus * 1e12, self.counts)
+
+
+def write_rows(fh, first: np.ndarray, second: np.ndarray) -> None:
+    """Write one `first,second` line per element pair, each value as the repr
+    of its Python float or int, formatting _WRITE_BLOCK rows per write."""
+    for i in range(0, len(first), _WRITE_BLOCK):
+        j = i + _WRITE_BLOCK
+        fh.write("".join([f"{a!r},{b!r}\n"
+                          for a, b in zip(first[i:j].tolist(), second[i:j].tolist())]))
 
 
 def load_dataset(path) -> FringeDataset:
-    """Read a dataset CSV produced by FringeDataset.to_csv (or compatible)."""
-    metadata: dict = {}
-    dwell = None
-    taus: list[float] = []
-    counts: list[int] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    if key.strip() == "dwell_s":
-                        dwell = float(value)
-                    else:
-                        metadata[key.strip()] = value.strip()
-                continue
-            if line.startswith("delay_ps"):
-                continue
-            tau_ps, n = line.split(",")
-            taus.append(float(tau_ps) * 1e-12)
-            counts.append(int(n))
-    if dwell is None:
-        raise DomainError(f"{path}: missing '# dwell_s=' header")
-    return FringeDataset(np.array(taus), np.array(counts), dwell, metadata)
+    """Read a dataset CSV produced by FringeDataset.to_csv (or compatible).
+
+    `#` lines before the rows are `key=value` headers, of which `dwell_s`
+    is required; blank lines, a `delay_ps` line and `#` comments are
+    skipped.  With `tau_start_s` and `tau_step_s` headers the delays are
+    that grid, exactly as ScanConfig.grid builds it; otherwise they are the
+    ps column times 1e-12.  A malformed row, a missing or bad header, or a
+    delay column more than 1 ulp off its header grid raises DomainError
+    naming the file.
+    """
+    try:
+        with open(path) as fh:
+            metadata, rows = _read_csv(fh)
+        if "dwell_s" not in metadata:
+            raise DomainError("missing '# dwell_s=' header")
+        dwell = float(metadata.pop("dwell_s"))
+        taus = rows["t"] * 1e-12
+        if "tau_start_s" in metadata and "tau_step_s" in metadata:
+            grid = _delay_grid(float(metadata["tau_start_s"]),
+                               float(metadata["tau_step_s"]), taus.size)
+            if not np.all(np.abs(taus - grid) <= np.spacing(np.abs(grid))):
+                raise DomainError("delays disagree with the tau_start_s and "
+                                  "tau_step_s headers by more than 1 ulp")
+            taus = grid
+        return FringeDataset(taus, rows["n"], dwell, metadata)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
+def _read_csv(fh) -> tuple[dict, np.ndarray]:
+    """The `# key=value` headers and the rows of an open dataset CSV."""
+    metadata = {}
+    start = fh.tell()
+    for line in iter(fh.readline, ""):
+        text = line.strip()
+        if text.startswith("#"):
+            key, sep, value = text[1:].partition("=")
+            if sep:
+                metadata[key.strip()] = value.strip()
+        elif text and not text.startswith("delay_ps"):
+            fh.seek(start)
+            return metadata, np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW, ndmin=1)
+        start = fh.tell()
+    # No rows: skip np.loadtxt, which warns on empty input.
+    return metadata, np.zeros(0, dtype=_ROW)
 
 
 def simulate_fringe(
@@ -189,6 +235,8 @@ def simulate_fringe(
         "efficiency_idler": repr(det.efficiency_idler),
         "detunings_hz": detunings,
         "sigma_rad_s": repr(fringe.envelope.sigma),
+        "tau_start_s": repr(float(scan.tau_start)),
+        "tau_step_s": repr(float(scan.tau_step)),
     }
     return FringeDataset(taus, counts, scan.dwell, metadata)
 

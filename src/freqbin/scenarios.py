@@ -8,6 +8,8 @@ are independent while the whole run stays a pure function of (config, seed).
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
 least 1 ns, a sweep above 0 Hz), so none fails after output is written.
+fig3's `--pairs` is checked against the comb, the WSS channel width and
+the fine step's Nyquist frequency before the output directory is made.
 Each fringe window runs through `_fit_scan`.
 """
 
@@ -22,8 +24,8 @@ import scipy
 from . import __version__
 from .comb import pair_for_index, q_factor, resonance_lines, transmission
 from .config import ScenarioConfig, format_passbands
-from .counting import accidental_rate, computational_basis_counts, simulate_fringe
-from .errors import ConfigurationError
+from .counting import accidental_rate, computational_basis_counts, simulate_fringe, write_rows
+from .errors import ConfigurationError, DomainError
 from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
 from .states import (
@@ -57,7 +59,7 @@ def run_scenario(
     if name == "fig3":
         if pairs is None:
             raise ConfigurationError("fig3 requires --pairs (e.g. 5 or 2-5)")
-        kwargs["indices"] = parse_pairs_argument(pairs)
+        kwargs["indices"], kwargs["program"] = _fig3_pairs(cfg, pairs)
     if name == "fig4":
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
     seed = cfg.seed if seed is None else int(seed)
@@ -83,22 +85,51 @@ def run_scenario(
 
 def parse_pairs_argument(text: str) -> list[int]:
     """'5' -> [5]; '2-5' -> [2, 3, 4, 5]."""
+    return list(_pair_range(text))
+
+
+def _pair_range(text: str) -> range:
+    """The indices `--pairs` names, as a range: bounded before any list is built."""
     text = text.strip()
     try:
         if "-" in text:
             lo_s, hi_s = text.split("-", 1)
             lo, hi = int(lo_s), int(hi_s)
-            if lo < 1 or hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        m = int(text)
-        if m < 1:
+        else:
+            lo = hi = int(text)
+        if lo < 1 or hi < lo:
             raise ValueError
-        return [m]
+        return range(lo, hi + 1)
     except ValueError:
         raise ConfigurationError(
             f"--pairs must be a positive index or range like 2-5, got {text!r}"
         ) from None
+
+
+def _fig3_pairs(cfg: ScenarioConfig, text: str):
+    """fig3's pair indices and WSS program, checked before any output is written.
+
+    Each pair's beat 2*m*fsr must lie below the Nyquist frequency of the
+    fine delay step, or the scan cannot sample its fringe.  The highest
+    index is the one the comb can reject (its signal line goes below 0 Hz).
+    """
+    pairs = _pair_range(text)
+    top = pairs[-1]
+    nyquist = 1.0 / (2.0 * cfg.fine_step)
+    if not 2 * top * cfg.resonator.fsr < nyquist:
+        raise ConfigurationError(
+            f"--pairs: pair {top} beats at {2 * top * cfg.resonator.fsr / 1e12:.6g} THz, "
+            f"not below the {nyquist / 1e12:.6g} THz Nyquist frequency of "
+            "[scan] fine_step_ps")
+    try:
+        pair_for_index(cfg.resonator, top)
+    except DomainError as exc:
+        raise ConfigurationError(f"--pairs: pair {top}: {exc}") from None
+    try:
+        program = select_pairs(cfg.resonator, pairs, cfg.channel_width)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[wss] channel_width_ghz: {exc}") from None
+    return list(pairs), program
 
 
 def _write_manifest(out_dir, cfg: ScenarioConfig, name: str, seed: int, args: dict):
@@ -149,8 +180,7 @@ def _fit_scan(cfg, out_dir, stem, model, window, seed, **fit_options):
 def _write_curve(path, taus, values) -> None:
     with open(path, "w") as fh:
         fh.write("delay_ps,probability\n")
-        for tau, value in zip(taus, values):
-            fh.write(f"{float(tau) * 1e12!r},{float(value)!r}\n")
+        write_rows(fh, taus * 1e12, values)
 
 
 def _run_spectrum(cfg, out_dir, seed):
@@ -166,13 +196,12 @@ def _run_spectrum(cfg, out_dir, seed):
         model, cfg.scan_band, cfg.scan_step, cfg.channel_width,
         cfg.scan_line_flux, cfg.detector.dark_rate, cfg.scan_dwell, seed,
     )
+    counts = np.array([n for _, n in scan])
     with open(os.path.join(out_dir, "singles_scan.csv"), "w") as fh:
         fh.write("center_thz,counts\n")
-        for center, n in scan:
-            fh.write(f"{center / 1e12!r},{n}\n")
+        write_rows(fh, np.array([center / 1e12 for center, _ in scan]), counts)
 
     lines = resonance_lines(model, cfg.scan_band)
-    counts = np.array([n for _, n in scan])
     return "\n".join([
         "scenario = spectrum",
         f"q_factor = {q_factor(model.pump_frequency, model.fwhm)!r}",
@@ -209,9 +238,8 @@ def _run_fig2(cfg, out_dir, seed):
     ]) + "\n"
 
 
-def _run_fig3(cfg, out_dir, seed, indices):
+def _run_fig3(cfg, out_dir, seed, indices, program):
     model = _fringe_model(cfg, indices, cfg.theta + cfg.phi_instr)
-    program = select_pairs(cfg.resonator, indices, cfg.channel_width)
     routed = route_lines(program, [
         line
         for m in indices

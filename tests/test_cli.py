@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import freqbin.scenarios
 from freqbin.cli import build_parser, main
-from freqbin.config import DEFAULTS
+from freqbin.config import DEFAULTS, load_config
 from freqbin.errors import ConfigurationError, FitError
 from freqbin.scenarios import parse_pairs_argument
 
@@ -57,6 +57,32 @@ class TestMain:
         ])
         assert code == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ini,pairs,label", [
+        ("", "2-26", "--pairs"),
+        ("", "2-1000", "--pairs"),
+        ("", "100000000000", "--pairs"),
+        ("[scan]\nfine_step_ps = 1e-5\nmulti_span_ps = 4\n", "2000", "--pairs"),
+        ("[wss]\nchannel_width_ghz = 500\n", "2-5", "[wss] channel_width_ghz"),
+    ], ids=["above_nyquist", "long_range", "huge_index", "signal_below_0_hz",
+            "passbands_overlap"])
+    def test_bad_fig3_pairs_exit_2_before_output(self, tmp_path, capsys, ini, pairs,
+                                                 label):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        code = main(["fig3", "--pairs", pairs, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert label in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_fig3_pairs_up_to_nyquist_accepted(self):
+        # 2 * 25 * 99.03 GHz lies below 1 / (2 * 0.1 ps) = 5 THz.
+        indices, program = freqbin.scenarios._fig3_pairs(load_config(None), "2-25")
+        assert indices == list(range(2, 26))
+        assert {band.output_port for band in program.passbands} == {1, 2}
 
     def test_fit_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freqbin.comb import DEFAULT_MODEL, pair_for_index
+from freqbin.config import load_config
 from freqbin.counting import (
     MAX_SCAN_POINTS,
     DetectorModel,
@@ -17,6 +19,7 @@ from freqbin.counting import (
     computational_basis_counts,
     load_dataset,
     simulate_fringe,
+    write_rows,
 )
 from freqbin.errors import DomainError
 from freqbin.hom import Envelope, FringeModel
@@ -137,12 +140,112 @@ def test_csv_roundtrip(tmp_path, detector):
     path = tmp_path / "fringe.csv"
     ds.to_csv(path)
     back = load_dataset(path)
-    # Delays are serialized in picoseconds; the unit conversion can move
-    # the seconds value by one ulp.
-    np.testing.assert_allclose(back.taus, ds.taus, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(back.taus, ds.taus)
     np.testing.assert_array_equal(back.counts, ds.counts)
     assert back.dwell == ds.dwell
     assert back.metadata["detunings_hz"] == ds.metadata["detunings_hz"]
+
+
+def test_stock_multiplexed_scan_reloads_bitwise(tmp_path, detector):
+    """The stock fig3 2-5 window reloads exactly; its ps column alone does not."""
+    scan = load_config(None).delay_scan("multi")
+    pairs = tuple((float(pair_for_index(DEFAULT_MODEL, m).detuning), 0.84, 0.0)
+                  for m in (2, 3, 4, 5))
+    model = FringeModel(pairs, 0.0, 0.0, Envelope.from_fwhm(DEFAULT_MODEL.fwhm))
+    ds = simulate_fringe(model, scan, detector, 268.0, seed=12345)
+    path = tmp_path / "fringe.csv"
+    ds.to_csv(path)
+    back = load_dataset(path)
+    np.testing.assert_array_equal(back.taus, scan.grid())
+    np.testing.assert_array_equal(back.counts, ds.counts)
+    # Without the grid headers the delays come from the column, up to 1 ulp off.
+    text = path.read_text()
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("".join(line for line in text.splitlines(keepends=True)
+                                  if not line.startswith("# tau_")))
+    column = load_dataset(headerless).taus
+    assert np.count_nonzero(column != ds.taus) == 24
+    assert np.all(np.abs(column - ds.taus) <= np.spacing(np.abs(ds.taus)))
+
+
+def test_header_grid_contradicted_by_column_rejected(tmp_path, detector):
+    scan = ScanConfig(-5e-12, 5e-12, 1e-13, 1.0)
+    ds = simulate_fringe(flat_model(0.5), scan, detector, 100.0, seed=2)
+    path = tmp_path / "fringe.csv"
+    ds.to_csv(path)
+    text = path.read_text()
+    path.write_text(text.replace("# tau_step_s=1e-13", "# tau_step_s=1.0000000000001e-13"))
+    with pytest.raises(DomainError, match="fringe.csv.*1 ulp"):
+        load_dataset(path)
+
+
+def test_to_csv_bytes_match_per_row_format(tmp_path, detector):
+    """Two blocks of 2**14 rows and negative delays, byte for byte."""
+    scan = ScanConfig(-1e-9, 1e-9, 1e-13, 0.5)
+    ds = simulate_fringe(flat_model(0.5), scan, detector, 4000.0, seed=4)
+    assert len(ds) > 2**14 and ds.taus[0] < 0
+    path = tmp_path / "fringe.csv"
+    ds.to_csv(path)
+    expected = [f"# dwell_s={ds.dwell!r}\n"]
+    expected += [f"# {key}={ds.metadata[key]}\n" for key in sorted(ds.metadata)]
+    expected.append("delay_ps,counts\n")
+    expected += [f"{float(tau) * 1e12!r},{int(n)}\n" for tau, n in zip(ds.taus, ds.counts)]
+    assert path.read_text() == "".join(expected)
+
+    curve = tmp_path / "curve.csv"
+    values = np.linspace(0.0, 1.0, len(ds)) ** 3
+    with open(curve, "w") as fh:
+        write_rows(fh, ds.taus * 1e12, values)
+    assert curve.read_text() == "".join(
+        f"{float(tau) * 1e12!r},{float(v)!r}\n" for tau, v in zip(ds.taus, values))
+
+
+@pytest.mark.parametrize("text, taus_ps, counts", [
+    ("# dwell_s=2.0\n\ndelay_ps,counts\n\n1.5,10\n\n2.5,11\n\n", [1.5, 2.5], [10, 11]),
+    ("# dwell_s=2.0\r\ndelay_ps,counts\r\n1.5,10\r\n2.5,11\r\n", [1.5, 2.5], [10, 11]),
+    ("# dwell_s=2.0\ndelay_ps,counts\n1.5,10\n# pause\n2.5,11\n", [1.5, 2.5], [10, 11]),
+    ("# dwell_s=2.0\n1.5,10\n2.5,11\n", [1.5, 2.5], [10, 11]),
+    ("# dwell_s=2.0\ndelay_ps,counts\n 1.5 , 10 \n2.5 ,11\n", [1.5, 2.5], [10, 11]),
+    ("# dwell_s=2.0\ndelay_ps,counts\n1.5,9007199254740993\n", [1.5], [2**53 + 1]),
+    ("# dwell_s=2.0\ndelay_ps,counts\n", [], []),
+], ids=["blank_lines", "crlf", "body_comment", "no_column_line", "spaces",
+        "count_above_2_53", "no_rows"])
+def test_load_dataset_accepts_layouts(tmp_path, text, taus_ps, counts):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.taus, np.array(taus_ps) * 1e-12)
+    assert ds.counts.tolist() == counts
+    assert ds.dwell == 2.0
+
+
+@pytest.mark.parametrize("body, match", [
+    ("1.5,ten\n", "ten"),
+    ("1.5,10,3\n", "3 were found"),
+    ("x1.5,10\n", "x1.5"),
+    ("1.5,10.5\n", "10.5"),
+    ("1.5,-3\n", "non-negative"),
+    ("2.5,10\n1.5,11\n", "increasing"),
+    ("nan,10\n", "finite"),
+], ids=["count", "third_column", "delay", "fractional_count", "negative_count",
+        "unordered", "nan_delay"])
+def test_malformed_csv_rejected_naming_file(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("# dwell_s=2.0\ndelay_ps,counts\n" + body)
+    with pytest.raises(DomainError, match=match) as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("header", ["", "# dwell_s=soon\n"], ids=["missing", "bad"])
+def test_dwell_header_required(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "delay_ps,counts\n1.5,10\n")
+    with pytest.raises(DomainError, match="dwell_s|soon") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
 
 
 def test_negative_rate_rejected(detector):
