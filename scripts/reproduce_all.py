@@ -38,19 +38,13 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed for every scenario")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored; output is byte-identical "
-                             "for any value")
     args = parser.parse_args(argv)
 
     cfg = load_config(args.config)
     for label, extra in JOBS:
         scenario = label.split("_")[0]
         out_dir = os.path.join(args.out, label)
-        summary = run_scenario(
-            scenario, cfg, out_dir,
-            seed=args.seed, workers=args.workers, **extra,
-        )
+        summary = run_scenario(scenario, cfg, out_dir, seed=args.seed, **extra)
         print(f"== {label} -> {out_dir}")
         print(summary)
     return 0

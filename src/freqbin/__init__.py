@@ -58,7 +58,6 @@ from .states import (
     compose_waveplates,
     density_report,
     fidelity,
-    fidelity_from_matrix,
     hwp_angle_for_phase,
     phase_from_stack,
     restricted_density,

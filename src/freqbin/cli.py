@@ -1,7 +1,7 @@
 """Command-line scenario runner.
 
     freqbin <scenario> [--pairs ...] [--phase ...] --config FILE --seed N
-            --out DIR [--workers N]
+            --out DIR
 
 Exit codes: 0 success, 2 configuration/usage error, 3 fit non-convergence.
 """
@@ -33,9 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default="out",
                        help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted and ignored; output is byte-identical "
-                            "for any value")
         if name == "fig3":
             p.add_argument("--pairs", required=True,
                            help="pair index or range: 5, 10, 15, 2-5, 2-10, 2-15")
@@ -50,17 +47,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.workers < 1:
-            raise ConfigurationError("--workers must be at least 1")
         phase = getattr(args, "phase", None)
         if phase is not None and not math.isfinite(phase):
             raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
-        summary = run_scenario(
-            args.scenario, cfg, args.out,
-            seed=args.seed, workers=args.workers,
-            pairs=getattr(args, "pairs", None),
-            phase=phase,
-        )
+        summary = run_scenario(args.scenario, cfg, args.out, seed=args.seed,
+                               pairs=getattr(args, "pairs", None), phase=phase)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,16 +3,14 @@
 Fringe fits minimize sum w_i (counts_i - N p(tau_i))^2 with Poisson weights
 w = 1/max(counts, 1).  Every search is separable (variable projection,
 Golub & Pereyra 1973): the linear coefficients are solved in closed form on
-a grid of the nonlinear parameters, and the best grid point is polished
-once by damped least squares (MINPACK Levenberg-Marquardt) with an
-analytic Jacobian, which also frees any parameter held fixed during the
-profile and yields the covariance.  Fringe fits profile the delay offset
-tau0 with weighted linear solves for the baseline and the beat's cosine
-and sine amplitudes; envelope fits pick their start from a (t0, log
-linewidth) grid of the folded envelope with its amplitude in closed form.
-Internally all times are in picoseconds: scipy's trust-region scaling
-misbehaves for parameters of order 1e-10, and the analytic Jacobian keeps
-the curvature matrix sane.
+a grid of the (at most two) nonlinear parameters, and the best grid point
+is polished once by Gauss-Newton with step halving on the analytic
+Jacobian, which also frees any parameter held fixed during the profile and
+yields the covariance.  Fringe fits profile the delay offset tau0 with
+weighted linear solves for the baseline and the beat's cosine and sine
+amplitudes; envelope fits pick their start from a (t0, log linewidth) grid
+of the folded envelope with its amplitude in closed form.  Internally all
+times are in picoseconds, which keeps the Jacobian's columns comparable.
 
 Accidental floor note: the fringe model's (alpha, V) pair is structurally
 degenerate (only (1 - alpha) V is identifiable from a single scan), so
@@ -22,10 +20,10 @@ fits hold alpha fixed at the given value.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .counting import FringeDataset
 from .errors import DomainError, FitError, ReconstructionError
@@ -139,26 +137,17 @@ class _FringeDesign:
         self.fit_detuning = fit_detuning
         self.fit_sigma = fit_sigma
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
-        self._memo = (None, None)
         self.names = ["scale", "visibility", "phi", "tau0"]
         if fit_detuning:
             self.names.append("detuning")
         if fit_sigma:
             self.names.append("log_sigma")
 
-    def _unpack(self, theta):
+    def _parts(self, theta):
         n, v, phi, t0 = theta[:4]
         extra = iter(theta[4:])
         dets = (next(extra),) if self.fit_detuning else self.d
         sigma_ps = math.exp(next(extra)) if self.fit_sigma else self.sigma_ps
-        return n, v, phi, t0, dets, sigma_ps
-
-    def _parts(self, theta):
-        # MINPACK asks for the Jacobian at the theta of its last residual.
-        key = np.asarray(theta, dtype=np.float64).tobytes()
-        if key == self._memo[0]:
-            return self._memo[1]
-        n, v, phi, t0, dets, sigma_ps = self._unpack(theta)
         dt = self.t - t0
         if sigma_ps is None:
             env = np.ones_like(dt)
@@ -177,15 +166,11 @@ class _FringeDesign:
         cosb /= m
         sinb /= m
         sinb_d /= m
-        self._memo = key, (n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d)
-        return self._memo[1]
-
-    def model(self, theta):
-        n, v, _, env, _, _, cosb, _, _ = self._parts(theta)
-        return n * (0.5 - (1.0 - self.alpha) * 0.5 * v * cosb * env)
+        return n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d
 
     def residual(self, theta):
-        return self.sw * (self.c - self.model(theta))
+        n, v, _, env, _, _, cosb, _, _ = self._parts(theta)
+        return self.sw * (self.c - n * (0.5 - (1.0 - self.alpha) * 0.5 * v * cosb * env))
 
     def jacobian(self, theta):
         n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d = self._parts(theta)
@@ -255,19 +240,54 @@ class _FringeDesign:
         return np.array(theta, dtype=np.float64)
 
 
-def _polish(design, x0, what):
-    """One Levenberg-Marquardt run from x0: tolerance 1e-14, 400 evaluations."""
+Solution = namedtuple("Solution", "x cost nfev njev status")
+
+
+def least_squares(fun, x0, jac):
+    """Gauss-Newton for min 0.5 |fun(x)|^2: lstsq steps, each halved until the cost falls.
+
+    status 1 once a step promises (0.5 |J s|^2, halved with it) at most 1e-13 of
+    the cost; 0 after 400 residual evaluations.  ValueError if fun(x0) is not finite.
+    """
+    x = np.array(x0, dtype=np.float64)
+    r = fun(x)
+    cost = 0.5 * float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError("the residuals are not finite at the start")
+    nfev, njev = 1, 0
+    while True:
+        j = jac(x)
+        njev += 1
+        step = np.linalg.lstsq(j, -r, rcond=None)[0]
+        gain = 0.5 * float(np.sum((j @ step) ** 2))
+        while gain > 1e-13 * cost:
+            if nfev >= 400:
+                return Solution(x, cost, nfev, njev, 0)
+            r_trial = fun(x + step)
+            nfev += 1
+            cost_trial = 0.5 * float(r_trial @ r_trial)
+            if cost_trial < cost:
+                break
+            step, gain = step / 2.0, gain / 2.0
+        else:
+            return Solution(x, cost, nfev, njev, 1)
+        x, r, cost = x + step, r_trial, cost_trial
+
+
+def _polish(design, x0, what, window=None):
+    """One `least_squares` run from x0; FitError unless it converges with tau0 in window (ps)."""
     try:
-        res = least_squares(design.residual, x0=x0, jac=design.jacobian,
-                            method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                            max_nfev=400)
-    except ValueError as exc:  # non-finite residuals at the start
+        res = least_squares(design.residual, x0, design.jacobian)
+    except ValueError as exc:
         raise FitError(f"{what} has no finite start: {exc}") from exc
     except OverflowError as exc:  # a free log-linewidth ran past exp's range
         raise FitError(f"{what} diverged: {exc}") from exc
+    if window is not None and not window[0] <= res.x[3] <= window[1]:
+        raise FitError(f"{what}: tau0 = {res.x[3]:.6g} ps lies outside the scanned "
+                       f"window [{window[0]:.6g}, {window[1]:.6g}] ps")
     if res.status <= 0:
         raise FitError(f"{what} did not converge in {res.nfev} evaluations "
-                       f"(residual ss {2.0 * float(res.cost)!r})")
+                       f"(residual ss {2.0 * res.cost!r})")
     return res
 
 
@@ -314,10 +334,10 @@ def fit_fringe(
     t0_ref +/- 1/min(d) with step at most 1/(16 max(d)), where t0_ref is
     the delay of the lowest count when sigma is given and 0 otherwise;
     costs within a relative 1e-6 of the lowest tie and go to the smallest
-    |tau0|.  One Levenberg-Marquardt polish from that point (at most 400
-    evaluations) frees every parameter and gives the covariance;
-    FitError if it does not converge, or, when sigma is given, if tau0 ends
-    outside the scanned window.  `iterations` reports its evaluation count.
+    |tau0|.  One polish from that point (see `least_squares`) frees every
+    parameter and gives the covariance; FitError if, when sigma is given,
+    tau0 ends outside the scanned window, else if it does not converge.
+    `iterations` reports its residual-evaluation count.
 
     Single-pair fits without the envelope determine phi and tau0 only
     jointly (the beat phase at zero delay); their profile is the single
@@ -333,9 +353,8 @@ def fit_fringe(
     if fit_detuning and len(detunings) != 1:
         raise DomainError("fit_detuning requires a single pair")
 
-    order = np.argsort(data.taus)
-    taus_ps = data.taus[order] * 1e12
-    counts = data.counts[order].astype(np.float64)
+    taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
+    counts = data.counts.astype(np.float64)
     d_ps = [d * _PS for d in detunings]
     sigma_ps = None if sigma is None else float(sigma) * _PS
 
@@ -350,8 +369,7 @@ def fit_fringe(
             theta.append(d_ps[0])
         theta = np.array(theta)
         cov = _covariance(design, theta)
-        return _package_fringe(design, theta, cov, 0.0, True, 0,
-                               ("degenerate-data",), sigma)
+        return _package_fringe(design, theta, cov, 0.0, 0, ("degenerate-data",), sigma)
 
     # Without the envelope a single-pair model depends on (phi, tau0) only
     # through the beat phase at zero delay, so tau0 = 0 loses nothing.
@@ -370,12 +388,10 @@ def fit_fringe(
     if sigma_ps is not None and np.ptp(taus_ps) * sigma_ps < 0.1:
         what += (" (the window is much shorter than the envelope: V and tau0"
                  " have no finite optimum; fit with sigma=None)")
-    winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps), what)
+    window = None if sigma_ps is None else (taus_ps[0], taus_ps[-1])
+    winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps), what, window)
 
     theta = _canonical_fringe(winner.x)
-    if sigma_ps is not None and not taus_ps[0] <= theta[3] <= taus_ps[-1]:
-        raise FitError(f"{what}: tau0 = {theta[3]:.6g} ps lies outside the scanned "
-                       f"window [{taus_ps[0]:.6g}, {taus_ps[-1]:.6g}] ps")
     # The polish may still park anywhere along the gauge's flat (phi, tau0)
     # direction.  Slide the solution to the tau0 = 0 gauge, pin tau0 there,
     # and propagate the covariance through the reparameterization so
@@ -395,15 +411,13 @@ def fit_fringe(
         cov[:, 3] = 0.0
         flags.append("phase-gauge")
         jac = np.delete(jac, 3, axis=1)
-    cond = np.linalg.cond(jac.T @ jac)
-    if cond > 1e10:
+    if np.linalg.cond(jac.T @ jac) > 1e10:
         flags.append("ill-conditioned")
-    return _package_fringe(design, theta, cov, 2.0 * winner.cost, True,
-                           int(winner.nfev), tuple(flags), sigma)
+    return _package_fringe(design, theta, cov, 2.0 * winner.cost, winner.nfev, tuple(flags),
+                           sigma)
 
 
-def _package_fringe(design, theta, cov, residual_ss, converged, iterations,
-                    flags, sigma):
+def _package_fringe(design, theta, cov, residual_ss, iterations, flags, sigma):
     names = tuple(design.names)
     scale_units = {"tau0": _PS, "detuning": 1e12}
     d = np.array([scale_units.get(n, 1.0) for n in names])
@@ -416,8 +430,8 @@ def _package_fringe(design, theta, cov, residual_ss, converged, iterations,
     values["alpha"] = design.alpha
     if sigma is not None:
         values["sigma"] = float(sigma)
-    return FitResult(values, sigmas, cov_rep, names, float(residual_ss),
-                     converged, iterations, flags)
+    return FitResult(values, sigmas, cov_rep, names, float(residual_ss), True, iterations,
+                     flags)
 
 
 def _envelope_start(taus_ps, counts):
@@ -455,9 +469,9 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
 
     The full fringe model is fitted with the linewidth free.  Its start is
     the best point of the folded-envelope grid (see `_envelope_start`) with
-    scale, visibility and phase from one linear solve there; one
-    Levenberg-Marquardt polish (at most 400 evaluations) then frees every
-    parameter and gives the covariance; FitError if it does not converge.
+    scale, visibility and phase from one linear solve there; one polish
+    (see `least_squares`) then frees every parameter and gives the
+    covariance; FitError if it does not converge.
     The beat detunings are required: the argument, else the dataset
     metadata `detunings_hz`.  A constant scan raises FitError.
 
@@ -465,9 +479,8 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     """
     if len(data) < MIN_FIT_POINTS:
         raise DomainError(f"fit_envelope needs at least {MIN_FIT_POINTS} data points")
-    order = np.argsort(data.taus)
-    taus_ps = data.taus[order] * 1e12
-    counts = data.counts[order].astype(np.float64)
+    taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
+    counts = data.counts.astype(np.float64)
     span_ps = float(taus_ps[-1] - taus_ps[0])
     if span_ps < MIN_ENVELOPE_SPAN_PS:
         raise DomainError("envelope fit needs a scan spanning at least 1 ns")

@@ -8,8 +8,8 @@ are independent while the whole run stays a pure function of (config, seed).
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
 least 1 ns, a sweep above 0 Hz), so none fails after output is written.
-fig3's `--pairs` is checked against the comb, the WSS channel width and
-the fine step's Nyquist frequency before the output directory is made.
+fig3's `--pairs` is checked against the comb, the WSS channel width, the
+fine step's Nyquist frequency and the fit's work before any output.
 Each fringe window runs through `_fit_scan`.
 """
 
@@ -24,7 +24,8 @@ import scipy
 from . import __version__
 from .comb import pair_for_index, q_factor, resonance_lines, transmission
 from .config import ScenarioConfig, format_passbands
-from .counting import accidental_rate, computational_basis_counts, simulate_fringe, write_rows
+from .counting import (MAX_SCAN_POINTS, accidental_rate, computational_basis_counts,
+                       simulate_fringe, write_rows)
 from .errors import ConfigurationError, DomainError
 from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
@@ -36,7 +37,7 @@ from .states import (
 )
 from .wss import route_lines, select_pairs, singles_spectrum_scan
 
-__all__ = ["run_scenario", "SCENARIOS", "parse_pairs_argument"]
+__all__ = ["run_scenario", "SCENARIOS"]
 
 SCENARIOS = ("spectrum", "fig2", "fig3", "fig4", "fig5")
 
@@ -83,11 +84,6 @@ def run_scenario(
     return summary
 
 
-def parse_pairs_argument(text: str) -> list[int]:
-    """'5' -> [5]; '2-5' -> [2, 3, 4, 5]."""
-    return list(_pair_range(text))
-
-
 def _pair_range(text: str) -> range:
     """The indices `--pairs` names, as a range: bounded before any list is built."""
     text = text.strip()
@@ -112,6 +108,9 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
     Each pair's beat 2*m*fsr must lie below the Nyquist frequency of the
     fine delay step, or the scan cannot sample its fringe.  The highest
     index is the one the comb can reject (its signal line goes below 0 Hz).
+    fit_fringe profiles a multiplexed fit's tau0 on ceil(32 top/lowest) + 1
+    points (detunings scale with m), each a pass over the multi window: at most
+    MAX_SCAN_POINTS in all.
     """
     pairs = _pair_range(text)
     top = pairs[-1]
@@ -125,6 +124,11 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
         pair_for_index(cfg.resonator, top)
     except DomainError as exc:
         raise ConfigurationError(f"--pairs: pair {top}: {exc}") from None
+    work = (math.ceil(32 * top / pairs[0]) + 1) * len(cfg.delay_scan("multi"))
+    if len(pairs) > 1 and work > MAX_SCAN_POINTS:
+        raise ConfigurationError(
+            f"--pairs {pairs[0]}-{top} with [scan] multi_span_ps, [scan] fine_step_ps: the "
+            f"tau0 profile would take {work:,} delay points, above {MAX_SCAN_POINTS:,}")
     try:
         program = select_pairs(cfg.resonator, pairs, cfg.channel_width)
     except ConfigurationError as exc:

@@ -24,7 +24,6 @@ __all__ = [
     "hwp_angle_for_phase",
     "restricted_density",
     "fidelity",
-    "fidelity_from_matrix",
     "density_report",
 ]
 
@@ -151,14 +150,6 @@ def fidelity(rho: RestrictedDensityMatrix, theta_target: float = 0.0) -> float:
     Closed form 1/2 + (V/2) cos(phi - theta_t); independent of p.
     """
     return 0.5 + 0.5 * rho.V * math.cos(rho.phi - theta_target)
-
-
-def fidelity_from_matrix(rho: RestrictedDensityMatrix, theta_target: float = 0.0) -> float:
-    """Same overlap evaluated as the explicit vector-matrix-vector sandwich."""
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0 / math.sqrt(2.0)
-    psi[2] = np.exp(1j * theta_target) / math.sqrt(2.0)
-    return float(np.real(np.conj(psi) @ rho.matrix() @ psi))
 
 
 def density_report(rho: RestrictedDensityMatrix) -> str:

@@ -11,7 +11,7 @@ import freqbin.scenarios
 from freqbin.cli import build_parser, main
 from freqbin.config import DEFAULTS, load_config
 from freqbin.errors import ConfigurationError, FitError
-from freqbin.scenarios import parse_pairs_argument
+from freqbin.scenarios import _pair_range
 
 CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
 
@@ -47,10 +47,6 @@ class TestMain:
         ])
         assert code == 2
 
-    def test_bad_workers_exits_2(self, tmp_path):
-        code = main(["fig5", "--workers", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-
     def test_bad_pairs_value_exits_2(self, tmp_path):
         code = main([
             "fig3", "--pairs", "5-2", "--out", str(tmp_path / "o"),
@@ -64,8 +60,10 @@ class TestMain:
         ("", "100000000000", "--pairs"),
         ("[scan]\nfine_step_ps = 1e-5\nmulti_span_ps = 4\n", "2000", "--pairs"),
         ("[wss]\nchannel_width_ghz = 500\n", "2-5", "[wss] channel_width_ghz"),
+        ("[scan]\nfine_step_ps = 1e-5\nmulti_span_ps = 4\n", "2-1900",
+         "--pairs 2-1900 with [scan] multi_span_ps, [scan] fine_step_ps"),
     ], ids=["above_nyquist", "long_range", "huge_index", "signal_below_0_hz",
-            "passbands_overlap"])
+            "passbands_overlap", "profile_work"])
     def test_bad_fig3_pairs_exit_2_before_output(self, tmp_path, capsys, ini, pairs,
                                                  label):
         cfg = tmp_path / "c.ini"
@@ -258,7 +256,6 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["fig2"])
         assert args.out == "out"
-        assert args.workers == 1
         assert args.seed is None
 
 
@@ -274,9 +271,9 @@ class TestParsePairs:
         ],
     )
     def test_valid_inputs(self, text, expected):
-        assert parse_pairs_argument(text) == expected
+        assert list(_pair_range(text)) == expected
 
     @pytest.mark.parametrize("text", ["0", "-3", "5-2", "x", "2-5-7", ""])
     def test_invalid_inputs(self, text):
         with pytest.raises(ConfigurationError):
-            parse_pairs_argument(text)
+            list(_pair_range(text))

@@ -1,6 +1,7 @@
 """Fringe fitting, envelope fitting, balance, and state reconstruction."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,10 +127,11 @@ def test_multiplexed_fit_call_budget(monkeypatch, detector):
     scan = ScanConfig(-8e-12, 8e-12, 0.1e-12, 30.0)
     ds = simulate_fringe(model, scan, detector, pair_rate=53.32, seed=11)
     calls = []
+    solve = freqbin.fit.least_squares
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return least_squares(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(freqbin.fit, "least_squares", counted)
     fit_fringe(ds, DETS_2_5, sigma=None)
@@ -369,11 +371,12 @@ def test_envelope_profile_matches_multistart_grid(name, detector):
 
 
 def _count_least_squares(monkeypatch):
-    """Record the nfev of every least_squares call made through freqbin.fit."""
+    """Record the nfev of every freqbin.fit.least_squares call."""
     nfevs = []
+    solve = freqbin.fit.least_squares
 
     def counted(*args, **kwargs):
-        res = least_squares(*args, **kwargs)
+        res = solve(*args, **kwargs)
         nfevs.append(res.nfev)
         return res
 
@@ -408,6 +411,22 @@ def test_structureless_scans_end_quickly(monkeypatch):
             assert all(math.isfinite(v) for v in res.params.values())
             assert all(math.isfinite(v) for v in res.sigmas.values())
         assert sum(nfevs) <= 400
+
+
+def test_polish_without_finite_start_is_a_fit_error():
+    taus_ps = np.arange(-2.0, 2.05, 0.1)
+    design = _FringeDesign(taus_ps, np.full(taus_ps.size, 100.0), [DET2 * 1e-12], None)
+    with pytest.raises(FitError, match="fringe fit has no finite start"):
+        _polish(design, np.array([math.nan, 0.5, 0.0, 0.0]), "fringe fit")
+
+
+def test_polish_at_the_evaluation_cap_is_a_fit_error():
+    # r = 1/x has its minimum at infinity: each step doubles x and promises
+    # as large a relative decrease again, so only the cap ends the polish.
+    design = SimpleNamespace(residual=lambda x: 1.0 / x,
+                             jacobian=lambda x: np.diag(-1.0 / x**2))
+    with pytest.raises(FitError, match="did not converge in 400 evaluations"):
+        _polish(design, np.array([1.0]), "fit")
 
 
 def test_short_window_with_envelope_names_the_cause(detector):

@@ -12,7 +12,6 @@ from freqbin.states import (
     compose_waveplates,
     density_report,
     fidelity,
-    fidelity_from_matrix,
     hwp_angle_for_phase,
     phase_from_stack,
     restricted_density,
@@ -20,6 +19,14 @@ from freqbin.states import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def fidelity_from_matrix(rho, theta_target=0.0):
+    """The overlap with the target state as the explicit vector-matrix-vector sandwich."""
+    psi = np.zeros(4, dtype=complex)
+    psi[1] = 1.0 / math.sqrt(2.0)
+    psi[2] = np.exp(1j * theta_target) / math.sqrt(2.0)
+    return float(np.real(np.conj(psi) @ rho.matrix() @ psi))
 
 
 def physical_triples():
