@@ -109,12 +109,11 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _envelope_parts(dt, sigma_ps):
-    """E = (1 + x) e^{-x}, x = sigma |dt|, with dE/dt0 and dE/du (u = log sigma)."""
+def _envelope(dt, sigma_ps):
+    """(x, e^{-x}, E = (1 + x) e^{-x}) with x = sigma |dt|."""
     x = np.minimum(np.abs(sigma_ps * dt), 700.0)
     ex = np.exp(-x)
-    # dE/dt0 = sigma sign(dt) x e^{-x}; dE/du = -x^2 e^{-x} (x ~ e^u)
-    return (1.0 + x) * ex, sigma_ps * np.sign(dt) * x * ex, -(x**2) * ex
+    return x, ex, (1.0 + x) * ex
 
 
 class _FringeDesign:
@@ -143,37 +142,47 @@ class _FringeDesign:
         if fit_sigma:
             self.names.append("log_sigma")
 
-    def _parts(self, theta):
+    def _cos_env(self, theta):
+        """(N, V, phi, dt, detunings, sigma_ps, B, envelope) at theta.
+
+        B = mean_m cos(2 pi d_m dt + phi); envelope is `_envelope(dt,
+        sigma_ps)`, or None for the flat model.
+        """
         n, v, phi, t0 = theta[:4]
         extra = iter(theta[4:])
         dets = (next(extra),) if self.fit_detuning else self.d
         sigma_ps = math.exp(next(extra)) if self.fit_sigma else self.sigma_ps
         dt = self.t - t0
-        if sigma_ps is None:
+        env = None if sigma_ps is None else _envelope(dt, sigma_ps)
+        cosb = np.zeros_like(dt)
+        for d in dets:
+            cosb += np.cos(2.0 * math.pi * d * dt + phi)
+        cosb /= len(dets)
+        return n, v, phi, dt, dets, sigma_ps, cosb, env
+
+    def residual(self, theta):
+        n, v, _, _, _, _, cosb, env = self._cos_env(theta)
+        e = 1.0 if env is None else env[2]
+        return self.sw * (self.c - n * (0.5 - (1.0 - self.alpha) * 0.5 * v * cosb * e))
+
+    def jacobian(self, theta):
+        n, v, phi, dt, dets, sigma_ps, cosb, env = self._cos_env(theta)
+        if env is None:
             env = np.ones_like(dt)
             denv_dt0 = denv_du = np.zeros_like(dt)
         else:
-            env, denv_dt0, denv_du = _envelope_parts(dt, sigma_ps)
-        cosb = np.zeros_like(dt)
+            x, ex, env = env
+            # dE/dt0 = sigma sign(dt) x e^{-x}; dE/du = -x^2 e^{-x} (x ~ e^u)
+            denv_dt0 = sigma_ps * np.sign(dt) * x * ex
+            denv_du = -(x**2) * ex
         sinb = np.zeros_like(dt)
         sinb_d = np.zeros_like(dt)
         for d in dets:
-            th = 2.0 * math.pi * d * dt + phi
-            cosb += np.cos(th)
-            sinb += np.sin(th)
-            sinb_d += np.sin(th) * d
-        m = len(dets)
-        cosb /= m
-        sinb /= m
-        sinb_d /= m
-        return n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d
-
-    def residual(self, theta):
-        n, v, _, env, _, _, cosb, _, _ = self._parts(theta)
-        return self.sw * (self.c - n * (0.5 - (1.0 - self.alpha) * 0.5 * v * cosb * env))
-
-    def jacobian(self, theta):
-        n, v, dt, env, denv_dt0, denv_du, cosb, sinb, sinb_d = self._parts(theta)
+            s = np.sin(2.0 * math.pi * d * dt + phi)
+            sinb += s
+            sinb_d += s * d
+        sinb /= len(dets)
+        sinb_d /= len(dets)
         one_m_a = 1.0 - self.alpha
         g = cosb * env
         p = 0.5 - one_m_a * 0.5 * v * g

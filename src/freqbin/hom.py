@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 
@@ -26,6 +25,10 @@ __all__ = [
 
 # Argument clip for exp(); exact for every representable envelope value.
 _EXP_CLIP = 700.0
+
+# Brent's relative tolerance (4 machine epsilons) and iteration cap.
+_BRENT_RTOL = 4.0 * 2.0**-52
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def central_dip_fwhm(model: FringeModel) -> float:
 
     Half depth is measured between the dip value and the 1/2 baseline.
     The half-crossing on each side is located on a dense grid out to two
-    periods of the fastest beat and polished with a root bracketing solve.
+    periods of the fastest beat and polished with Brent's method (`_brentq`).
     """
     v0 = float(hom_multi(model, model.tau0))
     baseline = 0.5
@@ -137,6 +140,66 @@ def central_dip_fwhm(model: FringeModel) -> float:
             raise DomainError("no half-depth crossing within the search span")
         i = int(crossing[0])
         lo = grid[i - 1] if i > 0 else 0.0
-        root = brentq(height, min(lo, grid[i]), max(lo, grid[i]), xtol=1e-18)
+        root = _brentq(height, min(lo, grid[i]), max(lo, grid[i]), xtol=1e-18)
         widths.append(abs(root))
     return float(widths[0] + widths[1])
+
+
+def _brentq(f, xa, xb, xtol):
+    """Root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    A statement-for-statement port of the widely used C `brentq` (Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 4), with
+    rtol = 4 eps and 100 iterations: the same bracket swaps, the same
+    interpolate, extrapolate and bisect rules, and a stop once half the
+    bracket is below delta = (xtol + rtol |x|)/2, so it returns the same
+    double after the same calls of f (test_hom.py checks this against the C
+    code).  DomainError if f(xa) and f(xb) have the same sign or the
+    iterations run out.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("root bracket ends have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")

@@ -1,15 +1,17 @@
 """End-to-end scenario runner: simulate, fit, and write artifact files.
 
 Each scenario writes its data/fit files plus a manifest (resolved config,
-seed, versions) into the output directory and returns a text summary.
-Sub-scans within a scenario use consecutive derived seeds so their draws
-are independent while the whole run stays a pure function of (config, seed).
+seed, package and numpy versions) into the output directory and returns a
+text summary.  Sub-scans within a scenario use consecutive derived seeds
+so their draws are independent while the whole run stays a pure function
+of (config, seed).
 
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
 least 1 ns, a sweep above 0 Hz), so none fails after output is written.
 fig3's `--pairs` is checked against the comb, the WSS channel width, the
-fine step's Nyquist frequency and the fit's work before any output.
+fine step's Nyquist frequency and the fit's work before any output, and
+fig4's fixed multiplexed fit against the same work bound.
 Each fringe window runs through `_fit_scan`.
 """
 
@@ -19,7 +21,6 @@ import math
 import os
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .comb import pair_for_index, q_factor, resonance_lines, transmission
@@ -40,6 +41,9 @@ from .wss import route_lines, select_pairs, singles_spectrum_scan
 __all__ = ["run_scenario", "SCENARIOS"]
 
 SCENARIOS = ("spectrum", "fig2", "fig3", "fig4", "fig5")
+
+# fig4's multiplexed fringe: pairs 2-5 in the multi window.
+_FIG4_MULTI = range(2, 6)
 
 
 def run_scenario(
@@ -62,6 +66,7 @@ def run_scenario(
             raise ConfigurationError("fig3 requires --pairs (e.g. 5 or 2-5)")
         kwargs["indices"], kwargs["program"] = _fig3_pairs(cfg, pairs)
     if name == "fig4":
+        _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
     seed = cfg.seed if seed is None else int(seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -108,9 +113,7 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
     Each pair's beat 2*m*fsr must lie below the Nyquist frequency of the
     fine delay step, or the scan cannot sample its fringe.  The highest
     index is the one the comb can reject (its signal line goes below 0 Hz).
-    fit_fringe profiles a multiplexed fit's tau0 on ceil(32 top/lowest) + 1
-    points (detunings scale with m), each a pass over the multi window: at most
-    MAX_SCAN_POINTS in all.
+    The multiplexed fit's work is bounded by `_check_profile_work`.
     """
     pairs = _pair_range(text)
     top = pairs[-1]
@@ -124,16 +127,26 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
         pair_for_index(cfg.resonator, top)
     except DomainError as exc:
         raise ConfigurationError(f"--pairs: pair {top}: {exc}") from None
-    work = (math.ceil(32 * top / pairs[0]) + 1) * len(cfg.delay_scan("multi"))
-    if len(pairs) > 1 and work > MAX_SCAN_POINTS:
-        raise ConfigurationError(
-            f"--pairs {pairs[0]}-{top} with [scan] multi_span_ps, [scan] fine_step_ps: the "
-            f"tau0 profile would take {work:,} delay points, above {MAX_SCAN_POINTS:,}")
+    _check_profile_work(cfg, pairs, "--pairs")
     try:
         program = select_pairs(cfg.resonator, pairs, cfg.channel_width)
     except ConfigurationError as exc:
         raise ConfigurationError(f"[wss] channel_width_ghz: {exc}") from None
     return list(pairs), program
+
+
+def _check_profile_work(cfg: ScenarioConfig, pairs: range, label: str) -> None:
+    """Reject a multiplexed fit of `pairs` in the multi window that would take too long.
+
+    fit_fringe profiles a multiplexed fit's tau0 on ceil(32 top/lowest) + 1
+    points (detunings scale with m), each a pass over the multi window: at most
+    MAX_SCAN_POINTS in all.  A single pair is fitted in the pair window.
+    """
+    work = (math.ceil(32 * pairs[-1] / pairs[0]) + 1) * len(cfg.delay_scan("multi"))
+    if len(pairs) > 1 and work > MAX_SCAN_POINTS:
+        raise ConfigurationError(
+            f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, [scan] fine_step_ps: "
+            f"the tau0 profile would take {work:,} delay points, above {MAX_SCAN_POINTS:,}")
 
 
 def _write_manifest(out_dir, cfg: ScenarioConfig, name: str, seed: int, args: dict):
@@ -142,7 +155,6 @@ def _write_manifest(out_dir, cfg: ScenarioConfig, name: str, seed: int, args: di
         f"seed = {seed}",
         f"freqbin_version = {__version__}",
         f"numpy_version = {np.__version__}",
-        f"scipy_version = {scipy.__version__}",
     ]
     for key, value in sorted(args.items()):
         lines.append(f"arg_{key} = {value}")
@@ -288,7 +300,7 @@ def _run_fig4(cfg, out_dir, seed, phase_deg):
 
     for stem, indices, window, sub in (
         ("single", [2], "pair", 0),
-        ("multi", [2, 3, 4, 5], "multi", 1),
+        ("multi", _FIG4_MULTI, "multi", 1),
     ):
         model = _fringe_model(cfg, indices, phi)
         res = _fit_scan(cfg, out_dir, stem, model, window, seed + sub)

@@ -1,6 +1,11 @@
 """Command-line entry point: exit codes, outputs, argument parsing."""
 
+import contextlib
+import io
 import re
+import runpy
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +19,26 @@ from freqbin.errors import ConfigurationError, FitError
 from freqbin.scenarios import _pair_range
 
 CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
+REPRODUCE_ALL = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_reproduce_all_runs_without_scipy(tmp_path):
+    """The stock run needs no scipy: with its import blocked the tree is the same."""
+    blocked = ("import runpy, sys; sys.modules['scipy'] = None; "
+               "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", blocked, str(REPRODUCE_ALL),
+                           "--out", str(tmp_path / "blocked")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert runpy.run_path(str(REPRODUCE_ALL))["main"](
+            ["--out", str(tmp_path / "inprocess")]) == 0
+    assert _tree(tmp_path / "blocked") == _tree(tmp_path / "inprocess")
 
 
 class TestMain:
@@ -180,8 +205,10 @@ class TestMain:
         ("fig2", "[scan]\nspan_ns = 0.5\n", [], ["[scan] span_ns"]),
         ("spectrum", "[resonator]\npump_thz = 0.1\n", [],
          ["[resonator] pump_thz", "[resonator] fsr_ghz"]),
+        ("fig4", "[scan]\nfine_step_ps = 1e-5\nmulti_span_ps = 4\n", [],
+         ["fig4 pairs 2-5 with [scan] multi_span_ps, [scan] fine_step_ps"]),
     ], ids=["offset_swamps_span", "tau0_rounding", "tau0_overflow", "fine_points",
-            "coarse_points", "coarse_span", "sweep_below_zero"])
+            "coarse_points", "coarse_span", "sweep_below_zero", "fig4_profile_work"])
     def test_bad_scan_window_exits_2_at_load(self, tmp_path, capsys, scenario, ini,
                                              argv, labels):
         cfg = tmp_path / "c.ini"

@@ -13,6 +13,7 @@ from freqbin.errors import DomainError
 from freqbin.hom import (
     Envelope,
     FringeModel,
+    _brentq,
     central_dip_fwhm,
     envelope_value,
     hom_multi,
@@ -158,9 +159,44 @@ def _dip_fwhm_pointwise(model):
 @pytest.mark.parametrize("model", [
     multi_model(range(2, 6)),
     multi_model(range(2, 16), v=0.9, phi=0.3, tau0=3e-12, alpha=0.1),
+    multi_model([3], v=0.8, phi=0.2),
+    multi_model(range(2, 26), v=0.85, phi=-0.4, tau0=-2e-12, alpha=0.15),
 ])
 def test_dip_fwhm_matches_pointwise_search(model):
     assert central_dip_fwhm(model) == _dip_fwhm_pointwise(model)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x**3 - 2.0, 0.0, 3.0),
+    (lambda x: math.cos(x) - 0.3, -0.5, 3.0),
+    (lambda x: math.exp(x) - 0.4 * x - 2.0, -0.5, 3.0),
+    (lambda x: (x - 0.37) ** 5, -0.5, 3.0),
+    (lambda x: x - 1.0, 1.0, 2.0),
+], ids=["cubic", "cosine", "exponential", "flat_root", "root_at_end"])
+@pytest.mark.parametrize("xtol", [1e-18, 2e-12, 1e-6])
+def test_brentq_port_matches_scipy(f, a, b, xtol):
+    """Same root, same number of evaluations, on interpolating and bisecting paths."""
+    calls = {"port": 0, "scipy": 0}
+
+    def counted(key):
+        def g(x):
+            calls[key] += 1
+            return f(x)
+        return g
+
+    try:
+        expected = brentq(counted("scipy"), a, b, xtol=xtol)
+    except RuntimeError:
+        with pytest.raises(DomainError, match="did not converge"):
+            _brentq(counted("port"), a, b, xtol)
+    else:
+        assert _brentq(counted("port"), a, b, xtol) == expected
+    assert calls["port"] == calls["scipy"]
+
+
+def test_brentq_rejects_unbracketed_root():
+    with pytest.raises(DomainError, match="same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
 def test_model_validation():

@@ -1,8 +1,11 @@
 """Counter-based RNG: determinism, order independence, Poisson sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from freqbin.errors import DomainError
 from freqbin.rng import (
@@ -11,6 +14,7 @@ from freqbin.rng import (
     STREAM_RECON,
     STREAM_SCAN,
     CounterRng,
+    _ndtri,
 )
 
 # Frozen golden values: the generator is hand-rolled precisely so these
@@ -106,6 +110,38 @@ def test_normals_standardized():
     z = rng.normals(np.arange(20000))
     assert abs(z.mean()) < 0.03
     assert abs(z.std() - 1.0) < 0.03
+
+
+# AS 241's branch edges (|u - 1/2| = 0.425, sqrt(-log u) = 5 on either side),
+# each with its two neighbouring doubles, and the extreme uniforms.
+BRANCH_EDGES = np.array([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+NDTRI_EDGES = np.concatenate([BRANCH_EDGES, np.nextafter(BRANCH_EDGES, 0.0),
+                              np.nextafter(BRANCH_EDGES, 1.0), [2.0**-54, 1.0 - 2.0**-53]])
+
+
+def test_ndtri_matches_scipy():
+    u = CounterRng(31, STREAM_RECON).uniforms(np.arange(1 << 20))
+    for values in (u, NDTRI_EDGES):
+        np.testing.assert_allclose(_ndtri(values), ndtri(values), rtol=4e-15, atol=0.0)
+
+
+def test_ndtri_keeps_shape_and_values():
+    # 60,000 values: more than one 2**15 block, split unevenly across rows.
+    u = CounterRng(8, STREAM_RECON).uniforms(np.arange(60000))
+    grid = _ndtri(u.reshape(3, 20000))
+    assert grid.shape == (3, 20000)
+    np.testing.assert_array_equal(grid.ravel(), _ndtri(u))
+    assert _ndtri(0.5).shape == ()
+
+
+@pytest.mark.parametrize("lam", [35.0, 4100.0])
+def test_poisson_normal_branch_matches_scipy_formula(lam):
+    rng = CounterRng(2024, STREAM_FRINGE)
+    counter = np.arange(1 << 20)
+    expected = np.maximum(np.floor(lam + np.sqrt(lam) * ndtri(rng.uniforms(counter)) + 0.5),
+                          0.0).astype(np.int64)
+    np.testing.assert_array_equal(rng.poisson(np.full(counter.size, lam), counter),
+                                  expected)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
