@@ -1,20 +1,23 @@
 """Weighted least-squares estimation for fringe datasets.
 
-Fringe fits minimize sum w_i (counts_i - N p(tau_i))^2 with Poisson weights
-w = 1/max(counts, 1).  Every search is separable (variable projection,
-Golub & Pereyra 1973): the linear coefficients are solved in closed form on
-a grid of the (at most two) nonlinear parameters, and the best grid point
-is polished once by Gauss-Newton with step halving on the analytic
-Jacobian, which also frees any parameter held fixed during the profile and
-yields the covariance.  Fringe fits profile the delay offset tau0 with
-weighted linear solves for the baseline and the beat's cosine and sine
-amplitudes; envelope fits pick their start from a (t0, log linewidth) grid
-of the folded envelope with its amplitude in closed form.  Internally all
-times are in picoseconds, which keeps the Jacobian's columns comparable.
+There are two fits.  `fit_fringe` fits the flat beat model (no envelope
+factor) to a fine window; `fit_envelope` fits the full fringe model with
+its linewidth free to a coarse scan.  Both minimize sum w_i (counts_i -
+N p(tau_i))^2 with Poisson weights w = 1/max(counts, 1).  Every search is
+separable (variable projection, Golub & Pereyra 1973): the linear
+coefficients are solved in closed form on a grid of the (at most two)
+nonlinear parameters, and the best grid point is polished once by
+Gauss-Newton with step halving on the analytic Jacobian, which also frees
+any parameter held fixed during the profile and yields the covariance.
+Fringe fits profile the delay offset tau0 with weighted linear solves for
+the baseline and the beat's cosine and sine amplitudes; envelope fits pick
+their start from a (t0, log linewidth) grid of the folded envelope with
+its amplitude in closed form.  Internally all times are in picoseconds,
+which keeps the Jacobian's columns comparable.
 
-Accidental floor note: the fringe model's (alpha, V) pair is structurally
-degenerate (only (1 - alpha) V is identifiable from a single scan), so
-fits hold alpha fixed at the given value.
+Accidental floor note: only (1 - alpha) V is identifiable from one scan,
+so the fits assume no floor and report (1 - alpha) V as the visibility;
+fringe reports list alpha = 0.0 as fixed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from .counting import FringeDataset
 from .errors import DomainError, FitError, ReconstructionError
-from .hom import Envelope, envelope_value
 from .rng import STREAM_RECON, CounterRng
 from .states import RestrictedDensityMatrix, fidelity as state_fidelity, restricted_density
 
@@ -119,20 +121,18 @@ def _envelope(dt, sigma_ps):
 class _FringeDesign:
     """Residual/Jacobian factory for the shared-(V, phi) fringe model.
 
-    Model: counts ~ N [ 1/2 - (1-alpha) (V/2) B(tau) E(tau - t0) ] with
-    B = mean_m cos(2 pi d_m (tau - t0) + phi); times in ps, E = 1 when
-    sigma_ps is None.  alpha is fixed.  Free parameters are (N, V, phi,
-    t0), then the detuning (single pair) and u = log(sigma_ps) when each is
-    fitted.
+    Model: counts ~ N [ 1/2 - (V/2) B(tau) E(tau - t0) ] with
+    B = mean_m cos(2 pi d_m (tau - t0) + phi); times in ps.  Free
+    parameters are (N, V, phi, t0), then either the detuning (single pair,
+    fit_detuning) or u = log(sigma_ps) (fit_sigma).  Without fit_sigma the
+    model is flat: E = 1.
     """
 
-    def __init__(self, taus_ps, counts, detunings_ps, sigma_ps, *, alpha=0.0,
-                 fit_detuning=False, fit_sigma=False):
+    def __init__(self, taus_ps, counts, detunings_ps, *, fit_detuning=False,
+                 fit_sigma=False):
         self.t = np.asarray(taus_ps, dtype=np.float64)
         self.c = np.asarray(counts, dtype=np.float64)
         self.d = tuple(float(d) for d in detunings_ps)
-        self.sigma_ps = sigma_ps
-        self.alpha = alpha
         self.fit_detuning = fit_detuning
         self.fit_sigma = fit_sigma
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
@@ -146,12 +146,11 @@ class _FringeDesign:
         """(N, V, phi, dt, detunings, sigma_ps, B, envelope) at theta.
 
         B = mean_m cos(2 pi d_m dt + phi); envelope is `_envelope(dt,
-        sigma_ps)`, or None for the flat model.
+        sigma_ps)`, or None (and sigma_ps None) for the flat model.
         """
         n, v, phi, t0 = theta[:4]
-        extra = iter(theta[4:])
-        dets = (next(extra),) if self.fit_detuning else self.d
-        sigma_ps = math.exp(next(extra)) if self.fit_sigma else self.sigma_ps
+        dets = (theta[4],) if self.fit_detuning else self.d
+        sigma_ps = math.exp(theta[-1]) if self.fit_sigma else None
         dt = self.t - t0
         env = None if sigma_ps is None else _envelope(dt, sigma_ps)
         cosb = np.zeros_like(dt)
@@ -163,7 +162,7 @@ class _FringeDesign:
     def residual(self, theta):
         n, v, _, _, _, _, cosb, env = self._cos_env(theta)
         e = 1.0 if env is None else env[2]
-        return self.sw * (self.c - n * (0.5 - (1.0 - self.alpha) * 0.5 * v * cosb * e))
+        return self.sw * (self.c - n * (0.5 - 0.5 * v * cosb * e))
 
     def jacobian(self, theta):
         n, v, phi, dt, dets, sigma_ps, cosb, env = self._cos_env(theta)
@@ -183,29 +182,29 @@ class _FringeDesign:
             sinb_d += s * d
         sinb /= len(dets)
         sinb_d /= len(dets)
-        one_m_a = 1.0 - self.alpha
         g = cosb * env
-        p = 0.5 - one_m_a * 0.5 * v * g
+        p = 0.5 - 0.5 * v * g
         cols = []
-        cols.append(-self.sw * p)                                   # scale
-        cols.append(self.sw * n * one_m_a * 0.5 * g)                # visibility
-        cols.append(-self.sw * n * one_m_a * 0.5 * v * sinb * env)  # phi
+        cols.append(-self.sw * p)                         # scale
+        cols.append(self.sw * n * 0.5 * g)                # visibility
+        cols.append(-self.sw * n * 0.5 * v * sinb * env)  # phi
         db_dt0 = 2.0 * math.pi * sinb_d
-        dp_dt0 = -one_m_a * 0.5 * v * (db_dt0 * env + cosb * denv_dt0)
-        cols.append(-self.sw * n * dp_dt0)                          # tau0
+        dp_dt0 = -0.5 * v * (db_dt0 * env + cosb * denv_dt0)
+        cols.append(-self.sw * n * dp_dt0)                # tau0
         if self.fit_detuning:
             db_dd = -sinb * 2.0 * math.pi * dt
-            dp_dd = -one_m_a * 0.5 * v * db_dd * env
-            cols.append(-self.sw * n * dp_dd)                       # detuning
+            dp_dd = -0.5 * v * db_dd * env
+            cols.append(-self.sw * n * dp_dd)             # detuning
         if self.fit_sigma:
-            cols.append(self.sw * n * one_m_a * 0.5 * v * cosb * denv_du)  # log_sigma
+            cols.append(self.sw * n * 0.5 * v * cosb * denv_du)  # log_sigma
         return np.column_stack(cols)
 
     def profile(self, t0s, sigma_ps):
         """Weighted linear fits counts ~ a + b C + c S, one per delay offset.
 
         C and S are E(tau - t0) mean_m cos and sin(2 pi d_m (tau - t0)) at
-        the design's fixed detunings and the given linewidth.  Returns the
+        the design's fixed detunings and the given linewidth (E = 1 when
+        sigma_ps is None).  Returns the
         residual sums of squares and the (a, b, c) rows.
         """
         t0s = np.asarray(t0s, dtype=np.float64)
@@ -223,7 +222,7 @@ class _FringeDesign:
                 sin_sum += np.sin(th)
             scale = self.sw / len(self.d)
             if sigma_ps is not None:
-                scale = scale * envelope_value(Envelope(sigma_ps), dt)
+                scale = scale * _envelope(dt, sigma_ps)[2]
             basis = np.stack([np.broadcast_to(self.sw, dt.shape),
                               cos_sum * scale, sin_sum * scale], axis=-1)
             basis_t = basis.swapaxes(1, 2)
@@ -236,11 +235,11 @@ class _FringeDesign:
     def start(self, t0, coef, sigma_ps):
         """Parameter vector of the linear fit (a, b, c) at delay offset t0.
 
-        N = 2a, (1 - alpha) V = hypot(b, c)/a and phi = atan2(c, -b); a free
-        detuning starts at the given one.
+        N = 2a, V = hypot(b, c)/a and phi = atan2(c, -b); a free detuning
+        starts at the given one.
         """
         a, b, c = coef
-        theta = [2.0 * a, math.hypot(b, c) / a / (1.0 - self.alpha),
+        theta = [2.0 * a, math.hypot(b, c) / a,
                  math.atan2(c, -b), t0]
         if self.fit_detuning:
             theta.append(self.d[0])
@@ -283,17 +282,14 @@ def least_squares(fun, x0, jac):
         x, r, cost = x + step, r_trial, cost_trial
 
 
-def _polish(design, x0, what, window=None):
-    """One `least_squares` run from x0; FitError unless it converges with tau0 in window (ps)."""
+def _polish(design, x0, what):
+    """One `least_squares` run from x0; FitError unless it converges."""
     try:
         res = least_squares(design.residual, x0, design.jacobian)
     except ValueError as exc:
         raise FitError(f"{what} has no finite start: {exc}") from exc
     except OverflowError as exc:  # a free log-linewidth ran past exp's range
         raise FitError(f"{what} diverged: {exc}") from exc
-    if window is not None and not window[0] <= res.x[3] <= window[1]:
-        raise FitError(f"{what}: tau0 = {res.x[3]:.6g} ps lies outside the scanned "
-                       f"window [{window[0]:.6g}, {window[1]:.6g}] ps")
     if res.status <= 0:
         raise FitError(f"{what} did not converge in {res.nfev} evaluations "
                        f"(residual ss {2.0 * res.cost!r})")
@@ -319,41 +315,38 @@ def _covariance(design, theta):
 def fit_fringe(
     data: FringeDataset,
     detunings,
-    sigma: float | None = None,
+    sigma: None = None,
     *,
-    alpha: float = 0.0,
     fit_detuning: bool = False,
 ) -> FitResult:
-    """Fit scale, visibility, phase, and delay offset to a count scan.
+    """Fit scale, visibility, phase, and delay offset to a fine count scan.
 
     detunings lists the known beat detunings in Hz (one entry per
-    multiplexed pair; visibility and phase are shared across pairs).
-    sigma is the known envelope angular linewidth in rad/s, or None to fit
-    the locally flat model (envelope factor omitted), appropriate for fine
-    windows much shorter than the envelope.
-
-    alpha fixes the accidental floor fraction (alpha and visibility are
-    jointly unidentifiable from one scan, so it is never fitted).
+    multiplexed pair; visibility and phase are shared across pairs).  The
+    model is the flat beat, without the envelope factor, as suits windows
+    much shorter than the envelope; `fit_envelope` fits the linewidth.
+    sigma is accepted only as None (any other value raises DomainError).
+    The fit assumes no accidental floor and reports alpha = 0.0 as fixed.
     fit_detuning (single pair only) frees the beat detuning so the
     oscillation period is itself measured.
 
     Search: at fixed tau0 (and the given detunings) the model is linear in
     the baseline and the beat's cosine and sine amplitudes, so each tau0
     costs one weighted linear solve.  tau0 is profiled on a grid over
-    t0_ref +/- 1/min(d) with step at most 1/(16 max(d)), where t0_ref is
-    the delay of the lowest count when sigma is given and 0 otherwise;
-    costs within a relative 1e-6 of the lowest tie and go to the smallest
-    |tau0|.  One polish from that point (see `least_squares`) frees every
-    parameter and gives the covariance; FitError if, when sigma is given,
-    tau0 ends outside the scanned window, else if it does not converge.
-    `iterations` reports its residual-evaluation count.
+    +/- 1/min(d) with step at most 1/(16 max(d)); costs within a relative
+    1e-6 of the lowest tie and go to the smallest |tau0|.  One polish from
+    that point (see `least_squares`) frees every parameter and gives the
+    covariance; FitError if it does not converge.  `iterations` reports
+    its residual-evaluation count.
 
-    Single-pair fits without the envelope determine phi and tau0 only
-    jointly (the beat phase at zero delay); their profile is the single
-    solve at tau0 = 0, and they are reported in the tau0 = 0 gauge with
-    phi the zero-delay beat phase, flagged "phase-gauge", and sigma(tau0)
-    set to zero.
+    Single-pair fits determine phi and tau0 only jointly (the beat phase
+    at zero delay); their profile is the single solve at tau0 = 0, and
+    they are reported in the tau0 = 0 gauge with phi the zero-delay beat
+    phase, flagged "phase-gauge", and sigma(tau0) set to zero.
     """
+    if sigma is not None:
+        raise DomainError("fit_fringe fits the flat beat model only (sigma=None); "
+                          "fit_envelope fits the envelope linewidth")
     if len(data) < MIN_FIT_POINTS:
         raise DomainError(f"fit_fringe needs at least {MIN_FIT_POINTS} data points")
     detunings = [float(d) for d in np.atleast_1d(detunings)]
@@ -365,10 +358,7 @@ def fit_fringe(
     taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
     counts = data.counts.astype(np.float64)
     d_ps = [d * _PS for d in detunings]
-    sigma_ps = None if sigma is None else float(sigma) * _PS
-
-    design = _FringeDesign(taus_ps, counts, d_ps, sigma_ps, alpha=alpha,
-                           fit_detuning=fit_detuning)
+    design = _FringeDesign(taus_ps, counts, d_ps, fit_detuning=fit_detuning)
 
     flags: list[str] = []
     if np.ptp(counts) == 0:
@@ -378,27 +368,21 @@ def fit_fringe(
             theta.append(d_ps[0])
         theta = np.array(theta)
         cov = _covariance(design, theta)
-        return _package_fringe(design, theta, cov, 0.0, 0, ("degenerate-data",), sigma)
+        return _result(design, theta, cov, 0.0, 0, ("degenerate-data",))
 
-    # Without the envelope a single-pair model depends on (phi, tau0) only
-    # through the beat phase at zero delay, so tau0 = 0 loses nothing.
-    gauge = sigma_ps is None and len(d_ps) == 1
+    # A single-pair model depends on (phi, tau0) only through the beat
+    # phase at zero delay, so tau0 = 0 loses nothing.
+    gauge = len(d_ps) == 1
     if gauge:
         t0s = np.zeros(1)
     else:
-        t0_ref = float(taus_ps[np.argmin(counts)]) if sigma_ps is not None else 0.0
         period_ps = 1.0 / min(d_ps)
         steps = math.ceil(32.0 * max(detunings) / min(detunings))
-        t0s = np.linspace(t0_ref - period_ps, t0_ref + period_ps, steps + 1)
-    costs, coefs = design.profile(t0s, sigma_ps)
+        t0s = np.linspace(-period_ps, period_ps, steps + 1)
+    costs, coefs = design.profile(t0s, None)
     ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
     best = ties[np.argmin(np.abs(t0s[ties]))]
-    what = "fringe fit"
-    if sigma_ps is not None and np.ptp(taus_ps) * sigma_ps < 0.1:
-        what += (" (the window is much shorter than the envelope: V and tau0"
-                 " have no finite optimum; fit with sigma=None)")
-    window = None if sigma_ps is None else (taus_ps[0], taus_ps[-1])
-    winner = _polish(design, design.start(t0s[best], coefs[best], sigma_ps), what, window)
+    winner = _polish(design, design.start(t0s[best], coefs[best], None), "fringe fit")
 
     theta = _canonical_fringe(winner.x)
     # The polish may still park anywhere along the gauge's flat (phi, tau0)
@@ -422,25 +406,29 @@ def fit_fringe(
         jac = np.delete(jac, 3, axis=1)
     if np.linalg.cond(jac.T @ jac) > 1e10:
         flags.append("ill-conditioned")
-    return _package_fringe(design, theta, cov, 2.0 * winner.cost, winner.nfev, tuple(flags),
-                           sigma)
+    return _result(design, theta, cov, 2.0 * winner.cost, winner.nfev, tuple(flags))
 
 
-def _package_fringe(design, theta, cov, residual_ss, iterations, flags, sigma):
-    names = tuple(design.names)
-    scale_units = {"tau0": _PS, "detuning": 1e12}
-    d = np.array([scale_units.get(n, 1.0) for n in names])
+def _result(design, theta, cov, residual_ss, iterations, flags):
+    """FitResult of a design's solution in reported units.
+
+    tau0 is reported in s, the detuning in Hz and u = log(sigma_ps) as the
+    equivalent fwhm in Hz (its covariance by the delta method).  Fringe
+    fits also list the accidental floor they assume, alpha = 0.0.
+    """
+    names = list(design.names)
+    d = np.array([{"tau0": _PS, "detuning": 1e12}.get(n, 1.0) for n in names])
+    values = theta * d
+    if design.fit_sigma:
+        names[-1] = "fwhm"
+        values[-1] = d[-1] = math.exp(theta[-1]) / (2.0 * math.pi) / _PS
     cov_rep = cov * np.outer(d, d)
-    values = {}
-    sigmas = {}
-    for i, name in enumerate(names):
-        values[name] = float(theta[i] * d[i])
-        sigmas[name] = float(math.sqrt(max(cov_rep[i, i], 0.0)))
-    values["alpha"] = design.alpha
-    if sigma is not None:
-        values["sigma"] = float(sigma)
-    return FitResult(values, sigmas, cov_rep, names, float(residual_ss), True, iterations,
-                     flags)
+    params = {name: float(values[i]) for i, name in enumerate(names)}
+    sigmas = {name: float(math.sqrt(max(cov_rep[i, i], 0.0))) for i, name in enumerate(names)}
+    if not design.fit_sigma:
+        params["alpha"] = 0.0
+    return FitResult(params, sigmas, cov_rep, tuple(names), float(residual_ss), True,
+                     int(iterations), flags)
 
 
 def _envelope_start(taus_ps, counts):
@@ -465,8 +453,7 @@ def _envelope_start(taus_ps, counts):
     rows = max(1, _PROFILE_BLOCK // taus_ps.size)
     for i in range(0, t0g.size, rows):
         blk = slice(i, i + rows)
-        x = np.abs(taus_ps - t0g[blk, None]) * np.exp(ug[blk, None])
-        e2 = ((1.0 + x) * np.exp(-x)) ** 2
+        e2 = _envelope(taus_ps - t0g[blk, None], np.exp(ug[blk, None]))[2] ** 2
         k = np.maximum(e2 @ q / np.sum(e2**2, axis=1), 0.0)
         costs[blk] = np.sum((dev - np.sqrt(k[:, None] * e2 + floor2)) ** 2, axis=1)
     i = int(np.argmin(costs))
@@ -507,26 +494,17 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     if np.ptp(counts) == 0:
         raise FitError("coarse scan has constant counts: no envelope to fit")
 
-    design = _FringeDesign(taus_ps, counts, d_ps, None, fit_sigma=True)
+    design = _FringeDesign(taus_ps, counts, d_ps, fit_sigma=True)
     t0, u = _envelope_start(taus_ps, counts)
     sigma0 = math.exp(u)
     _, coefs = design.profile([t0], sigma0)
     res = _polish(design, design.start(t0, coefs[0], sigma0), "envelope fit")
     theta = _canonical_fringe(res.x)
 
-    # Curvature in (N, V, phi, t0, u), mapped onto (tau0 in s, fwhm in Hz).
-    names = ("scale", "visibility", "phi", "tau0", "fwhm")
-    sigma_ps = math.exp(theta[4])
-    fwhm = sigma_ps / (2.0 * math.pi) / _PS
     cov = _covariance(design, theta)
-    d = np.array([1.0, 1.0, 1.0, _PS, fwhm])
-    cov_rep = cov * np.outer(d, d)
-    ill = span_ps * sigma_ps < 1.0 or cov[4, 4] > 1.0
-    values = dict(zip(names[:3], map(float, theta[:3])))
-    values.update(tau0=float(theta[3] * _PS), fwhm=float(fwhm))
-    sig = {n: float(math.sqrt(max(cov_rep[i, i], 0.0))) for i, n in enumerate(names)}
-    return FitResult(values, sig, cov_rep, names, float(2.0 * res.cost), True,
-                     int(res.nfev), ("ill-conditioned",) if ill else ())
+    ill = span_ps * math.exp(theta[4]) < 1.0 or cov[4, 4] > 1.0
+    return _result(design, theta, cov, 2.0 * res.cost, res.nfev,
+                   ("ill-conditioned",) if ill else ())
 
 
 def estimate_balance(n1: float, s1: float, n2: float, s2: float) -> tuple[float, float]:

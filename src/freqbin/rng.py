@@ -72,6 +72,10 @@ _AS241_FAR = (
      5.99832206555887937690e-1, 1.0),
 )
 
+# Largest uniform: (2**53 - 1 + 1/2) 2**-53 rounds to 1.0, so the top draw
+# is clamped one ulp below it.
+_U_MAX = np.nextafter(1.0, 0.0)
+
 # Values per pass of `_ndtri`: bounds its temporaries whatever the input size.
 _NDTRI_BLOCK = 1 << 15
 
@@ -115,6 +119,7 @@ class CounterRng:
         counter, slot = np.broadcast_arrays(counter, slot)
         h = self._hash(counter, slot)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        np.minimum(u, _U_MAX, out=u)
         return u.reshape(counter.shape)
 
     def normals(self, counter, slot=0) -> np.ndarray:

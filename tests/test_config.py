@@ -9,6 +9,7 @@ from freqbin.config import format_passbands, load_config, parse_passbands
 from freqbin.counting import ScanConfig
 from freqbin.errors import ConfigurationError
 from freqbin.hom import revival_period
+from freqbin.wss import FilterProgram, Passband
 
 
 class TestDefaults:
@@ -164,6 +165,12 @@ class TestPassbandStrings:
     def test_format_parse_round_trip(self):
         program = parse_passbands("193301.94,20,1; 193698.06,20,2")
         assert parse_passbands(format_passbands(program)) == program
+
+    def test_format_passbands_exact_string(self):
+        # Bands come out sorted by frequency, in GHz, with the shortest repr.
+        program = FilterProgram((Passband(ghz(193698.06), ghz(20), 2),
+                                 Passband(ghz(193301.94), ghz(20), 1)))
+        assert format_passbands(program) == "193301.94,20.0,1; 193698.06,20.0,2"
 
     def test_trailing_separator_tolerated(self):
         program = parse_passbands("193301.94,20,1;")

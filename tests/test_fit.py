@@ -87,15 +87,6 @@ class TestFringeNoiseless:
         assert abs(res.params["phi"] - 1.0) < 1e-6
         assert abs(res.params["tau0"] - tau0) < 1e-18
 
-    def test_envelope_weighted_fit_recovers_parameters(self):
-        tau0 = 0.37e-12
-        model = FringeModel(((DET2, 0.8, 1.0),), tau0, 0.0, ENV)
-        ds = exact_dataset(FINE_TAUS, hom_multi(model, FINE_TAUS), 1e12)
-        res = fit_fringe(ds, [DET2], sigma=ENV.sigma)
-        assert abs(res.params["visibility"] - 0.8) < 1e-6
-        assert abs(res.params["phi"] - 1.0) < 1e-6
-        assert abs(res.params["tau0"] - tau0) < 1e-15
-
     def test_fit_detuning_recovers_true_detuning(self):
         p = _cosine_probability(FINE_TAUS, [DET2], 0.8, 1.0, 0.0)
         ds = exact_dataset(FINE_TAUS, p, 1e9)
@@ -138,33 +129,30 @@ def test_multiplexed_fit_call_budget(monkeypatch, detector):
     assert len(calls) <= 2
 
 
-def _grid_search_residual_ss(data, detunings, sigma=None, fit_detuning=False):
+def _grid_search_residual_ss(data, detunings, fit_detuning=False):
     """Residual of the former search, kept as the reference optimum.
 
     32 Levenberg-Marquardt starts (four phases times eight delay offsets
     over one period of the slowest beat), each converged start polished
     at 1e-14 tolerance; the lowest residual is returned.  Single-pair fits
-    without the envelope are evaluated where the former search reported
-    them, slid along the flat (phi, tau0) direction to tau0 = 0: a start
-    can drift to |tau0| ~ 1 us, where phase rounding alone lowers the
-    residual by about 2e-9 relative.
+    are evaluated where the former search reported them, slid along the
+    flat (phi, tau0) direction to tau0 = 0: a start can drift to
+    |tau0| ~ 1 us, where phase rounding alone lowers the residual by about
+    2e-9 relative.
     """
     order = np.argsort(data.taus)
     taus_ps = data.taus[order] * 1e12
     counts = data.counts[order].astype(np.float64)
     d_ps = [d * 1e-12 for d in detunings]
-    sigma_ps = None if sigma is None else sigma * 1e-12
-    design = _FringeDesign(taus_ps, counts, d_ps, sigma_ps,
-                           fit_detuning=fit_detuning)
+    design = _FringeDesign(taus_ps, counts, d_ps, fit_detuning=fit_detuning)
     n0 = 2.0 * counts.mean()
     v0 = float(np.clip(np.ptp(counts) / max(counts.mean(), 1.0) / 2.0, 0.05, 0.9))
     period_ps = 1.0 / min(d_ps)
-    t0_ref = float(taus_ps[np.argmin(counts)]) if sigma_ps is not None else 0.0
-    gauge = sigma_ps is None and len(d_ps) == 1
+    gauge = len(d_ps) == 1
     best = math.inf
     for phi0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
         for j in range(8):
-            x0 = [n0, v0, phi0, t0_ref + j * period_ps / 8.0]
+            x0 = [n0, v0, phi0, j * period_ps / 8.0]
             if fit_detuning:
                 x0.append(d_ps[0])
             r = least_squares(design.residual, np.array(x0), jac=design.jacobian,
@@ -190,13 +178,6 @@ def _reference_case(name, detector):
         scan = ScanConfig(-2e-12, 2e-12, 0.1e-12, 60.0)
         ds = simulate_fringe(model, scan, detector, pair_rate=67.0, seed=6)
         return ds, [DET3 * 1.0005], {"fit_detuning": True}
-    if name == "envelope":
-        # +/-100 ps: the envelope's curvature pins tau0 (a few-ps window
-        # leaves the V-tau0 direction without a finite optimum).
-        model = FringeModel(((DET2, 0.8, 1.0),), 0.37e-12, 0.0, ENV)
-        scan = ScanConfig(-100e-12, 100e-12, 0.25e-12, 60.0)
-        ds = simulate_fringe(model, scan, detector, pair_rate=13.33, seed=8)
-        return ds, [DET2], {"sigma": ENV.sigma}
     dets = DETS_2_5 if name == "2-5" else DETS_2_15
     model = FringeModel(tuple((d, 0.8, -0.7) for d in dets), 1.3e-12, 0.0, ENV)
     scan = ScanConfig(-8e-12, 8e-12, 0.1e-12, 30.0)
@@ -205,7 +186,7 @@ def _reference_case(name, detector):
     return ds, dets, {}
 
 
-@pytest.mark.parametrize("name", ["single", "fit_detuning", "2-5", "2-15", "envelope"])
+@pytest.mark.parametrize("name", ["single", "fit_detuning", "2-5", "2-15"])
 def test_profile_search_matches_multistart_grid(name, detector):
     ds, dets, options = _reference_case(name, detector)
     res = fit_fringe(ds, dets, **options)
@@ -282,7 +263,7 @@ class TestEnvelopeFit:
         # exp(u) overflows past u ~ 709.8; the polish reports a failed fit.
         taus_ps = np.arange(0.0, 2400.0, 2.0)
         counts = np.full(taus_ps.size, 100.0)
-        design = _FringeDesign(taus_ps, counts, [DET2 * 1e-12], None, fit_sigma=True)
+        design = _FringeDesign(taus_ps, counts, [DET2 * 1e-12], fit_sigma=True)
         with pytest.raises(FitError):
             _polish(design, np.array([200.0, 0.5, 0.0, 0.0, 710.0]), "envelope fit")
 
@@ -343,8 +324,7 @@ def _multistart_envelope(data, detunings):
             if best is None or r.cost < best.cost:
                 best = r
     _, t01, u1 = best.x
-    full = _FringeDesign(taus_ps, counts, [d * 1e-12 for d in detunings], None,
-                         fit_sigma=True)
+    full = _FringeDesign(taus_ps, counts, [d * 1e-12 for d in detunings], fit_sigma=True)
     _, coefs = full.profile([t01], math.exp(u1))
     res = _polish(full, full.start(t01, coefs[0], math.exp(u1)), "reference")
     n, v, phi, t0, u = _canonical_fringe(res.x)
@@ -415,7 +395,7 @@ def test_structureless_scans_end_quickly(monkeypatch):
 
 def test_polish_without_finite_start_is_a_fit_error():
     taus_ps = np.arange(-2.0, 2.05, 0.1)
-    design = _FringeDesign(taus_ps, np.full(taus_ps.size, 100.0), [DET2 * 1e-12], None)
+    design = _FringeDesign(taus_ps, np.full(taus_ps.size, 100.0), [DET2 * 1e-12])
     with pytest.raises(FitError, match="fringe fit has no finite start"):
         _polish(design, np.array([math.nan, 0.5, 0.0, 0.0]), "fringe fit")
 
@@ -429,23 +409,32 @@ def test_polish_at_the_evaluation_cap_is_a_fit_error():
         _polish(design, np.array([1.0]), "fit")
 
 
-def test_short_window_with_envelope_names_the_cause(detector):
-    # On +/-2 ps the envelope is flat, so V and tau0 have no finite optimum.
-    model = FringeModel(((DET2, 0.8, 1.0),), 0.37e-12, 0.0, ENV)
-    scan = ScanConfig(-2e-12, 2e-12, 0.1e-12, 60.0)
-    ds = simulate_fringe(model, scan, detector, pair_rate=13.33, seed=8)
-    with pytest.raises(FitError, match="shorter than the envelope.*sigma=None"):
+def test_fringe_fit_with_a_linewidth_is_a_domain_error(detector):
+    ds = _poisson_scan(0.7862, 0.4, 5, detector)
+    with pytest.raises(DomainError, match="fit_envelope"):
         fit_fringe(ds, [DET2], sigma=ENV.sigma)
 
 
-@pytest.mark.parametrize("half_ps,seed", [(10.0, 8), (50.0, 1)])
-def test_envelope_weighted_tau0_outside_window_raises(half_ps, seed, detector):
-    # Unguarded, these polishes end at tau0 = -3.92 ns and +147 ps.
-    model = FringeModel(((DET2, 0.8, 1.0),), 0.37e-12, 0.0, ENV)
-    scan = ScanConfig(-half_ps * 1e-12, half_ps * 1e-12, 0.1e-12, 60.0)
-    ds = simulate_fringe(model, scan, detector, pair_rate=13.33, seed=seed)
-    with pytest.raises(FitError, match="outside the scanned window"):
-        fit_fringe(ds, [DET2], sigma=ENV.sigma)
+@pytest.mark.parametrize("fit_detuning", [False, True])
+def test_phase_gauge_covariance_is_inverse_fisher_at_zero_delay(fit_detuning, detector):
+    # With tau0 pinned at 0 the model is identifiable; the reported sigmas
+    # must be those of its inverse Fisher matrix, in reported units.
+    ds = _poisson_scan(0.7862, 0.4, 5, detector)
+    res = fit_fringe(ds, [DET2 * (1.0005 if fit_detuning else 1.0)],
+                     fit_detuning=fit_detuning)
+    assert "phase-gauge" in res.flags
+    n, v, phi = (res.params[k] for k in ("scale", "visibility", "phi"))
+    det = res.params["detuning"] if fit_detuning else DET2
+    beat = 2.0 * math.pi * det * ds.taus + phi
+    cols = [0.5 - 0.5 * v * np.cos(beat), -0.5 * n * np.cos(beat), 0.5 * n * v * np.sin(beat)]
+    names = ["scale", "visibility", "phi"]
+    if fit_detuning:
+        cols.append(0.5 * n * v * np.sin(beat) * 2.0 * math.pi * ds.taus)
+        names.append("detuning")
+    jac = np.column_stack(cols) / np.sqrt(np.maximum(ds.counts, 1.0))[:, None]
+    expected = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+    reported = np.array([res.sigmas[k] for k in names])
+    np.testing.assert_allclose(reported, expected, rtol=1e-9, atol=0.0)
 
 
 class TestBalance:

@@ -72,6 +72,11 @@ def test_uniforms_open_interval():
     u = rng.uniforms(np.arange(10000))
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
+    # An all-ones hash is the largest uniform; (2**53 - 1) + 1/2 rounds up.
+    rng._hash = lambda counter, slot: np.full(np.shape(counter), np.uint64(2**64 - 1))
+    assert rng.uniforms([0])[0] == np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(rng.normals([0])))
+    assert rng.poisson([100.0], counter=[0])[0] >= 0
 
 
 def test_poisson_zero_mean_is_zero():
