@@ -9,7 +9,6 @@ restricted density matrix, fidelity) on top of the simulated data.
 __version__ = "0.1.0"
 
 from .comb import (
-    DEFAULT_MODEL,
     CombLine,
     FrequencyPair,
     ResonatorModel,

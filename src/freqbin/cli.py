@@ -52,9 +52,6 @@ def main(argv=None) -> int:
             raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
         summary = run_scenario(args.scenario, cfg, args.out, seed=args.seed,
                                pairs=getattr(args, "pairs", None), phase=phase)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,6 @@ __all__ = [
     "transmission",
     "q_factor",
     "pair_for_index",
-    "DEFAULT_MODEL",
 ]
 
 
@@ -65,7 +64,7 @@ class ResonatorModel:
     pump_frequency: int
     fsr: int
     fwhm: int
-    extinction: float = 0.9
+    extinction: float
 
     def __post_init__(self):
         if self.pump_frequency <= 0:
@@ -78,11 +77,6 @@ class ResonatorModel:
             raise DomainError("fwhm must be smaller than fsr (resolvable modes)")
         if not 0.0 <= self.extinction <= 1.0:
             raise DomainError("extinction must lie in [0, 1]")
-
-    @property
-    def sigma(self) -> float:
-        """Angular linewidth 2*pi*fwhm in rad/s."""
-        return 2.0 * math.pi * self.fwhm
 
 
 @dataclass(frozen=True)
@@ -175,11 +169,3 @@ def pair_for_index(model: ResonatorModel, m: int) -> FrequencyPair:
     signal = CombLine(-m, model.pump_frequency - m * model.fsr, model.fwhm)
     idler = CombLine(m, model.pump_frequency + m * model.fsr, model.fwhm)
     return FrequencyPair(m, signal, idler)
-
-
-DEFAULT_MODEL = ResonatorModel(
-    pump_frequency=thz(193.5),
-    fsr=ghz(99.03),
-    fwhm=mhz(190.41),
-    extinction=0.9,
-)

@@ -23,13 +23,12 @@ from .errors import ConfigurationError, DomainError, NonPhysicalStateError
 from .fit import MIN_ENVELOPE_SPAN_PS, MIN_FIT_POINTS
 from .hom import revival_period
 from .states import restricted_density
-from .wss import FilterProgram, Passband
+from .wss import FilterProgram
 
 __all__ = [
     "ScenarioConfig",
     "TomographyInputs",
     "load_config",
-    "parse_passbands",
     "format_passbands",
 ]
 
@@ -278,26 +277,8 @@ def _build(merged) -> ScenarioConfig:
     return cfg
 
 
-def parse_passbands(text: str) -> FilterProgram:
-    """Parse 'center_ghz,width_ghz,port; ...' into a filter program."""
-    bands = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        label = f"passband entry {chunk!r}"
-        if len(parts) != 3:
-            raise ConfigurationError(f"{label}: expected center_ghz,width_ghz,port")
-        center, width = (_value(p, label, ghz, _POSITIVE) for p in parts[:2])
-        bands.append(Passband(center, width, _value(parts[2], label, int)))
-    if not bands:
-        raise ConfigurationError("passband list is empty")
-    return FilterProgram(tuple(bands))
-
-
 def format_passbands(program: FilterProgram) -> str:
-    """Inverse of parse_passbands."""
+    """'center_ghz,width_ghz,port; ...' for each passband, values as repr."""
     return "; ".join(
         f"{band.center / 1e9!r},{band.width / 1e9!r},{band.output_port}"
         for band in program.passbands

@@ -49,10 +49,10 @@ class DetectorModel:
     Efficiencies absorb all optical losses in front of each detector.
     """
 
-    efficiency_signal: float = 0.5
-    efficiency_idler: float = 0.5
-    dark_rate: float = 100.0
-    coincidence_window: float = 1e-9
+    efficiency_signal: float
+    efficiency_idler: float
+    dark_rate: float
+    coincidence_window: float
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency_signal <= 1.0:

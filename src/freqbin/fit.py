@@ -30,6 +30,7 @@ import numpy as np
 
 from .counting import FringeDataset
 from .errors import DomainError, FitError, ReconstructionError
+from .hom import envelope_terms
 from .rng import STREAM_RECON, CounterRng
 from .states import RestrictedDensityMatrix, fidelity as state_fidelity, restricted_density
 
@@ -38,6 +39,7 @@ __all__ = [
     "ReconstructionResult",
     "fit_fringe",
     "fit_envelope",
+    "tau0_profile_points",
     "estimate_balance",
     "reconstruct",
     "MIN_FIT_POINTS",
@@ -111,13 +113,6 @@ class FitResult:
         return "\n".join(lines) + "\n"
 
 
-def _envelope(dt, sigma_ps):
-    """(x, e^{-x}, E = (1 + x) e^{-x}) with x = sigma |dt|."""
-    x = np.minimum(np.abs(sigma_ps * dt), 700.0)
-    ex = np.exp(-x)
-    return x, ex, (1.0 + x) * ex
-
-
 class _FringeDesign:
     """Residual/Jacobian factory for the shared-(V, phi) fringe model.
 
@@ -145,14 +140,14 @@ class _FringeDesign:
     def _cos_env(self, theta):
         """(N, V, phi, dt, detunings, sigma_ps, B, envelope) at theta.
 
-        B = mean_m cos(2 pi d_m dt + phi); envelope is `_envelope(dt,
-        sigma_ps)`, or None (and sigma_ps None) for the flat model.
+        B = mean_m cos(2 pi d_m dt + phi); envelope is `envelope_terms(sigma_ps,
+        dt)`, or None (and sigma_ps None) for the flat model.
         """
         n, v, phi, t0 = theta[:4]
         dets = (theta[4],) if self.fit_detuning else self.d
         sigma_ps = math.exp(theta[-1]) if self.fit_sigma else None
         dt = self.t - t0
-        env = None if sigma_ps is None else _envelope(dt, sigma_ps)
+        env = None if sigma_ps is None else envelope_terms(sigma_ps, dt)
         cosb = np.zeros_like(dt)
         for d in dets:
             cosb += np.cos(2.0 * math.pi * d * dt + phi)
@@ -222,7 +217,7 @@ class _FringeDesign:
                 sin_sum += np.sin(th)
             scale = self.sw / len(self.d)
             if sigma_ps is not None:
-                scale = scale * _envelope(dt, sigma_ps)[2]
+                scale = scale * envelope_terms(sigma_ps, dt)[2]
             basis = np.stack([np.broadcast_to(self.sw, dt.shape),
                               cos_sum * scale, sin_sum * scale], axis=-1)
             basis_t = basis.swapaxes(1, 2)
@@ -312,6 +307,17 @@ def _covariance(design, theta):
     return 0.5 * (cov + cov.T)
 
 
+def tau0_profile_points(detunings) -> int:
+    """How many delay offsets `fit_fringe` profiles for these beat detunings.
+
+    1 for a single pair; else 32 max/min rounded up, plus 1: a step of at
+    most 1/(16 max) over +/- 1/min.
+    """
+    if len(detunings) == 1:
+        return 1
+    return math.ceil(32.0 * max(detunings) / min(detunings)) + 1
+
+
 def fit_fringe(
     data: FringeDataset,
     detunings,
@@ -332,8 +338,8 @@ def fit_fringe(
 
     Search: at fixed tau0 (and the given detunings) the model is linear in
     the baseline and the beat's cosine and sine amplitudes, so each tau0
-    costs one weighted linear solve.  tau0 is profiled on a grid over
-    +/- 1/min(d) with step at most 1/(16 max(d)); costs within a relative
+    costs one weighted linear solve.  tau0 is profiled on the grid of
+    `tau0_profile_points` offsets over +/- 1/min(d); costs within a relative
     1e-6 of the lowest tie and go to the smallest |tau0|.  One polish from
     that point (see `least_squares`) frees every parameter and gives the
     covariance; FitError if it does not converge.  `iterations` reports
@@ -373,12 +379,9 @@ def fit_fringe(
     # A single-pair model depends on (phi, tau0) only through the beat
     # phase at zero delay, so tau0 = 0 loses nothing.
     gauge = len(d_ps) == 1
-    if gauge:
-        t0s = np.zeros(1)
-    else:
-        period_ps = 1.0 / min(d_ps)
-        steps = math.ceil(32.0 * max(detunings) / min(detunings))
-        t0s = np.linspace(-period_ps, period_ps, steps + 1)
+    period_ps = 1.0 / min(d_ps)
+    t0s = (np.zeros(1) if gauge else
+           np.linspace(-period_ps, period_ps, tau0_profile_points(detunings)))
     costs, coefs = design.profile(t0s, None)
     ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
     best = ties[np.argmin(np.abs(t0s[ties]))]
@@ -453,7 +456,7 @@ def _envelope_start(taus_ps, counts):
     rows = max(1, _PROFILE_BLOCK // taus_ps.size)
     for i in range(0, t0g.size, rows):
         blk = slice(i, i + rows)
-        e2 = _envelope(taus_ps - t0g[blk, None], np.exp(ug[blk, None]))[2] ** 2
+        e2 = envelope_terms(np.exp(ug[blk, None]), taus_ps - t0g[blk, None])[2] ** 2
         k = np.maximum(e2 @ q / np.sum(e2**2, axis=1), 0.0)
         costs[blk] = np.sum((dev - np.sqrt(k[:, None] * e2 + floor2)) ** 2, axis=1)
     i = int(np.argmin(costs))

@@ -17,6 +17,7 @@ from .errors import DomainError
 __all__ = [
     "Envelope",
     "FringeModel",
+    "envelope_terms",
     "envelope_value",
     "hom_multi",
     "revival_period",
@@ -74,13 +75,24 @@ class FringeModel:
             raise DomainError("accidental fraction alpha must lie in [0, 1]")
 
 
+def envelope_terms(sigma, tau):
+    """(x, e^-x, E = (1 + x) e^-x) with x = sigma |tau| clipped at _EXP_CLIP.
+
+    sigma > 0 is the angular linewidth in the inverse units of tau; an
+    array of linewidths broadcasts against tau.  The fits reuse x and e^-x
+    in the envelope's derivatives.
+    """
+    x = np.minimum(sigma * np.abs(tau), _EXP_CLIP)
+    ex = np.exp(-x)
+    return x, ex, (1.0 + x) * ex
+
+
 def envelope_value(env: Envelope, tau):
     """E(tau) = (1 + sigma|tau|) exp(-sigma|tau|), normalized to E(0) = 1.
 
     This is the Fourier transform of the squared Lorentzian lineshape.
     """
-    x = np.minimum(env.sigma * np.abs(np.asarray(tau, dtype=np.float64)), _EXP_CLIP)
-    e = (1.0 + x) * np.exp(-x)
+    e = envelope_terms(env.sigma, np.asarray(tau, dtype=np.float64))[2]
     return e if e.shape else float(e)
 
 

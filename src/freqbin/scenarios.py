@@ -28,7 +28,7 @@ from .config import ScenarioConfig, format_passbands
 from .counting import (MAX_SCAN_POINTS, accidental_rate, computational_basis_counts,
                        simulate_fringe, write_rows)
 from .errors import ConfigurationError, DomainError
-from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct
+from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct, tau0_profile_points
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
 from .states import (
     density_report,
@@ -136,14 +136,18 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
 
 
 def _check_profile_work(cfg: ScenarioConfig, pairs: range, label: str) -> None:
-    """Reject a multiplexed fit of `pairs` in the multi window that would take too long.
+    """Reject a fit of `pairs` in the multi window that would take too long.
 
-    fit_fringe profiles a multiplexed fit's tau0 on ceil(32 top/lowest) + 1
-    points (detunings scale with m), each a pass over the multi window: at most
-    MAX_SCAN_POINTS in all.  A single pair is fitted in the pair window.
+    fit_fringe profiles tau0 on `tau0_profile_points` offsets, each a pass over
+    the multi window: at most MAX_SCAN_POINTS in all (so a single pair, one
+    offset, always passes).  The count depends only on the extreme detunings,
+    so only the end pairs are built: a range can name more pairs than fit in
+    memory.
     """
-    work = (math.ceil(32 * pairs[-1] / pairs[0]) + 1) * len(cfg.delay_scan("multi"))
-    if len(pairs) > 1 and work > MAX_SCAN_POINTS:
+    detunings = [float(pair_for_index(cfg.resonator, m).detuning)
+                 for m in sorted({pairs[0], pairs[-1]})]
+    work = tau0_profile_points(detunings) * len(cfg.delay_scan("multi"))
+    if work > MAX_SCAN_POINTS:
         raise ConfigurationError(
             f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, [scan] fine_step_ps: "
             f"the tau0 profile would take {work:,} delay points, above {MAX_SCAN_POINTS:,}")
@@ -205,8 +209,7 @@ def _run_spectrum(cfg, out_dir, seed):
     trans = transmission(model, freqs)
     with open(os.path.join(out_dir, "transmission.csv"), "w") as fh:
         fh.write("frequency_thz,transmittance\n")
-        for f, t in zip(freqs, trans):
-            fh.write(f"{f / 1e12:.9g},{t:.9g}\n")
+        fh.write("".join(map("{:.9g},{:.9g}\n".format, (freqs / 1e12).tolist(), trans.tolist())))
 
     scan = singles_spectrum_scan(
         model, cfg.scan_band, cfg.scan_step, cfg.channel_width,

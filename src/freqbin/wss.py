@@ -22,8 +22,6 @@ __all__ = [
     "captured_fraction",
 ]
 
-DEFAULT_CHANNEL_WIDTH = 20_000_000_000  # 20 GHz in Hz
-
 # Lines farther than this many linewidths from a passband edge contribute
 # nothing: the neglected Lorentzian tail is ~0.3% and the cutoff makes
 # "passband touching no line" give exactly zero flux.
@@ -92,12 +90,12 @@ def route_lines(program: FilterProgram, lines: list[CombLine]) -> dict[int, list
 def select_pairs(
     model: ResonatorModel,
     pair_indices,
-    width: int = DEFAULT_CHANNEL_WIDTH,
+    width: int,
 ) -> FilterProgram:
     """Two-port program passing the given pairs: signals on 1, idlers on 2.
 
-    One channel of the given width per line; channels that touch or overlap
-    within a port are merged into a single contiguous passband.
+    One channel of the given width (Hz) per line; channels that touch or
+    overlap within a port are merged into a single contiguous passband.
     """
     indices = sorted(set(int(m) for m in pair_indices))
     if not indices:

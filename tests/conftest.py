@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from freqbin.comb import DEFAULT_MODEL, pair_for_index
+from freqbin.comb import pair_for_index
+from freqbin.config import load_config
 from freqbin.counting import DetectorModel, FringeDataset
 from freqbin.hom import Envelope
 
 
 @pytest.fixture
 def model():
-    return DEFAULT_MODEL
+    return load_config().resonator
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from freqbin.comb import DEFAULT_MODEL, pair_for_index
+from freqbin.comb import pair_for_index
 from freqbin.config import load_config
 from freqbin.counting import DetectorModel, ScanConfig, simulate_fringe
 from freqbin.errors import NonPhysicalStateError
@@ -35,7 +35,8 @@ from freqbin.states import (
     WaveplateStack,
 )
 
-ENV = Envelope.from_fwhm(DEFAULT_MODEL.fwhm)
+MODEL = load_config().resonator
+ENV = Envelope.from_fwhm(MODEL.fwhm)
 DETECTOR = DetectorModel(0.5, 0.5, 100.0, 1e-9)
 
 
@@ -44,7 +45,7 @@ def _wrap(x):
 
 
 def _pair_detuning(m):
-    return float(pair_for_index(DEFAULT_MODEL, m).detuning)
+    return float(pair_for_index(MODEL, m).detuning)
 
 
 def test_acceptance_01_reference_reconstruction_fidelity():
@@ -88,7 +89,7 @@ def test_acceptance_03_fitted_oscillation_periods_within_half_percent():
 
 def test_acceptance_04_revival_positions_and_dip_narrowing():
     """Revivals at multiples of 1/(2 fsr); dip narrows as pairs are added."""
-    period = revival_period(float(DEFAULT_MODEL.fsr))
+    period = revival_period(float(MODEL.fsr))
     pairs = tuple((_pair_detuning(m), 1.0, 0.0) for m in range(2, 6))
     model = FringeModel(pairs, 0.0, 0.0, ENV)
     step = 0.005e-12
@@ -196,7 +197,7 @@ def test_acceptance_07_programmed_phases_recovered_from_fits(tmp_path):
             assert abs(error) <= 0.1, (stem, degrees, error)
             assert visibility > 0.75, (stem, degrees, visibility)
         detuning = _pair_detuning(2)
-        fsr = float(DEFAULT_MODEL.fsr)
+        fsr = float(MODEL.fsr)
         tau0 = round(0.3e-9 * 2.0 * fsr) / (2.0 * fsr)
         base = FringeModel(((detuning, 0.84, theta_target),), tau0, 0.0, ENV)
         flipped = FringeModel(

@@ -1,13 +1,11 @@
 """Resonator comb model: line grid, transmission, Q, pair arithmetic."""
 
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from freqbin.comb import (
-    DEFAULT_MODEL,
     CombLine,
     FrequencyPair,
     ResonatorModel,
@@ -19,7 +17,10 @@ from freqbin.comb import (
     thz,
     transmission,
 )
+from freqbin.config import load_config
 from freqbin.errors import DomainError
+
+MODEL = load_config().resonator
 
 
 def test_unit_helpers_are_exact_integers():
@@ -30,10 +31,10 @@ def test_unit_helpers_are_exact_integers():
 
 
 def test_default_model_parameters():
-    assert DEFAULT_MODEL.pump_frequency == thz(193.5)
-    assert DEFAULT_MODEL.fsr == ghz(99.03)
-    assert DEFAULT_MODEL.fwhm == mhz(190.41)
-    assert DEFAULT_MODEL.extinction == 0.9
+    assert MODEL.pump_frequency == thz(193.5)
+    assert MODEL.fsr == ghz(99.03)
+    assert MODEL.fwhm == mhz(190.41)
+    assert MODEL.extinction == 0.9
 
 
 @pytest.mark.parametrize("band, expected_indices", [
@@ -131,18 +132,18 @@ def test_pair_line_indices_enforced(model):
 
 @given(m=st.integers(min_value=1, max_value=200))
 def test_energy_conservation_exact(m):
-    pair = pair_for_index(DEFAULT_MODEL, m)
+    pair = pair_for_index(MODEL, m)
     # Integer hertz storage keeps the symmetry exact, not merely close.
     assert pair.signal.center_frequency + pair.idler.center_frequency \
-        == 2 * DEFAULT_MODEL.pump_frequency
-    assert pair.detuning == 2 * m * DEFAULT_MODEL.fsr
+        == 2 * MODEL.pump_frequency
+    assert pair.detuning == 2 * m * MODEL.fsr
 
 
 @given(lo_k=st.integers(min_value=-20, max_value=19),
        width_k=st.integers(min_value=1, max_value=10),
        margin=st.integers(min_value=1, max_value=30))
 def test_subband_lines_are_a_subsequence(lo_k, width_k, margin):
-    model = DEFAULT_MODEL
+    model = MODEL
     lo = model.pump_frequency + lo_k * model.fsr - ghz(1)
     hi = lo + width_k * model.fsr + ghz(2)
     inner = resonance_lines(model, (lo, hi))
@@ -166,14 +167,10 @@ def test_q_constant_across_comb(model):
 
 def test_model_validation():
     with pytest.raises(DomainError):
-        ResonatorModel(thz(193.5), 0, mhz(190.41))
+        ResonatorModel(thz(193.5), 0, mhz(190.41), 0.9)
     with pytest.raises(DomainError):
-        ResonatorModel(thz(193.5), mhz(100), mhz(190.41))  # fwhm >= fsr
+        ResonatorModel(thz(193.5), mhz(100), mhz(190.41), 0.9)  # fwhm >= fsr
     with pytest.raises(DomainError):
         ResonatorModel(thz(193.5), ghz(99.03), mhz(190.41), extinction=1.5)
     with pytest.raises(DomainError):
         CombLine(0, -5, mhz(190.41))
-
-
-def test_sigma_property(model):
-    assert model.sigma == pytest.approx(2 * math.pi * 190.41e6, rel=1e-15)

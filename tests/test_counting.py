@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freqbin.comb import DEFAULT_MODEL, pair_for_index
+from freqbin.comb import pair_for_index
 from freqbin.config import load_config
 from freqbin.counting import (
     MAX_SCAN_POINTS,
@@ -24,11 +24,13 @@ from freqbin.counting import (
 from freqbin.errors import DomainError
 from freqbin.hom import Envelope, FringeModel
 
+MODEL = load_config().resonator
+
 
 def flat_model(v=0.0):
-    det = float(pair_for_index(DEFAULT_MODEL, 2).detuning)
+    det = float(pair_for_index(MODEL, 2).detuning)
     return FringeModel(((det, v, 0.0),), 0.0, 0.0,
-                       Envelope.from_fwhm(DEFAULT_MODEL.fwhm))
+                       Envelope.from_fwhm(MODEL.fwhm))
 
 
 def test_grid_covers_coarse_scan_inclusively():
@@ -149,9 +151,9 @@ def test_csv_roundtrip(tmp_path, detector):
 def test_stock_multiplexed_scan_reloads_bitwise(tmp_path, detector):
     """The stock fig3 2-5 window reloads exactly; its ps column alone does not."""
     scan = load_config(None).delay_scan("multi")
-    pairs = tuple((float(pair_for_index(DEFAULT_MODEL, m).detuning), 0.84, 0.0)
+    pairs = tuple((float(pair_for_index(MODEL, m).detuning), 0.84, 0.0)
                   for m in (2, 3, 4, 5))
-    model = FringeModel(pairs, 0.0, 0.0, Envelope.from_fwhm(DEFAULT_MODEL.fwhm))
+    model = FringeModel(pairs, 0.0, 0.0, Envelope.from_fwhm(MODEL.fwhm))
     ds = simulate_fringe(model, scan, detector, 268.0, seed=12345)
     path = tmp_path / "fringe.csv"
     ds.to_csv(path)

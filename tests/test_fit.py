@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import freqbin.fit
-from freqbin.comb import DEFAULT_MODEL, pair_for_index
+from freqbin.comb import pair_for_index
+from freqbin.config import load_config
 from freqbin.counting import FringeDataset, ScanConfig, accidental_rate, simulate_fringe
 from freqbin.errors import DomainError, FitError, NonPhysicalStateError, ReconstructionError
 from freqbin.fit import (
@@ -21,16 +22,18 @@ from freqbin.fit import (
     fit_envelope,
     fit_fringe,
     reconstruct,
+    tau0_profile_points,
 )
 from freqbin.hom import Envelope, FringeModel, hom_multi, revival_period
 
 from conftest import exact_dataset
 
-DET2 = float(pair_for_index(DEFAULT_MODEL, 2).detuning)
-DET3 = float(pair_for_index(DEFAULT_MODEL, 3).detuning)
-DETS_2_5 = [float(pair_for_index(DEFAULT_MODEL, m).detuning) for m in range(2, 6)]
-DETS_2_15 = [float(pair_for_index(DEFAULT_MODEL, m).detuning) for m in range(2, 16)]
-ENV = Envelope.from_fwhm(DEFAULT_MODEL.fwhm)
+MODEL = load_config().resonator
+DET2 = float(pair_for_index(MODEL, 2).detuning)
+DET3 = float(pair_for_index(MODEL, 3).detuning)
+DETS_2_5 = [float(pair_for_index(MODEL, m).detuning) for m in range(2, 6)]
+DETS_2_15 = [float(pair_for_index(MODEL, m).detuning) for m in range(2, 16)]
+ENV = Envelope.from_fwhm(MODEL.fwhm)
 
 FINE_TAUS = np.arange(-2e-12, 2.0001e-12, 0.05e-12)
 
@@ -105,7 +108,7 @@ class TestFringeNoiseless:
 
     def test_revival_alias_resolves_to_smallest_offset(self):
         # Without the envelope the 2-5 model repeats every revival period.
-        tau0 = 3.0 * revival_period(DEFAULT_MODEL.fsr) + 0.37e-12
+        tau0 = 3.0 * revival_period(MODEL.fsr) + 0.37e-12
         p = _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 1.0, tau0)
         ds = exact_dataset(FINE_TAUS, p, 1e9)
         res = fit_fringe(ds, DETS_2_5, sigma=None)
@@ -127,6 +130,24 @@ def test_multiplexed_fit_call_budget(monkeypatch, detector):
     monkeypatch.setattr(freqbin.fit, "least_squares", counted)
     fit_fringe(ds, DETS_2_5, sigma=None)
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("dets, points", [([DET2], 1), (DETS_2_5, 81), (DETS_2_15, 241)],
+                         ids=["2", "2-5", "2-15"])
+def test_profile_grid_has_the_counted_points(monkeypatch, dets, points):
+    # The scenarios bound a fit's work by tau0_profile_points, so it must
+    # count the grid fit_fringe actually profiles.
+    sizes = []
+    profile = _FringeDesign.profile
+
+    def recorded(self, t0s, sigma_ps):
+        sizes.append(len(t0s))
+        return profile(self, t0s, sigma_ps)
+
+    monkeypatch.setattr(_FringeDesign, "profile", recorded)
+    fit_fringe(exact_dataset(FINE_TAUS, _cosine_probability(FINE_TAUS, dets, 0.8, 0.3, 0.0), 1e6),
+               dets)
+    assert sizes == [tau0_profile_points(dets)] == [points]
 
 
 def _grid_search_residual_ss(data, detunings, fit_detuning=False):
@@ -238,14 +259,14 @@ class TestEnvelopeFit:
         model = FringeModel(((DET2, 0.84, 0.0),), 0.3e-9, 0.0, ENV)
         ds = exact_dataset(taus, hom_multi(model, taus), 1e7)
         res = fit_envelope(ds, detunings=[DET2])
-        fwhm = float(DEFAULT_MODEL.fwhm)
+        fwhm = float(MODEL.fwhm)
         assert abs(res.params["fwhm"] - fwhm) / fwhm < 0.01
         assert res.converged
 
     def test_poisson_data_median_error_small(self, detector):
         scan = ScanConfig(0.0, 2.4e-9, 2e-12, 1.0)
         model = FringeModel(((DET2, 0.84, 0.0),), 0.3e-9, 0.0, ENV)
-        fwhm = float(DEFAULT_MODEL.fwhm)
+        fwhm = float(MODEL.fwhm)
         errors = []
         for seed in range(15):
             ds = simulate_fringe(model, scan, detector, pair_rate=800.0, seed=seed)
@@ -276,7 +297,7 @@ class TestEnvelopeFit:
 
 def _coarse_scan(name, seed, detector):
     """Poisson 0-2.4 ns coarse scan of the stock fig2 source or a variant."""
-    rate, tau0, fwhm = 67.0, 0.3e-9, float(DEFAULT_MODEL.fwhm)
+    rate, tau0, fwhm = 67.0, 0.3e-9, float(MODEL.fwhm)
     if name == "low-rate":
         rate /= 10.0
     elif name == "tau0-1.5ns":

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from freqbin.comb import DEFAULT_MODEL, pair_for_index
+from freqbin.comb import pair_for_index
+from freqbin.config import load_config
 from freqbin.errors import DomainError
 from freqbin.hom import (
     Envelope,
@@ -20,13 +21,14 @@ from freqbin.hom import (
     revival_period,
 )
 
+MODEL = load_config().resonator
 SIGMA = 2.0 * math.pi * 190.41e6
 HALF_ROOT = 1.6783469900166608      # root of (1+x)e^-x = 1/2
 EXTENT_ROOT = 4.743864518390578     # root of (1+x)e^-x = 0.05
 
 
 def detuning(m):
-    return float(pair_for_index(DEFAULT_MODEL, m).detuning)
+    return float(pair_for_index(MODEL, m).detuning)
 
 
 def multi_model(indices, v=1.0, phi=0.0, tau0=0.0, alpha=0.0):
@@ -113,7 +115,7 @@ def test_single_adjacent_minima_spacing():
 
 def test_multi_revival_minima():
     model = multi_model([2, 3, 4, 5])
-    period = revival_period(DEFAULT_MODEL.fsr)
+    period = revival_period(MODEL.fsr)
     assert period == pytest.approx(5.048975058063213e-12, rel=1e-15)
     revivals = np.arange(-2, 3) * period
     vals = hom_multi(model, revivals)

@@ -5,10 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freqbin.comb import DEFAULT_MODEL, ghz, pair_for_index, thz
+from freqbin.comb import ghz, pair_for_index, thz
+from freqbin.config import load_config
 from freqbin.errors import ConfigurationError, DomainError
 from freqbin.wss import (
-    DEFAULT_CHANNEL_WIDTH,
     FilterProgram,
     Passband,
     captured_fraction,
@@ -16,6 +16,9 @@ from freqbin.wss import (
     select_pairs,
     singles_spectrum_scan,
 )
+
+MODEL = load_config().resonator
+WIDTH = ghz(20)
 
 
 def pair_lines(model, indices):
@@ -78,22 +81,22 @@ def test_passband_validation():
 
 
 def test_select_pairs_single(model):
-    program = select_pairs(model, {2})
+    program = select_pairs(model, {2}, WIDTH)
     assert len(program.passbands) == 2
     by_port = {band.output_port: band for band in program.passbands}
     assert by_port[1].contains(pair_for_index(model, 2).signal.center_frequency)
     assert by_port[2].contains(pair_for_index(model, 2).idler.center_frequency)
-    assert by_port[1].width == DEFAULT_CHANNEL_WIDTH
+    assert by_port[1].width == WIDTH
 
 
 def test_select_pairs_1_centers(model):
-    program = select_pairs(model, {1})
+    program = select_pairs(model, {1}, WIDTH)
     centers = sorted(band.center for band in program.passbands)
     assert centers == [193_400_970_000_000, 193_599_030_000_000]
 
 
 def test_select_pairs_14_pair_program(model):
-    program = select_pairs(model, set(range(2, 16)))
+    program = select_pairs(model, set(range(2, 16)), WIDTH)
     routed = route_lines(program, pair_lines(model, range(1, 17)))
     assert sorted(line.index for line in routed[1]) == list(range(-15, -1))
     assert sorted(line.index for line in routed[2]) == list(range(2, 16))
@@ -101,14 +104,14 @@ def test_select_pairs_14_pair_program(model):
 
 def test_select_pairs_empty_rejected(model):
     with pytest.raises(DomainError):
-        select_pairs(model, set())
+        select_pairs(model, set(), WIDTH)
 
 
 def test_select_pairs_route_roundtrip_exhaustive(model):
     lines = pair_lines(model, range(1, 11))
     for r in range(1, 11):
         for indices in itertools.combinations(range(1, 11), r):
-            program = select_pairs(model, indices)
+            program = select_pairs(model, indices, WIDTH)
             routed = route_lines(program, lines)
             assert sorted(line.index for line in routed.get(1, [])) \
                 == [-m for m in reversed(indices)]
@@ -119,8 +122,8 @@ def test_select_pairs_route_roundtrip_exhaustive(model):
 @given(indices=st.sets(st.integers(min_value=1, max_value=15), min_size=1))
 @settings(max_examples=60)
 def test_select_pairs_route_roundtrip_property(indices):
-    model = DEFAULT_MODEL
-    program = select_pairs(model, indices)
+    model = MODEL
+    program = select_pairs(model, indices, WIDTH)
     routed = route_lines(program, pair_lines(model, range(1, 16)))
     want = sorted(indices)
     assert sorted(line.index for line in routed.get(1, [])) == [-m for m in reversed(want)]
@@ -128,7 +131,7 @@ def test_select_pairs_route_roundtrip_property(indices):
 
 
 def test_routing_is_partial_function(model):
-    program = select_pairs(model, {3, 7})
+    program = select_pairs(model, {3, 7}, WIDTH)
     lines = pair_lines(model, range(1, 16))
     routed = route_lines(program, lines)
     seen = [line for port_lines in routed.values() for line in port_lines]
