@@ -471,8 +471,10 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     scale, visibility and phase from one linear solve there; one polish
     (see `least_squares`) then frees every parameter and gives the
     covariance; FitError if it does not converge.
-    The beat detunings are required: the argument, else the dataset
-    metadata `detunings_hz`.  A constant scan raises FitError.
+    Exactly one beat detuning is required: the argument, else the dataset
+    metadata `detunings_hz`; a scan of several pairs is refused, because the
+    polish ends in a local minimum of their revival comb.  A constant scan
+    raises FitError.
 
     The linewidth is reported as equivalent fwhm in Hz.
     """
@@ -491,8 +493,12 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
         raw = str(data.metadata["detunings_hz"])
         detunings = [float(tok) for tok in raw.split(",") if tok]
     d_ps = [float(d) * _PS for d in np.atleast_1d(detunings)]
-    if not d_ps or any(d <= 0 for d in d_ps):
-        raise DomainError("detunings must be positive")
+    if len(d_ps) != 1:
+        raise DomainError(
+            f"fit_envelope takes exactly one detuning, got {len(d_ps)}: with more, "
+            "the polish ends in a local minimum of the revival comb")
+    if not 0 < d_ps[0] < math.inf:
+        raise DomainError("the detuning must be positive and finite")
 
     if np.ptp(counts) == 0:
         raise FitError("coarse scan has constant counts: no envelope to fit")

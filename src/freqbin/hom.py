@@ -27,10 +27,6 @@ __all__ = [
 # Argument clip for exp(); exact for every representable envelope value.
 _EXP_CLIP = 700.0
 
-# Brent's relative tolerance (4 machine epsilons) and iteration cap.
-_BRENT_RTOL = 4.0 * 2.0**-52
-_BRENT_MAXITER = 100
-
 
 @dataclass(frozen=True)
 class Envelope:
@@ -130,8 +126,9 @@ def central_dip_fwhm(model: FringeModel) -> float:
     """Full width at half depth of the dip at tau0.
 
     Half depth is measured between the dip value and the 1/2 baseline.
-    The half-crossing on each side is located on a dense grid out to two
-    periods of the fastest beat and polished with Brent's method (`_brentq`).
+    On each side a 4000-step grid from tau0 out to two periods of the
+    fastest beat brackets the first half-depth crossing, and one secant
+    step through the two grid points around the sign change closes it.
     """
     v0 = float(hom_multi(model, model.tau0))
     baseline = 0.5
@@ -140,78 +137,14 @@ def central_dip_fwhm(model: FringeModel) -> float:
     half = 0.5 * (v0 + baseline)
     reach = 2.0 / max(d for d, _, _ in model.pairs)
 
-    def height(t):
-        return hom_multi(model, model.tau0 + t) - half
-
     widths = []
     for sign in (+1.0, -1.0):
-        grid = sign * np.linspace(0.0, reach, 4001)[1:]
-        vals = height(grid)
-        crossing = np.nonzero(np.sign(vals) != np.sign(v0 - half))[0]
+        grid = sign * np.linspace(0.0, reach, 4001)
+        vals = hom_multi(model, model.tau0 + grid) - half
+        crossing = np.nonzero(np.sign(vals) != np.sign(vals[0]))[0]
         if crossing.size == 0:
             raise DomainError("no half-depth crossing within the search span")
         i = int(crossing[0])
-        lo = grid[i - 1] if i > 0 else 0.0
-        root = _brentq(height, min(lo, grid[i]), max(lo, grid[i]), xtol=1e-18)
-        widths.append(abs(root))
+        a, b, fa, fb = grid[i - 1], grid[i], vals[i - 1], vals[i]
+        widths.append(abs(a - fa * (b - a) / (fb - fa)))
     return float(widths[0] + widths[1])
-
-
-def _brentq(f, xa, xb, xtol):
-    """Root of f in [xa, xb], where f changes sign, by Brent's method.
-
-    A statement-for-statement port of the widely used C `brentq` (Brent,
-    "Algorithms for Minimization without Derivatives", 1973, ch. 4), with
-    rtol = 4 eps and 100 iterations: the same bracket swaps, the same
-    interpolate, extrapolate and bisect rules, and a stop once half the
-    bracket is below delta = (xtol + rtol |x|)/2, so it returns the same
-    double after the same calls of f (test_hom.py checks this against the C
-    code).  DomainError if f(xa) and f(xb) have the same sign or the
-    iterations run out.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise DomainError("root bracket ends have the same sign")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")

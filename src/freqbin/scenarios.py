@@ -11,7 +11,8 @@ checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
 least 1 ns, a sweep above 0 Hz), so none fails after output is written.
 fig3's `--pairs` is checked against the comb, the WSS channel width, the
 fine step's Nyquist frequency and the fit's work before any output, and
-fig4's fixed multiplexed fit against the same work bound.
+its multiplexed dip width is found there too; fig4's fixed multiplexed fit
+is checked against the same work bound.
 Each fringe window runs through `_fit_scan`.
 """
 
@@ -65,6 +66,7 @@ def run_scenario(
         if pairs is None:
             raise ConfigurationError("fig3 requires --pairs (e.g. 5 or 2-5)")
         kwargs["indices"], kwargs["program"] = _fig3_pairs(cfg, pairs)
+        kwargs["dip_fwhm"] = _fig3_dip_fwhm(cfg, kwargs["indices"])
     if name == "fig4":
         _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
@@ -151,6 +153,18 @@ def _check_profile_work(cfg: ScenarioConfig, pairs: range, label: str) -> None:
         raise ConfigurationError(
             f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, [scan] fine_step_ps: "
             f"the tau0 profile would take {work:,} delay points, above {MAX_SCAN_POINTS:,}")
+
+
+def _fig3_dip_fwhm(cfg: ScenarioConfig, indices) -> float | None:
+    """The multiplexed dip's width (None for one pair), found before any output."""
+    if len(indices) == 1:
+        return None
+    try:
+        return central_dip_fwhm(_fringe_model(cfg, indices, cfg.theta + cfg.phi_instr))
+    except DomainError as exc:
+        raise ConfigurationError(
+            f"[state] visibility, [state] theta_deg and [state] phi_instr_rad: {exc}"
+        ) from None
 
 
 def _write_manifest(out_dir, cfg: ScenarioConfig, name: str, seed: int, args: dict):
@@ -257,7 +271,7 @@ def _run_fig2(cfg, out_dir, seed):
     ]) + "\n"
 
 
-def _run_fig3(cfg, out_dir, seed, indices, program):
+def _run_fig3(cfg, out_dir, seed, indices, program, dip_fwhm):
     model = _fringe_model(cfg, indices, cfg.theta + cfg.phi_instr)
     routed = route_lines(program, [
         line
@@ -286,7 +300,7 @@ def _run_fig3(cfg, out_dir, seed, indices, program):
         _write_curve(os.path.join(out_dir, "curve.csv"), grid, hom_multi(model, grid))
         lines += [
             f"revival_period_ps = {revival_period(cfg.resonator.fsr) * 1e12!r}",
-            f"dip_fwhm_ps = {central_dip_fwhm(model) * 1e12!r}",
+            f"dip_fwhm_ps = {dip_fwhm * 1e12!r}",
         ]
     return "\n".join(lines) + "\n"
 

@@ -19,6 +19,7 @@ from freqbin.errors import ConfigurationError, FitError
 from freqbin.scenarios import _pair_range
 
 CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
+NO_DIP = "[state] visibility, [state] theta_deg and [state] phi_instr_rad"
 REPRODUCE_ALL = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
 
 
@@ -87,8 +88,10 @@ class TestMain:
         ("[wss]\nchannel_width_ghz = 500\n", "2-5", "[wss] channel_width_ghz"),
         ("[scan]\nfine_step_ps = 1e-5\nmulti_span_ps = 4\n", "2-1900",
          "--pairs 2-1900 with [scan] multi_span_ps, [scan] fine_step_ps"),
+        ("[state]\nvisibility = 0\n", "2-5", NO_DIP),
+        ("[state]\ntheta_deg = 90\n", "2-15", NO_DIP),
     ], ids=["above_nyquist", "long_range", "huge_index", "signal_below_0_hz",
-            "passbands_overlap", "profile_work"])
+            "passbands_overlap", "profile_work", "no_dip_visibility", "no_dip_theta"])
     def test_bad_fig3_pairs_exit_2_before_output(self, tmp_path, capsys, ini, pairs,
                                                  label):
         cfg = tmp_path / "c.ini"

@@ -396,6 +396,21 @@ def test_envelope_fit_call_budget(monkeypatch, detector):
     assert nfevs == []
 
 
+def test_envelope_fit_takes_exactly_one_detuning(detector):
+    # A coarse scan of pairs 2 and 3: with both detunings the polish ended
+    # 30 sigma off the true linewidth, so any count but one is refused.
+    model = FringeModel(((DET2, 0.84, 0.0), (DET3, 0.84, 0.0)), 0.3e-9, 0.0, ENV)
+    ds = simulate_fringe(model, ScanConfig(0.0, 2.4e-9, 2e-12, 60.0), detector, 134.0, 1,
+                         accidental=accidental_rate(2e4, 2e4, 1e-9))
+    assert ds.metadata["detunings_hz"] == f"{DET2!r},{DET3!r}"
+    for detunings in (None, [DET2, DET3], []):
+        with pytest.raises(DomainError, match="exactly one detuning"):
+            fit_envelope(ds, detunings=detunings)
+    for detuning in (0.0, -DET2, math.nan, math.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            fit_envelope(ds, detunings=[detuning])
+
+
 def test_structureless_scans_end_quickly(monkeypatch):
     # Uniform-random counts hold no envelope: a fit either ends with finite
     # estimates or raises FitError, within the polish's evaluation cap.

@@ -14,7 +14,6 @@ from freqbin.errors import DomainError
 from freqbin.hom import (
     Envelope,
     FringeModel,
-    _brentq,
     central_dip_fwhm,
     envelope_value,
     hom_multi,
@@ -138,8 +137,12 @@ def test_dip_fwhm_goldens_and_monotonicity():
     assert widths[0] > widths[1] > widths[2]
 
 
-def _dip_fwhm_pointwise(model):
-    """Reference dip width: the search grid evaluated one delay at a time."""
+def _dip_fwhm_reference(model, xtol=1e-18, pointwise=False):
+    """Reference dip width: scipy's brentq closes each bracket of the search grid.
+
+    pointwise evaluates the grid one delay at a time.  None when a side of
+    the grid has no half-depth crossing.
+    """
     v0 = float(hom_multi(model, model.tau0))
     half = 0.5 * (v0 + 0.5)
     span = 2.0 / max(d for d, _, _ in model.pairs)
@@ -150,12 +153,20 @@ def _dip_fwhm_pointwise(model):
     widths = []
     for sign in (+1.0, -1.0):
         grid = sign * np.linspace(0.0, span, 4001)[1:]
-        vals = np.array([height(t) for t in grid])
-        i = int(np.nonzero(np.sign(vals) != np.sign(height(0.0)))[0][0])
+        vals = np.array([height(t) for t in grid]) if pointwise else height(grid)
+        crossing = np.nonzero(np.sign(vals) != np.sign(height(0.0)))[0]
+        if crossing.size == 0:
+            return None
+        i = int(crossing[0])
         lo = grid[i - 1] if i > 0 else 0.0
         widths.append(abs(brentq(height, min(lo, grid[i]), max(lo, grid[i]),
-                                 xtol=1e-18)))
+                                 xtol=xtol)))
     return widths[0] + widths[1]
+
+
+def _dip_fwhm_pointwise(model):
+    """Reference dip width: the search grid evaluated one delay at a time."""
+    return _dip_fwhm_reference(model, pointwise=True)
 
 
 @pytest.mark.parametrize("model", [
@@ -168,37 +179,29 @@ def test_dip_fwhm_matches_pointwise_search(model):
     assert central_dip_fwhm(model) == _dip_fwhm_pointwise(model)
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x**3 - 2.0, 0.0, 3.0),
-    (lambda x: math.cos(x) - 0.3, -0.5, 3.0),
-    (lambda x: math.exp(x) - 0.4 * x - 2.0, -0.5, 3.0),
-    (lambda x: (x - 0.37) ** 5, -0.5, 3.0),
-    (lambda x: x - 1.0, 1.0, 2.0),
-], ids=["cubic", "cosine", "exponential", "flat_root", "root_at_end"])
-@pytest.mark.parametrize("xtol", [1e-18, 2e-12, 1e-6])
-def test_brentq_port_matches_scipy(f, a, b, xtol):
-    """Same root, same number of evaluations, on interpolating and bisecting paths."""
-    calls = {"port": 0, "scipy": 0}
+def test_dip_fwhm_within_2e_18_s_of_the_root():
+    """200 random models: the secant width is within 2e-18 s of brentq at xtol 1e-30.
 
-    def counted(key):
-        def g(x):
-            calls[key] += 1
-            return f(x)
-        return g
-
-    try:
-        expected = brentq(counted("scipy"), a, b, xtol=xtol)
-    except RuntimeError:
-        with pytest.raises(DomainError, match="did not converge"):
-            _brentq(counted("port"), a, b, xtol)
-    else:
-        assert _brentq(counted("port"), a, b, xtol) == expected
-    assert calls["port"] == calls["scipy"]
-
-
-def test_brentq_rejects_unbracketed_root():
-    with pytest.raises(DomainError, match="same sign"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    Each model has 1-25 stock-comb pairs with their own V and phi, and its
+    own tau0, alpha and linewidth.  A model whose grid has no half-depth
+    crossing must raise, and is replaced by the next draw.
+    """
+    rng = np.random.default_rng(20240915)
+    errors = []
+    while len(errors) < 200:
+        ms = rng.choice(np.arange(1, 26), int(rng.integers(1, 26)), replace=False)
+        pairs = tuple((detuning(int(m)), float(rng.uniform(0.05, 1.0)),
+                       float(rng.uniform(-3.0, 3.0))) for m in ms)
+        model = FringeModel(pairs, float(rng.uniform(-1e-9, 1e-9)),
+                            float(rng.uniform(0.0, 0.5)),
+                            Envelope.from_fwhm(rng.uniform(50e6, 2e9)))
+        reference = _dip_fwhm_reference(model, xtol=1e-30)
+        if reference is None:
+            with pytest.raises(DomainError, match="no half-depth crossing"):
+                central_dip_fwhm(model)
+            continue
+        errors.append(abs(central_dip_fwhm(model) - reference))
+    assert max(errors) <= 2e-18
 
 
 def test_model_validation():
