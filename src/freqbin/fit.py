@@ -9,11 +9,11 @@ coefficients are solved in closed form on a grid of the (at most two)
 nonlinear parameters, and the best grid point is polished once by
 Gauss-Newton with step halving on the analytic Jacobian, which also frees
 any parameter held fixed during the profile and yields the covariance.
-Fringe fits profile the delay offset tau0 with weighted linear solves for
-the baseline and the beat's cosine and sine amplitudes; envelope fits pick
-their start from a (t0, log linewidth) grid of the folded envelope with
-its amplitude in closed form.  Internally all times are in picoseconds,
-which keeps the Jacobian's columns comparable.
+Fringe fits profile the delay offset tau0 with 3x3 solves, mixed from one
+Gram matrix per scan, for the baseline and the beat's cos and sin amplitudes;
+envelope fits pick their start from a (t0, log linewidth) grid of the folded
+envelope.  Internally all times are in picoseconds, which keeps the
+Jacobian's columns comparable.
 
 Accidental floor note: only (1 - alpha) V is identifiable from one scan,
 so the fits assume no floor and report (1 - alpha) V as the visibility;
@@ -56,7 +56,7 @@ MIN_ENVELOPE_SPAN_PS = 1000.0
 # Profile costs within this relative band count as ties.
 _TIE_REL = 1e-6
 
-# Grid points times delays per block of a profile (bounds memory).
+# Grid points times delays per block of the envelope start grid (bounds memory).
 _PROFILE_BLOCK = 1 << 14
 
 
@@ -194,38 +194,31 @@ class _FringeDesign:
             cols.append(self.sw * n * 0.5 * v * cosb * denv_du)  # log_sigma
         return np.column_stack(cols)
 
-    def profile(self, t0s, sigma_ps):
+    def profile(self, t0s):
         """Weighted linear fits counts ~ a + b C + c S, one per delay offset.
 
-        C and S are E(tau - t0) mean_m cos and sin(2 pi d_m (tau - t0)) at
-        the design's fixed detunings and the given linewidth (E = 1 when
-        sigma_ps is None).  Returns the
-        residual sums of squares and the (a, b, c) rows.
+        C and S are mean_m cos and sin(2 pi d_m (tau - t0)) at the design's
+        fixed detunings: the columns X = sqrt(w) [1, cos 2 pi d_m tau, sin 2 pi
+        d_m tau] mixed by R(t0), the cos and sin of 2 pi d_m t0 over M.  So
+        G = X^T X and h = X^T y are formed once, and each offset solves
+        (R^T G R) beta = R^T h.  Returns the costs y^T y - beta . R^T h (an
+        exact fit can round below 0, so clipped there) and the (a, b, c) rows.
         """
         t0s = np.asarray(t0s, dtype=np.float64)
-        costs = np.empty(t0s.size)
-        coefs = np.empty((t0s.size, 3))
+        omega = 2.0 * math.pi * np.array(self.d)
+        m = omega.size
+        th = self.t[:, None] * omega
+        x = self.sw[:, None] * np.hstack([np.ones((self.t.size, 1)), np.cos(th), np.sin(th)])
         y = self.sw * self.c
-        rows = max(1, _PROFILE_BLOCK // self.t.size)
-        for i in range(0, t0s.size, rows):
-            dt = self.t - t0s[i:i + rows, None]
-            cos_sum = np.zeros_like(dt)
-            sin_sum = np.zeros_like(dt)
-            for d in self.d:
-                th = 2.0 * math.pi * d * dt
-                cos_sum += np.cos(th)
-                sin_sum += np.sin(th)
-            scale = self.sw / len(self.d)
-            if sigma_ps is not None:
-                scale = scale * envelope_terms(sigma_ps, dt)[2]
-            basis = np.stack([np.broadcast_to(self.sw, dt.shape),
-                              cos_sum * scale, sin_sum * scale], axis=-1)
-            basis_t = basis.swapaxes(1, 2)
-            beta = np.linalg.pinv(basis_t @ basis) @ (basis_t @ y)[..., None]
-            resid = y - (basis @ beta)[..., 0]
-            costs[i:i + rows] = np.sum(resid**2, axis=1)
-            coefs[i:i + rows] = beta[..., 0]
-        return costs, coefs
+        cos_ph, sin_ph = np.cos(t0s[:, None] * omega) / m, np.sin(t0s[:, None] * omega) / m
+        mix = np.zeros((t0s.size, 2 * m + 1, 3))
+        mix[:, 0, 0] = 1.0
+        mix[:, 1:, 1] = np.hstack([cos_ph, sin_ph])
+        mix[:, 1:, 2] = np.hstack([-sin_ph, cos_ph])
+        mix_t = mix.swapaxes(1, 2)
+        rh = mix_t @ (x.T @ y)
+        beta = (np.linalg.pinv(mix_t @ (x.T @ x) @ mix) @ rh[..., None])[..., 0]
+        return np.maximum(y @ y - np.sum(beta * rh, axis=1), 0.0), beta
 
     def start(self, t0, coef, sigma_ps):
         """Parameter vector of the linear fit (a, b, c) at delay offset t0.
@@ -338,7 +331,8 @@ def fit_fringe(
 
     Search: at fixed tau0 (and the given detunings) the model is linear in
     the baseline and the beat's cosine and sine amplitudes, so each tau0
-    costs one weighted linear solve.  tau0 is profiled on the grid of
+    costs one 3x3 solve, mixed from one Gram matrix of the pairs' cos and
+    sin columns (see `_FringeDesign.profile`).  tau0 is profiled on the grid of
     `tau0_profile_points` offsets over +/- 1/min(d); costs within a relative
     1e-6 of the lowest tie and go to the smallest |tau0|.  One polish from
     that point (see `least_squares`) frees every parameter and gives the
@@ -356,8 +350,8 @@ def fit_fringe(
     if len(data) < MIN_FIT_POINTS:
         raise DomainError(f"fit_fringe needs at least {MIN_FIT_POINTS} data points")
     detunings = [float(d) for d in np.atleast_1d(detunings)]
-    if not detunings or any(d <= 0 for d in detunings):
-        raise DomainError("detunings must be positive")
+    if not detunings or not all(0 < d < math.inf for d in detunings):
+        raise DomainError("detunings must be positive and finite")
     if fit_detuning and len(detunings) != 1:
         raise DomainError("fit_detuning requires a single pair")
 
@@ -382,7 +376,7 @@ def fit_fringe(
     period_ps = 1.0 / min(d_ps)
     t0s = (np.zeros(1) if gauge else
            np.linspace(-period_ps, period_ps, tau0_profile_points(detunings)))
-    costs, coefs = design.profile(t0s, None)
+    costs, coefs = design.profile(t0s)
     ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
     best = ties[np.argmin(np.abs(t0s[ties]))]
     winner = _polish(design, design.start(t0s[best], coefs[best], None), "fringe fit")
@@ -506,8 +500,11 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     design = _FringeDesign(taus_ps, counts, d_ps, fit_sigma=True)
     t0, u = _envelope_start(taus_ps, counts)
     sigma0 = math.exp(u)
-    _, coefs = design.profile([t0], sigma0)
-    res = _polish(design, design.start(t0, coefs[0], sigma0), "envelope fit")
+    th = 2.0 * math.pi * d_ps[0] * (taus_ps - t0)
+    scale = design.sw * envelope_terms(sigma0, taus_ps - t0)[2]
+    basis = np.column_stack([design.sw, np.cos(th) * scale, np.sin(th) * scale])
+    coef = np.linalg.pinv(basis.T @ basis) @ (basis.T @ (design.sw * counts))
+    res = _polish(design, design.start(t0, coef, sigma0), "envelope fit")
     theta = _canonical_fringe(res.x)
 
     cov = _covariance(design, theta)

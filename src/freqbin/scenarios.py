@@ -138,21 +138,24 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
 
 
 def _check_profile_work(cfg: ScenarioConfig, pairs: range, label: str) -> None:
-    """Reject a fit of `pairs` in the multi window that would take too long.
+    """Reject a multiplexed fit of `pairs` in the multi window that would take too long.
 
-    fit_fringe profiles tau0 on `tau0_profile_points` offsets, each a pass over
-    the multi window: at most MAX_SCAN_POINTS in all (so a single pair, one
-    offset, always passes).  The count depends only on the extreme detunings,
-    so only the end pairs are built: a range can name more pairs than fit in
-    memory.
+    For M pairs fit_fringe builds a (2M + 1)-column design over the multi
+    window and its Gram matrix, then mixes the columns once per
+    `tau0_profile_points` offset: each size is at most MAX_SCAN_POINTS.  A
+    single pair fits the pair window, which the config bounds.  No list of
+    pairs is built (a range can name more pairs than fit in memory).
     """
-    detunings = [float(pair_for_index(cfg.resonator, m).detuning)
-                 for m in sorted({pairs[0], pairs[-1]})]
-    work = tau0_profile_points(detunings) * len(cfg.delay_scan("multi"))
+    if len(pairs) == 1:
+        return
+    cols = 2 * len(pairs) + 1
+    offsets = tau0_profile_points([float(pair_for_index(cfg.resonator, m).detuning)
+                                   for m in (pairs[0], pairs[-1])])
+    work = max(cols * len(cfg.delay_scan("multi")), offsets * cols, cols**2)
     if work > MAX_SCAN_POINTS:
         raise ConfigurationError(
             f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, [scan] fine_step_ps: "
-            f"the tau0 profile would take {work:,} delay points, above {MAX_SCAN_POINTS:,}")
+            f"the tau0 profile would take {work:,} design entries, above {MAX_SCAN_POINTS:,}")
 
 
 def _fig3_dip_fwhm(cfg: ScenarioConfig, indices) -> float | None:

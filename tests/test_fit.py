@@ -24,7 +24,7 @@ from freqbin.fit import (
     reconstruct,
     tau0_profile_points,
 )
-from freqbin.hom import Envelope, FringeModel, hom_multi, revival_period
+from freqbin.hom import Envelope, FringeModel, envelope_terms, hom_multi, revival_period
 
 from conftest import exact_dataset
 
@@ -140,9 +140,9 @@ def test_profile_grid_has_the_counted_points(monkeypatch, dets, points):
     sizes = []
     profile = _FringeDesign.profile
 
-    def recorded(self, t0s, sigma_ps):
+    def recorded(self, t0s):
         sizes.append(len(t0s))
-        return profile(self, t0s, sigma_ps)
+        return profile(self, t0s)
 
     monkeypatch.setattr(_FringeDesign, "profile", recorded)
     fit_fringe(exact_dataset(FINE_TAUS, _cosine_probability(FINE_TAUS, dets, 0.8, 0.3, 0.0), 1e6),
@@ -191,6 +191,40 @@ def _grid_search_residual_ss(data, detunings, fit_detuning=False):
     return best
 
 
+def _direct_profile(design, t0s):
+    """The former profile, kept as the reference: one weighted solve per offset.
+
+    At each offset the N x 3 basis sqrt(w) [1, C, S] is built from the cos
+    and sin of every pair at every delay and solved by pinv; the cost is
+    the sum of the squared residuals.
+    """
+    y = design.sw * design.c
+    costs, coefs = [], []
+    for t0 in t0s:
+        dt = design.t - t0
+        cos_sum = sum(np.cos(2.0 * math.pi * d * dt) for d in design.d)
+        sin_sum = sum(np.sin(2.0 * math.pi * d * dt) for d in design.d)
+        scale = design.sw / len(design.d)
+        basis = np.column_stack([design.sw, cos_sum * scale, sin_sum * scale])
+        beta = np.linalg.pinv(basis.T @ basis) @ (basis.T @ y)
+        costs.append(float(np.sum((y - basis @ beta) ** 2)))
+        coefs.append(beta)
+    return np.array(costs), np.array(coefs)
+
+
+def _profile_case(data, detunings):
+    """fit_fringe's design and tau0 grid for a multiplexed scan."""
+    d_ps = [d * 1e-12 for d in detunings]
+    design = _FringeDesign(data.taus * 1e12, data.counts.astype(np.float64), d_ps)
+    period_ps = 1.0 / min(d_ps)
+    return design, np.linspace(-period_ps, period_ps, tau0_profile_points(detunings))
+
+
+def _tie_winner(costs, t0s):
+    ties = np.flatnonzero(costs <= costs.min() * (1.0 + freqbin.fit._TIE_REL) + 1e-12)
+    return ties[np.argmin(np.abs(t0s[ties]))]
+
+
 def _reference_case(name, detector):
     if name == "single":
         return _poisson_scan(0.7862, 0.4, 5, detector), [DET2], {}
@@ -212,6 +246,34 @@ def test_profile_search_matches_multistart_grid(name, detector):
     ds, dets, options = _reference_case(name, detector)
     res = fit_fringe(ds, dets, **options)
     assert res.residual_ss <= _grid_search_residual_ss(ds, dets, **options) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["2-5", "2-15", "exact-2-5"])
+def test_profile_matches_direct_solve(name, detector):
+    if name == "exact-2-5":
+        # tau0 off the grid: an exact fit's cost is only rounding (see below).
+        tau0 = 3.0 * revival_period(MODEL.fsr) + 0.37e-12
+        p = _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 1.0, tau0)
+        ds, dets = exact_dataset(FINE_TAUS, p, 1e9), DETS_2_5
+    else:
+        ds, dets, _ = _reference_case(name, detector)
+    design, t0s = _profile_case(ds, dets)
+    costs, _ = design.profile(t0s)
+    ref, _ = _direct_profile(design, t0s)
+    assert _tie_winner(costs, t0s) == _tie_winner(ref, t0s)
+    np.testing.assert_allclose(costs, ref, rtol=1e-9, atol=0.0)
+    assert np.all(costs >= 0.0)
+
+
+def test_profile_cost_of_an_exact_fit_is_not_negative():
+    # On exact data the grid's tau0 = 0 fits to rounding; y'y - beta.R'h
+    # could then fall below 0 and leave the tie set empty.
+    ds = exact_dataset(FINE_TAUS, _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 0.3, 0.0), 1e9)
+    design, t0s = _profile_case(ds, DETS_2_5)
+    costs, _ = design.profile(t0s)
+    assert np.all(costs >= 0.0)
+    assert _tie_winner(costs, t0s) == _tie_winner(_direct_profile(design, t0s)[0], t0s)
+    assert t0s[_tie_winner(costs, t0s)] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFringePoisson:
@@ -346,8 +408,12 @@ def _multistart_envelope(data, detunings):
                 best = r
     _, t01, u1 = best.x
     full = _FringeDesign(taus_ps, counts, [d * 1e-12 for d in detunings], fit_sigma=True)
-    _, coefs = full.profile([t01], math.exp(u1))
-    res = _polish(full, full.start(t01, coefs[0], math.exp(u1)), "reference")
+    dt = taus_ps - t01
+    th = 2.0 * math.pi * full.d[0] * dt
+    scale = full.sw * envelope_terms(math.exp(u1), dt)[2]
+    basis = np.column_stack([full.sw, np.cos(th) * scale, np.sin(th) * scale])
+    coef = np.linalg.pinv(basis.T @ basis) @ (basis.T @ (full.sw * counts))
+    res = _polish(full, full.start(t01, coef, math.exp(u1)), "reference")
     n, v, phi, t0, u = _canonical_fringe(res.x)
     params = {"scale": n, "visibility": v, "phi": phi, "tau0": t0 * 1e-12,
               "fwhm": math.exp(u) / (2.0 * math.pi) * 1e12}
@@ -449,6 +515,14 @@ def test_fringe_fit_with_a_linewidth_is_a_domain_error(detector):
     ds = _poisson_scan(0.7862, 0.4, 5, detector)
     with pytest.raises(DomainError, match="fit_envelope"):
         fit_fringe(ds, [DET2], sigma=ENV.sigma)
+
+
+@pytest.mark.parametrize("detunings", [[math.nan], [math.inf], [DET2, math.nan], [0.0],
+                                       [-DET2]], ids=["nan", "inf", "pair_nan", "zero", "negative"])
+def test_fringe_fit_detunings_must_be_positive_and_finite(detunings, detector):
+    ds = _poisson_scan(0.7862, 0.4, 5, detector)
+    with pytest.raises(DomainError, match="positive and finite"):
+        fit_fringe(ds, detunings)
 
 
 @pytest.mark.parametrize("fit_detuning", [False, True])
