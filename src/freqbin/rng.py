@@ -5,19 +5,17 @@ do not depend on draw order, thread count, or library version.  The generator
 hashes the four-word key with a chained splitmix64 finalizer and converts the
 64-bit output to a double in the open interval (0, 1) using the top 53 bits.
 
-Poisson sampling uses exact CDF inversion (a single uniform per draw) for
-mean < 30 and a normal approximation with continuity correction above, so
-golden outputs are stable and cheap to document:
-
-    k = max(0, floor(lam + sqrt(lam) * Phi^-1(u) + 0.5))    for lam >= 30
-
-Phi^-1, here and in `CounterRng.normals`, is Wichura's AS 241 (Applied
-Statistics 37:477, 1988), the rational approximation with about 1e-16
-relative error that the standard library's `statistics.NormalDist` uses,
-evaluated in numpy.
+Poisson draws are exact and read slots 0, 1, ... of the point's counter.
+Below mean 10 a draw inverts the CDF at slot 0.  From mean 10 up it is
+Hormann's PTRS transformed rejection (Insurance: Mathematics and Economics
+12:39, 1993), the sampler numpy uses there: round r reads slots 2r and
+2r + 1, and the draw is the candidate of its first accepted round.  Normals
+are Box-Muller on slots 2s and 2s + 1 for slot s.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,48 +37,31 @@ STREAM_RECON = 4
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_WORD = 0xFFFFFFFFFFFFFFFF
 
-# Normal-approximation threshold for Poisson sampling.
-_POISSON_EXACT_MAX = 30.0
+# Smallest Poisson mean drawn by PTRS, the bottom of its stated domain;
+# below it CDF inversion takes O(lam) steps per draw.
+_PTRS_MIN = 10.0
 
-# AS 241 rational approximations, highest degree first: (numerator,
-# denominator) for the central region |u - 1/2| <= 0.425 in r = 0.180625 -
-# (u - 1/2)^2, then for the tails in r = sqrt(-log(min(u, 1 - u))) - 1.6 when
-# that root is at most 5, and in r = root - 5 beyond.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-)
-_AS241_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-     4.63033784615654529590e+0, 1.42343711074968357734e+0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-     5.46378491116411436990e+0, 6.65790464350110377720e+0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
+# PTRS rounds per draw before DomainError (each rejects with probability at
+# most 1/4).  A pass tries as many rounds at once as fit in
+# `_PTRS_CANDIDATES` candidates, and at least one.
+_PTRS_ROUNDS = 64
+_PTRS_CANDIDATES = 1 << 10
+
+# PTRS draws per pass: bounds its temporaries whatever the input size.
+_PTRS_BLOCK = 1 << 15
+
+# log k! for k below 16; Stirling's series (through k**-7) takes over above.
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(16)])
 
 # Largest uniform: (2**53 - 1 + 1/2) 2**-53 rounds to 1.0, so the top draw
 # is clamped one ulp below it.
 _U_MAX = np.nextafter(1.0, 0.0)
 
-# Values per pass of `_ndtri`: bounds its temporaries whatever the input size.
-_NDTRI_BLOCK = 1 << 15
-
-# Largest Poisson mean: its draws stay far inside int64 (2**63 - 1), since
-# sqrt(2**62) * |z| is at most about 2e10 for any double uniform.
+# Largest Poisson mean.  PTRS accepts a candidate only where its log pmf
+# is above about -131 (the hat's floor for double uniforms); at lam = 2**62
+# that keeps a draw within 15 sqrt(lam) of lam, far inside int64 (2**63 - 1).
 _POISSON_MEAN_MAX = 2.0**62
 
 
@@ -100,101 +81,60 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        self._stream = np.uint64(int(stream) & 0xFFFFFFFFFFFFFFFF)
+        # numpy scalar uint64 ops warn on overflow; array ops wrap silently,
+        # so the mixed (seed, stream) key is kept as a 1-element array.
+        key = _splitmix(np.array([int(seed) & _WORD], dtype=np.uint64))
+        self._key = _splitmix(key ^ np.uint64(int(stream) & _WORD))
 
     def _hash(self, counter: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        # numpy scalar uint64 ops warn on overflow; array ops wrap silently,
-        # so all four words are promoted to arrays before mixing.
-        h = _splitmix(np.atleast_1d(self._seed))
-        h = _splitmix(h ^ self._stream)
-        h = _splitmix(h ^ np.asarray(counter, dtype=np.uint64))
-        h = _splitmix(h ^ np.asarray(slot, dtype=np.uint64))
-        return h
+        # The counter is mixed before it broadcasts against the slots.  Callers
+        # put the slots first: (2, 1) slots against a (1, n) counter broadcast
+        # about 15x faster than 2 slots against an (n, 1) counter.
+        return _splitmix(_splitmix(self._key ^ counter) ^ slot)
 
     def uniforms(self, counter, slot=0) -> np.ndarray:
         """Doubles in (0, 1), one per broadcast element of counter/slot."""
         counter = np.asarray(counter, dtype=np.uint64)
         slot = np.asarray(slot, dtype=np.uint64)
-        counter, slot = np.broadcast_arrays(counter, slot)
+        shape = np.broadcast_shapes(counter.shape, slot.shape)
         h = self._hash(counter, slot)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         np.minimum(u, _U_MAX, out=u)
-        return u.reshape(counter.shape)
+        return u.reshape(shape)
 
     def normals(self, counter, slot=0) -> np.ndarray:
-        """Standard normal deviates via inverse-CDF of uniforms."""
-        return _ndtri(self.uniforms(counter, slot))
+        """Standard normal deviates: Box-Muller on slots 2*slot and 2*slot + 1."""
+        counter, slot = np.broadcast_arrays(np.asarray(counter, dtype=np.uint64),
+                                            np.asarray(slot, dtype=np.uint64))
+        u1, u2 = self.uniforms(counter, np.stack([2 * slot, 2 * slot + 1]))
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
     def poisson(self, lam, counter) -> np.ndarray:
-        """Poisson draws with means lam, one per counter element.
+        """Exact Poisson draws with means lam, one per counter element.
 
-        Each draw consumes exactly one uniform (slot 0 of its counter).
-        A negative, non-finite or above-2**62 mean raises DomainError (a
-        ValueError).
+        A draw reads slots 0, 1, ... of its counter: slot 0 below mean 10,
+        and slots 2r and 2r + 1 in PTRS round r from mean 10 up.  A negative,
+        non-finite or above-2**62 mean raises DomainError (a ValueError), and
+        so does a draw that PTRS rejects 64 rounds in a row.
         """
         lam = np.asarray(lam, dtype=np.float64)
         counter = np.asarray(counter, dtype=np.uint64)
         lam, counter = np.broadcast_arrays(lam, counter)
         if not np.all((lam >= 0) & (lam <= _POISSON_MEAN_MAX)):
             raise DomainError("Poisson mean must be finite, non-negative and at most 2**62")
-        u = self.uniforms(counter)
         out = np.zeros(lam.shape, dtype=np.int64)
 
-        small = (lam > 0) & (lam < _POISSON_EXACT_MAX)
+        small = (lam > 0) & (lam < _PTRS_MIN)
         if np.any(small):
-            out[small] = _poisson_invert(lam[small], u[small])
+            out[small] = _poisson_invert(lam[small], self.uniforms(counter[small]))
 
-        big = lam >= _POISSON_EXACT_MAX
-        if np.any(big):
-            lb = lam[big]
-            k = np.floor(lb + np.sqrt(lb) * _ndtri(u[big]) + 0.5)
-            out[big] = np.maximum(k, 0.0).astype(np.int64)
+        big = np.flatnonzero(lam >= _PTRS_MIN)
+        flat = out.reshape(-1)
+        lam, counter = lam.reshape(-1), counter.reshape(-1)
+        for i in range(0, big.size, _PTRS_BLOCK):
+            idx = big[i:i + _PTRS_BLOCK]
+            flat[idx] = _poisson_ptrs(self, lam[idx], counter[idx])
         return out
-
-
-def _horner(r, poly):
-    """poly(r), highest degree first, by in-place Horner steps on one new array."""
-    acc = poly[0] * r
-    for c in poly[1:-1]:
-        acc += c
-        acc *= r
-    acc += poly[-1]
-    return acc
-
-
-def _ratio(r, coefs):
-    """numerator(r) / denominator(r) for one (numerator, denominator) pair."""
-    num = _horner(r, coefs[0])
-    num /= _horner(r, coefs[1])
-    return num
-
-
-def _ndtri(u) -> np.ndarray:
-    """Phi^-1(u) for u in (0, 1) by AS 241, in blocks of 2**15 values; keeps u's shape."""
-    u = np.asarray(u, dtype=np.float64)
-    flat = u.ravel()
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, _NDTRI_BLOCK):
-        p = flat[i:i + _NDTRI_BLOCK]
-        q = p - 0.5
-        r = q * q
-        np.subtract(0.180625, r, out=r)
-        x = _horner(r, _AS241_CENTRAL[0])
-        x *= q
-        x /= _horner(r, _AS241_CENTRAL[1])
-        tail = np.flatnonzero(np.abs(q) > 0.425)
-        if tail.size:
-            # min(u, 1 - u) is u below 1/2, and 1 - u is exact above it.
-            r = p[tail]
-            r = np.sqrt(-np.log(np.minimum(r, 1.0 - r)))
-            far = r > 5.0
-            xt = _ratio(r - 1.6, _AS241_NEAR)
-            if far.any():
-                xt[far] = _ratio(r[far] - 5.0, _AS241_FAR)
-            x[tail] = np.copysign(xt, q[tail])
-        out[i:i + _NDTRI_BLOCK] = x
-    return out.reshape(u.shape)
 
 
 def _poisson_invert(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -204,11 +144,63 @@ def _poisson_invert(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = pmf.copy()
     k = 0
     active = u > cdf
-    # With lam < 30 the CDF reaches any double u well before k ~ 200.
+    # With lam < 10 the pmf falls below 1e-17 by k = 50, so the loop ends
+    # there unless the summed CDF rounds below u.
     while np.any(active) and k < 400:
         k += 1
         pmf = pmf * lam / k
         cdf = cdf + pmf
         out[active] = k
         active = u > cdf
+    return out
+
+
+def _log_poisson_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log(lam**k exp(-lam) / k!) for whole k >= 0 held as doubles."""
+    top = _LOG_FACTORIAL.size
+    table = k * np.log(lam) - lam - _LOG_FACTORIAL[np.minimum(k, top - 1).astype(np.intp)]
+    # Stirling: k log(lam/k) + (k - lam) - log(2 pi k)/2 - (1/12k - 1/360k**3 ...).
+    kc = np.maximum(k, top)
+    r = 1.0 / (kc * kc)
+    corr = (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / kc
+    big = (kc * np.log1p((lam - kc) / kc) + (kc - lam)
+           - 0.5 * np.log(2.0 * np.pi * kc) - corr)
+    return np.where(k < top, table, big)
+
+
+def _poisson_ptrs(rng: CounterRng, lam: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Hormann's PTRS for means >= 10: each draw's first accepted round.
+
+    Each pass gives the draws still open one or more rounds at once;
+    keeping each draw's first accepted round gives the same draws as one
+    round at a time.
+    """
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    log_inv_alpha = np.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    out = np.empty(lam.size, dtype=np.int64)
+    todo = np.arange(lam.size)
+    first = 0
+    while todo.size:
+        if first == _PTRS_ROUNDS:
+            raise DomainError(f"PTRS rejected a Poisson draw {_PTRS_ROUNDS} rounds in a row")
+        rounds = max(1, min(_PTRS_CANDIDATES // todo.size, _PTRS_ROUNDS - first))
+        slots = np.arange(2 * first, 2 * (first + rounds), dtype=np.uint64)
+        u = rng.uniforms(counter[todo], slots[:, None])
+        U, V = u[0::2] - 0.5, u[1::2]
+        us = 0.5 - np.abs(U)
+        k = np.floor((2.0 * a[todo] / us + b[todo]) * U + lam[todo] + 0.43)
+        ok = (us >= 0.07) & (V <= vr[todo])
+        slow = np.flatnonzero(~ok & (k >= 0) & ((us >= 0.013) | (V <= us)))
+        if slow.size:
+            i, uss = todo[slow % todo.size], us.flat[slow]
+            ok.flat[slow] = (np.log(V.flat[slow]) + log_inv_alpha[i] - np.log(a[i] / (uss * uss) + b[i])
+                             <= _log_poisson_pmf(k.flat[slow], lam[i]))
+        done = ok.any(axis=0)
+        hit = np.flatnonzero(done)
+        # Only accepted candidates are cast: a rejected one can reach about 1e24.
+        out[todo[hit]] = k[ok[:, hit].argmax(axis=0), hit].astype(np.int64)
+        todo = todo[~done]
+        first += rounds
     return out
