@@ -8,6 +8,10 @@ A dataset's CSV holds `# key=value` header lines, a `delay_ps,counts` line
 and one row per point.  A simulated dataset's headers include the grid's
 `tau_start_s` and `tau_step_s`, from which `load_dataset` rebuilds the
 delays bit for bit; the picosecond column alone can come back 1 ulp off.
+Each row holds the repr of its values.  `write_rows` formats full blocks of
+rows with numpy, exactly (Dekker's product, then repr's choice of 15, 16 or
+17 digits), and hands the few values outside that method to repr; the bytes
+are those of the per-row repr comprehension.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .rng import STREAM_BASIS, STREAM_FRINGE, CounterRng
 
 # Most points a scan grid holds, so a tiny step is an error, not a huge allocation.
 MAX_SCAN_POINTS = 1_000_000
-# Rows formatted per write: whole blocks are fast, and one block of row
-# strings at a time keeps a large scan from holding every row in memory.
+# Rows formatted per write: a full block is formatted by numpy, and one
+# block at a time keeps a large scan from holding every row in memory.
 _WRITE_BLOCK = 1 << 14
 # One CSV row as np.loadtxt parses it: the delay in ps and an exact count.
 _ROW = np.dtype([("t", "f8"), ("n", "i8")])
@@ -145,11 +149,138 @@ class FringeDataset:
 
 def write_rows(fh, first: np.ndarray, second: np.ndarray) -> None:
     """Write one `first,second` line per element pair, each value as the repr
-    of its Python float or int, formatting _WRITE_BLOCK rows per write."""
+    of its Python float or int, formatting _WRITE_BLOCK rows per write.
+
+    A full block of float64 firsts and float64 or int64 seconds is formatted
+    by numpy (`_block_text`), with repr itself for the values its exact
+    method leaves out; the bytes are those of the per-row repr comprehension,
+    which formats a shorter tail block and other dtypes.
+    """
+    kernel = first.dtype == np.float64 and second.dtype in (np.float64, np.int64)
     for i in range(0, len(first), _WRITE_BLOCK):
-        j = i + _WRITE_BLOCK
-        fh.write("".join([f"{a!r},{b!r}\n"
-                          for a, b in zip(first[i:j].tolist(), second[i:j].tolist())]))
+        a, b = first[i:i + _WRITE_BLOCK], second[i:i + _WRITE_BLOCK]
+        if kernel and len(a) == _WRITE_BLOCK:
+            fh.write(_block_text(a, b))
+        else:
+            fh.write("".join([f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())]))
+
+
+def _block_text(first: np.ndarray, second: np.ndarray) -> str:
+    """The rows f"{a!r},{b!r}\n" writes for float64 `first` and float64 or
+    int64 `second`: each value's characters go into a rows x slots uint8
+    matrix, NUL in the slots it does not use, and the NULs are dropped."""
+    comma, newline = (np.full((len(first), 1), ord(c), np.uint8) for c in ",\n")
+    right = _float_chars(second) if second.dtype == np.float64 else _int_chars(second)
+    chars = np.concatenate([_float_chars(first), comma, right, newline], axis=1)
+    return chars.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _int_chars(v: np.ndarray) -> np.ndarray:
+    """repr of each int64: a sign slot, then the digits right-aligned."""
+    width = max(len(str(int(v.max()))), len(str(int(v.min()))))
+    chars = np.zeros((len(v), width + 1), np.uint8)
+    chars[:, 0] = (v < 0) * ord("-")
+    _put_digits(chars[:, 1:], np.abs(v).view(np.uint64))  # -2**63 reads as 2**63
+    return chars
+
+
+def _put_digits(chars: np.ndarray, mag: np.ndarray) -> None:
+    """Write the uint64 `mag` right-aligned into `chars`, NUL before its
+    leading digit; the last slot always gets a digit."""
+    last = chars.shape[1] - 1
+    for c in range(last, -1, -1):
+        q = mag // 10
+        chars[:, c] = (mag - q * 10 + 48) * ((mag > 0) | (c == last))
+        mag = q
+
+
+def _float_chars(x: np.ndarray) -> np.ndarray:
+    """repr of each float64: a sign slot, the integer digits right-aligned,
+    '.', and the fraction digits up to the last nonzero one (at least one).
+    Values `_shortest_digits` leaves out are written by repr itself."""
+    m, e, slow = _shortest_digits(x)
+    e = np.where(slow, e.max(initial=0, where=~slow), e)
+    m = m.astype(np.uint64)
+    p10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+    wi, wf = max(int(e.max()), 0) + 1, 16 - int(e.min())
+    unit = p10[16 - e]
+    whole = m // unit
+    frac = (m - whole * unit) * p10[e - e.min()]  # wf digits, left-aligned
+    chars = np.zeros((len(x), wi + wf + 2), np.uint8)
+    chars[:, 0] = np.signbit(x) * ord("-")
+    _put_digits(chars[:, 1:wi + 1], whole)
+    chars[:, wi + 1] = ord(".")
+    nonzero = np.zeros(len(x), bool)
+    for c in range(wi + wf + 1, wi + 2, -1):
+        q = frac // 10
+        d = (frac - q * 10).astype(np.uint8)
+        nonzero |= d != 0
+        chars[:, c] = (d + 48) * nonzero
+        frac = q
+    chars[:, wi + 2] = frac + 48
+    idx = np.flatnonzero(slow)
+    if idx.size:
+        text = np.array([repr(v) for v in x[idx].tolist()], dtype="S")
+        if text.itemsize > chars.shape[1]:
+            chars = np.pad(chars, ((0, 0), (0, text.itemsize - chars.shape[1])))
+        chars[idx] = text.astype(f"S{chars.shape[1]}").view(np.uint8).reshape(idx.size, -1)
+    return chars
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of each float64 as a 17-digit int64 m (trailing zeros
+    padded) and its decimal exponent e, so |x| reads back from
+    m * 10**(e - 16); and a mask of the values left to repr: 0.0, non-finite
+    values and |x| outside [1e-3, 1e15), which repr writes in exponent form
+    or which lie past the exact powers of ten.
+
+    |x| * 10**(16 - e) is n + phi exactly, n an integer in [1e16, 1e17) and
+    phi in [0, 1): Dekker's product of |x| and the float 10**(16 - e), exact
+    up to 10**22.  repr writes the shortest decimal that reads back as x
+    and, of those, the nearest (Gay's dtoa, mode 0): the correctly rounded
+    15-, 16- or 17-digit decimal, whichever first lies strictly within half
+    an ulp of x.  Scaled by the same power, the distances and the half ulp
+    are exact, and in this band no candidate ties with the half ulp or
+    rounds up to the next power of ten.  A power of two here is a decimal of
+    at most 15 digits, so its narrower interval below does not matter.
+    """
+    p10 = np.array([10**k for k in range(23)], dtype=np.float64)
+    p10_hi, p10_lo = _split(p10)
+    # Exact: the float nearest 10**k is at or above it for k >= -3.
+    bounds = np.array([float(f"1e{k}") for k in range(-3, 16)])
+    a = np.abs(x)
+    e = np.searchsorted(bounds, a, side="right") - 4
+    slow = (e < -3) | (e > 14)
+    a[slow] = 1.0  # keeps the products finite: m = 10**16, e = 0
+    e[slow] = 0
+
+    s = 16 - e
+    p = a * p10[s]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = p10_hi[s], p10_lo[s]
+    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    whole = np.floor(err)
+    n, phi = p.astype(np.int64) + whole.astype(np.int64), err - whole
+
+    def rounded(unit):
+        """n + phi rounded half-even to a multiple of unit; its distance."""
+        q = n // unit
+        t = (n - q * unit) + phi
+        q += (t > unit / 2) | ((t == unit / 2) & ((q & 1) == 1))
+        return q * unit, np.abs((q * unit - n) - phi)
+
+    half = 0.5 * np.spacing(a) * p10[s]
+    m15, d15 = rounded(100)
+    m16, d16 = rounded(10)
+    m = np.where(d15 < half, m15, np.where(d16 < half, m16, rounded(1)[0]))
+    return m, e, slow
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: v = hi + lo exactly, each half at most 26 bits wide."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
 
 
 def load_dataset(path) -> FringeDataset:

@@ -294,9 +294,8 @@ def _canonical_fringe(theta):
     return theta
 
 
-def _covariance(design, theta):
-    j = design.jacobian(theta)
-    cov = np.linalg.pinv(j.T @ j)
+def _covariance(jac):
+    cov = np.linalg.pinv(jac.T @ jac)
     return 0.5 * (cov + cov.T)
 
 
@@ -367,7 +366,7 @@ def fit_fringe(
         if fit_detuning:
             theta.append(d_ps[0])
         theta = np.array(theta)
-        cov = _covariance(design, theta)
+        cov = _covariance(design.jacobian(theta))
         return _result(design, theta, cov, 0.0, 0, ("degenerate-data",))
 
     # A single-pair model depends on (phi, tau0) only through the beat
@@ -391,8 +390,8 @@ def fit_fringe(
         theta[2] -= 2.0 * math.pi * det_hat * theta[3]
         theta[3] = 0.0
         theta = _canonical_fringe(theta)
-    cov = _covariance(design, theta)
     jac = design.jacobian(theta)
+    cov = _covariance(jac)
     if gauge:
         gmap = np.eye(len(theta))
         gmap[2, 3] = -2.0 * math.pi * det_hat
@@ -507,7 +506,7 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     res = _polish(design, design.start(t0, coef, sigma0), "envelope fit")
     theta = _canonical_fringe(res.x)
 
-    cov = _covariance(design, theta)
+    cov = _covariance(design.jacobian(theta))
     ill = span_ps * math.exp(theta[4]) < 1.0 or cov[4, 4] > 1.0
     return _result(design, theta, cov, 2.0 * res.cost, res.nfev,
                    ("ill-conditioned",) if ill else ())

@@ -1,5 +1,6 @@
 """Scan schedules, Poisson sampling of fringes, dataset round trips."""
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from freqbin.counting import (
     computational_basis_counts,
     load_dataset,
     simulate_fringe,
+    _block_text,
     write_rows,
 )
 from freqbin.errors import DomainError
@@ -200,6 +202,72 @@ def test_to_csv_bytes_match_per_row_format(tmp_path, detector):
         write_rows(fh, ds.taus * 1e12, values)
     assert curve.read_text() == "".join(
         f"{float(tau) * 1e12!r},{float(v)!r}\n" for tau, v in zip(ds.taus, values))
+
+
+def _rows(first, second):
+    """What write_rows must write: the repr of each Python float or int."""
+    return "".join([f"{a!r},{b!r}\n" for a, b in zip(first.tolist(), second.tolist())])
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-2**63, 2**63 - 1)),
+                min_size=1, max_size=64))
+@settings(max_examples=100, deadline=None)
+def test_block_kernel_matches_repr(rows):
+    x, y, n = (np.array(column) for column in zip(*rows))
+    assert _block_text(x, n) == _rows(x, n)
+    assert _block_text(x, y) == _rows(x, y)
+
+
+def test_full_blocks_match_repr_sweep():
+    """Four full blocks, 131,072 values, across the kernel's band and edges."""
+    rng = np.random.default_rng(18)
+    size = 4 * 2**14
+    # Binary exponents -20 to 59, both signs, one in 16 a power of two.
+    mantissa = rng.integers(0, 2**52, size, dtype=np.uint64)
+    mantissa[rng.random(size) < 1 / 16] = 0
+    exponent = rng.integers(1023 - 20, 1023 + 60, size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size, dtype=np.uint64)
+    bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa
+    edges = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                      2.2250738585072014e-308, 2.0**-10, 2.0**10, 2.0**49, 2.0**50,
+                      1e-3, -1e-3, 1e15, -1e15, 1e16, 9999.999999999998,
+                      0.30000000000000004, 123456789012345.6, 0.0012345678901234567])
+    decades = 10.0 ** np.arange(-4, 18)
+    decades = np.concatenate([decades, np.nextafter(decades, 0.0),
+                              np.nextafter(decades, np.inf)])
+    # 17 significant digits, and dyadic values whose exact decimals tie
+    # at 15, 16 or 17 digits.
+    digits17 = np.array([float(f"{m}e{s}") for m, s in zip(
+        rng.integers(10**16, 10**17, 4096).tolist(), rng.integers(-19, 15, 4096).tolist())])
+    dyadic = np.ldexp(rng.integers(1, 2**53, 8192).astype(float), rng.integers(-60, 1, 8192))
+    first = bits.view(np.float64)
+    first[rng.permutation(size)[:edges.size + decades.size + 4096 + 8192]] = np.concatenate(
+        [edges, decades, digits17, dyadic])
+    counts = rng.integers(-2**63, 2**63, size, dtype=np.int64, endpoint=False)
+    counts[:6] = [0, -1, 1, 2**63 - 1, -2**63, 10**18]
+    for second in (counts, first[::-1].copy()):
+        fh = io.StringIO()
+        write_rows(fh, first, second)
+        assert fh.getvalue() == _rows(first, second)
+
+
+def test_dense_multiplexed_scan_writes_repr_and_reloads(tmp_path, detector):
+    """A 2-15 scan at +/-2 ns and 0.1 ps: two full blocks and a tail."""
+    cfg = load_config(None)
+    pairs = tuple((float(pair_for_index(MODEL, m).detuning), 0.84, 0.0) for m in range(2, 16))
+    model = FringeModel(pairs, 0.0, 0.0, Envelope.from_fwhm(MODEL.fwhm))
+    scan = ScanConfig(-2e-9, 2e-9, cfg.fine_step, cfg.dwell_multi)
+    ds = simulate_fringe(model, scan, detector, 14 * cfg.pair_rate, seed=15)
+    assert len(ds) == 40_001
+    path = tmp_path / "dense.csv"
+    ds.to_csv(path)
+    header = [f"# dwell_s={ds.dwell!r}\n"]
+    header += [f"# {key}={ds.metadata[key]}\n" for key in sorted(ds.metadata)]
+    header.append("delay_ps,counts\n")
+    assert path.read_text() == "".join(header) + _rows(ds.taus * 1e12, ds.counts)
+    back = load_dataset(path)
+    assert back.taus.tobytes() == ds.taus.tobytes()
+    np.testing.assert_array_equal(back.counts, ds.counts)
 
 
 @pytest.mark.parametrize("text, taus_ps, counts", [
