@@ -295,8 +295,7 @@ def load_dataset(path) -> FringeDataset:
     naming the file.
     """
     try:
-        with open(path) as fh:
-            metadata, rows = _read_csv(fh)
+        metadata, rows = _read_csv(path)
         if "dwell_s" not in metadata:
             raise DomainError("missing '# dwell_s=' header")
         dwell = float(metadata.pop("dwell_s"))
@@ -313,20 +312,19 @@ def load_dataset(path) -> FringeDataset:
         raise DomainError(f"{path}: {exc}") from None
 
 
-def _read_csv(fh) -> tuple[dict, np.ndarray]:
-    """The `# key=value` headers and the rows of an open dataset CSV."""
+def _read_csv(path) -> tuple[dict, np.ndarray]:
+    """The `# key=value` headers above the first row, and the rows, read by numpy."""
     metadata = {}
-    start = fh.tell()
-    for line in iter(fh.readline, ""):
-        text = line.strip()
-        if text.startswith("#"):
-            key, sep, value = text[1:].partition("=")
-            if sep:
-                metadata[key.strip()] = value.strip()
-        elif text and not text.startswith("delay_ps"):
-            fh.seek(start)
-            return metadata, np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW, ndmin=1)
-        start = fh.tell()
+    with open(path) as fh:
+        for skip, line in enumerate(fh):
+            text = line.strip()
+            if text.startswith("#"):
+                key, sep, value = text[1:].partition("=")
+                if sep:
+                    metadata[key.strip()] = value.strip()
+            elif text and not text.startswith("delay_ps"):
+                return metadata, np.loadtxt(path, delimiter=",", comments="#", dtype=_ROW,
+                                            ndmin=1, skiprows=skip)
     # No rows: skip np.loadtxt, which warns on empty input.
     return metadata, np.zeros(0, dtype=_ROW)
 

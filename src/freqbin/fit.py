@@ -11,9 +11,9 @@ Gauss-Newton with step halving on the analytic Jacobian, which also frees
 any parameter held fixed during the profile and yields the covariance.
 Fringe fits profile the delay offset tau0 with 3x3 solves, mixed from one
 Gram matrix per scan, for the baseline and the beat's cos and sin amplitudes;
-envelope fits pick their start from a (t0, log linewidth) grid of the folded
-envelope.  Internally all times are in picoseconds, which keeps the
-Jacobian's columns comparable.
+envelope fits score a (t0, log linewidth) grid of the folded envelope on
+at most 128 bin means of the scan, O(N) work.  Internally all times are in
+picoseconds, which keeps the Jacobian's columns comparable.
 
 Accidental floor note: only (1 - alpha) V is identifiable from one scan,
 so the fits assume no floor and report (1 - alpha) V as the visibility;
@@ -56,8 +56,8 @@ MIN_ENVELOPE_SPAN_PS = 1000.0
 # Profile costs within this relative band count as ties.
 _TIE_REL = 1e-6
 
-# Grid points times delays per block of the envelope start grid (bounds memory).
-_PROFILE_BLOCK = 1 << 14
+# Index bins whose means score the envelope start grid.
+_START_BINS = 128
 
 
 @dataclass(frozen=True)
@@ -428,32 +428,33 @@ def _result(design, theta, cov, residual_ss, iterations, flags):
 
 
 def _envelope_start(taus_ps, counts):
-    """Best (t0, u = log sigma_ps) of the folded envelope model on a grid.
+    """(t0, u = log sigma_ps) grid of the folded envelope model and its costs.
 
     The unresolved oscillation is folded out: |counts - mean| is compared
     with sqrt(k E^2 + 2 b/pi), the folded-normal mean of beat plus Poisson
-    noise around the baseline b.  At fixed (t0, u), k = sum E^2 q / sum E^4
-    with q = dev^2 - 2b/pi, clipped at 0, fits the squared model in closed
-    form.  The grid is 33 delay offsets spanning the scan times 9
-    log-spaced linewidths in (1/4 .. 8) 2/span.
+    noise around the baseline b.  The delays, dev = |counts - b| and q =
+    dev^2 - 2b/pi are averaged over min(_START_BINS, N) contiguous index
+    bins of n points.  Where E is constant across a bin, its per-point cost
+    sum (dev - model)^2 is n (mean dev - model)^2 plus a term free of the
+    grid, so each grid point is scored on the bin means, with k = sum n E^2 q
+    / sum n E^4 clipped at 0 (one delay per bin, the per-point score, when
+    N <= _START_BINS).  The grid is 33 delay offsets spanning the scan (a
+    bin is a quarter of their step) times 9 log-spaced linewidths in (1/4 ..
+    8) 2/span.  Work: O(N + 297 _START_BINS), not O(297 N).
     """
     baseline = counts.mean()
     dev = np.abs(counts - baseline)
     floor2 = 2.0 * baseline / math.pi
     span_ps = float(taus_ps[-1] - taus_ps[0])
+    cuts = np.linspace(0, taus_ps.size, min(_START_BINS, taus_ps.size) + 1).astype(np.intp)
+    n = np.diff(cuts).astype(np.float64)
+    tau, dbar, qbar = (np.add.reduceat(v, cuts[:-1]) / n for v in (taus_ps, dev, dev**2 - floor2))
     t0g, ug = (g.ravel() for g in np.meshgrid(
         np.linspace(taus_ps[0], taus_ps[-1], 33),
         np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)), indexing="ij"))
-    q = dev**2 - floor2
-    costs = np.empty(t0g.size)
-    rows = max(1, _PROFILE_BLOCK // taus_ps.size)
-    for i in range(0, t0g.size, rows):
-        blk = slice(i, i + rows)
-        e2 = envelope_terms(np.exp(ug[blk, None]), taus_ps - t0g[blk, None])[2] ** 2
-        k = np.maximum(e2 @ q / np.sum(e2**2, axis=1), 0.0)
-        costs[blk] = np.sum((dev - np.sqrt(k[:, None] * e2 + floor2)) ** 2, axis=1)
-    i = int(np.argmin(costs))
-    return float(t0g[i]), float(ug[i])
+    e2 = envelope_terms(np.exp(ug[:, None]), tau - t0g[:, None])[2] ** 2
+    k = np.maximum(e2 @ (n * qbar) / (e2**2 @ n), 0.0)
+    return t0g, ug, (dbar - np.sqrt(k[:, None] * e2 + floor2)) ** 2 @ n
 
 
 def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
@@ -497,8 +498,9 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
         raise FitError("coarse scan has constant counts: no envelope to fit")
 
     design = _FringeDesign(taus_ps, counts, d_ps, fit_sigma=True)
-    t0, u = _envelope_start(taus_ps, counts)
-    sigma0 = math.exp(u)
+    t0g, ug, costs = _envelope_start(taus_ps, counts)
+    i = int(np.argmin(costs))
+    t0, sigma0 = float(t0g[i]), math.exp(ug[i])
     th = 2.0 * math.pi * d_ps[0] * (taus_ps - t0)
     scale = design.sw * envelope_terms(sigma0, taus_ps - t0)[2]
     basis = np.column_stack([design.sw, np.cos(th) * scale, np.sin(th) * scale])

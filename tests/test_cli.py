@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import freqbin.scenarios
 from freqbin.cli import build_parser, main
-from freqbin.config import DEFAULTS, load_config
+from freqbin.config import _SCANS, DEFAULTS, load_config
+from freqbin.counting import MAX_SCAN_POINTS
 from freqbin.errors import ConfigurationError, FitError
 from freqbin.scenarios import _pair_range
 
@@ -268,6 +269,9 @@ def test_hostile_config_value_runs_or_exits_2(argv, entry, value):
     """Every key with a hostile value: a clean run or exit 2, never a bad summary.
 
     The fitting scenarios (fig2, fig3, fig4) may also end in a fit failure, exit 3.
+    A clean run's work was bounded: every delay window of its config has at
+    most MAX_SCAN_POINTS points, and a multiplexed fit passes the profile-work
+    check (a deterministic bound, not a timing).
     """
     section, key = entry
     with tempfile.TemporaryDirectory() as tmp:
@@ -280,6 +284,11 @@ def test_hostile_config_value_runs_or_exits_2(argv, entry, value):
             summary = (out / "summary.txt").read_text()
             assert not re.search(r"\b(nan|inf)\b", summary)
             assert not re.search(r"= -\d+$", summary, re.MULTILINE)
+            loaded = load_config(cfg)
+            assert all(len(loaded.delay_scan(name)) <= MAX_SCAN_POINTS for name in _SCANS)
+            multiplexed = {"fig3": range(2, 16), "fig4": freqbin.scenarios._FIG4_MULTI}
+            if argv[0] in multiplexed:
+                freqbin.scenarios._check_profile_work(loaded, multiplexed[argv[0]], argv[0])
 
 
 class TestParser:

@@ -278,8 +278,12 @@ def test_dense_multiplexed_scan_writes_repr_and_reloads(tmp_path, detector):
     ("# dwell_s=2.0\ndelay_ps,counts\n 1.5 , 10 \n2.5 ,11\n", [1.5, 2.5], [10, 11]),
     ("# dwell_s=2.0\ndelay_ps,counts\n1.5,9007199254740993\n", [1.5], [2**53 + 1]),
     ("# dwell_s=2.0\ndelay_ps,counts\n", [], []),
+    ("# dwell_s=2.0\n\n# note\n\n# dwell_s=2.0\n#\n\ndelay_ps,counts\n1.5,10\n",
+     [1.5], [10]),
+    ("# dwell_s=2.0\ndelay_ps,counts\n1.5,10\n# dwell_s=9.0\n# late=1\n2.5,11\n",
+     [1.5, 2.5], [10, 11]),
 ], ids=["blank_lines", "crlf", "body_comment", "no_column_line", "spaces",
-        "count_above_2_53", "no_rows"])
+        "count_above_2_53", "no_rows", "blank_and_comment_headers", "body_key_value"])
 def test_load_dataset_accepts_layouts(tmp_path, text, taus_ps, counts):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode())
@@ -289,6 +293,7 @@ def test_load_dataset_accepts_layouts(tmp_path, text, taus_ps, counts):
     np.testing.assert_array_equal(ds.taus, np.array(taus_ps) * 1e-12)
     assert ds.counts.tolist() == counts
     assert ds.dwell == 2.0
+    assert "late" not in ds.metadata
 
 
 @pytest.mark.parametrize("body, match", [

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import freqbin.fit
+from freqbin import scenarios
 from freqbin.comb import pair_for_index
 from freqbin.config import load_config
 from freqbin.counting import FringeDataset, ScanConfig, accidental_rate, simulate_fringe
 from freqbin.errors import DomainError, FitError, NonPhysicalStateError, ReconstructionError
 from freqbin.fit import (
     _canonical_fringe,
+    _envelope_start,
     _FringeDesign,
     _polish,
     estimate_balance,
@@ -435,6 +437,92 @@ def test_envelope_profile_matches_multistart_grid(name, detector):
             if key == "phi":
                 delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
             assert abs(delta) <= 1e-3 * full.sigmas[key], key
+
+
+def _full_grid_start(taus_ps, counts):
+    """The per-point start scorer, kept as the reference for the bin-mean one.
+
+    Every (t0, u) grid point is scored against every delay: the same grid as
+    `_envelope_start`, with k = sum E^2 q / sum E^4 and the cost summed per
+    delay.  Returns (t0 grid, u grid, costs).
+    """
+    baseline = counts.mean()
+    dev = np.abs(counts - baseline)
+    floor2 = 2.0 * baseline / math.pi
+    span_ps = float(taus_ps[-1] - taus_ps[0])
+    t0g, ug = (g.ravel() for g in np.meshgrid(
+        np.linspace(taus_ps[0], taus_ps[-1], 33),
+        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)), indexing="ij"))
+    e2 = envelope_terms(np.exp(ug[:, None]), taus_ps - t0g[:, None])[2] ** 2
+    k = np.maximum(e2 @ (dev**2 - floor2) / np.sum(e2**2, axis=1), 0.0)
+    return t0g, ug, np.sum((dev - np.sqrt(k[:, None] * e2 + floor2)) ** 2, axis=1)
+
+
+def _stock_coarse(seed):
+    """fig2's coarse scan (1,201 delays over 0-2.4 ns) at the stock config."""
+    cfg = load_config()
+    model = scenarios._fringe_model(cfg, [2], cfg.theta + cfg.phi_instr)
+    return scenarios._sim(cfg, model, cfg.delay_scan("coarse"), seed)
+
+
+def _start_cells(ds):
+    """The winning grid index of the bin-mean scorer and of the reference."""
+    taus_ps, counts = ds.taus * 1e12, ds.counts.astype(np.float64)
+    return tuple(int(np.argmin(score(taus_ps, counts)[2]))
+                 for score in (_envelope_start, _full_grid_start))
+
+
+def test_start_cell_of_the_stock_coarse_scan():
+    ds = _stock_coarse(load_config().seed)
+    assert len(ds) == 1201
+    binned, full = _start_cells(ds)
+    assert binned == full
+
+
+def test_start_costs_match_the_full_grid_at_one_delay_per_bin(detector):
+    # 100 delays over 2.475 ns: each bin holds one delay, so the score is
+    # the per-point one up to summation order.
+    model = FringeModel(((DET2, 0.84, 0.0),), 0.3e-9, 0.0, ENV)
+    scan = ScanConfig(0.0, 2.475e-9, 25e-12, 60.0)
+    for seed in range(5):
+        ds = simulate_fringe(model, scan, detector, 67.0, seed)
+        assert len(ds) == 100
+        taus_ps, counts = ds.taus * 1e12, ds.counts.astype(np.float64)
+        t0g, ug, costs = _envelope_start(taus_ps, counts)
+        t0_ref, u_ref, ref = _full_grid_start(taus_ps, counts)
+        assert t0g.tobytes() == t0_ref.tobytes() and ug.tobytes() == u_ref.tobytes()
+        np.testing.assert_allclose(costs, ref, rtol=1e-12, atol=0.0)
+        assert np.argmin(costs) == np.argmin(ref)
+
+
+def test_start_cost_splits_exactly_where_each_bin_repeats_one_delay(detector):
+    # Each of 128 delays repeated 3 times: E is constant across every bin, so
+    # the per-point cost is the bin-mean cost plus the within-bin spread.
+    model = FringeModel(((DET2, 0.84, 0.0),), 0.3e-9, 0.0, ENV)
+    ds = simulate_fringe(model, ScanConfig(0.0, 2.54e-9, 20e-12, 60.0), detector, 67.0, 3)
+    assert len(ds) == 128
+    taus_ps = np.repeat(ds.taus * 1e12, 3)
+    counts = np.repeat(ds.counts, 3) + np.tile([0.0, 40.0, -25.0], 128)
+    *grid, costs = _envelope_start(taus_ps, counts)
+    *_, ref = _full_grid_start(taus_ps, counts)
+    dev = np.abs(counts - counts.mean()).reshape(-1, 3)
+    spread = np.sum((dev - dev.mean(axis=1, keepdims=True)) ** 2)
+    np.testing.assert_allclose(costs + spread, ref, rtol=1e-12, atol=0.0)
+
+
+def test_start_cell_matches_the_full_grid_over_seeds(monkeypatch):
+    # Over seeds 0-1499 the cell moved on seed 692 only, which is added to
+    # 99 others so that the polish from either start is compared.
+    moved = [ds for ds in map(_stock_coarse, [*range(99), 692])
+             if len(set(_start_cells(ds))) == 2]
+    assert len(moved) <= 2
+    for ds in moved:
+        res = fit_envelope(ds)
+        with monkeypatch.context() as patch:
+            patch.setattr(freqbin.fit, "_envelope_start", _full_grid_start)
+            ref = fit_envelope(ds)
+        for key in ("fwhm", "tau0", "visibility"):
+            assert abs(res.params[key] - ref.params[key]) <= 1e-3 * res.sigmas[key], key
 
 
 def _count_least_squares(monkeypatch):
