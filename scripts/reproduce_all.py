@@ -3,7 +3,8 @@
 Each scenario writes its CSV/report files into its own subdirectory of
 --out and prints its summary block to stdout.  Seeds come from the config
 unless overridden, so two invocations with the same arguments produce
-byte-identical output trees.
+byte-identical output trees.  Exit codes are those of `freqbin`: 0
+success, 2 configuration error, 3 fit non-convergence.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from freqbin.cli import exit_code
 from freqbin.config import load_config
 from freqbin.scenarios import run_scenario
 
@@ -40,14 +42,16 @@ def main(argv=None) -> int:
                         help="override the config seed for every scenario")
     args = parser.parse_args(argv)
 
-    cfg = load_config(args.config)
-    for label, extra in JOBS:
-        scenario = label.split("_")[0]
-        out_dir = os.path.join(args.out, label)
-        summary = run_scenario(scenario, cfg, out_dir, seed=args.seed, **extra)
-        print(f"== {label} -> {out_dir}")
-        print(summary)
-    return 0
+    def run():
+        cfg = load_config(args.config)
+        for label, extra in JOBS:
+            scenario = label.split("_")[0]
+            out_dir = os.path.join(args.out, label)
+            summary = run_scenario(scenario, cfg, out_dir, seed=args.seed, **extra)
+            print(f"== {label} -> {out_dir}")
+            print(summary)
+
+    return exit_code(run)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 
 from .config import load_config
 from .errors import ConfigurationError, FitError, FreqbinError
 from .scenarios import SCENARIOS, run_scenario
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "exit_code"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,24 +43,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(run: Callable[[], None]) -> int:
+    """Call `run`, then return the exit code: 0, or 3 for a FitError and 2
+    for any other FreqbinError, whose message goes to stderr."""
     try:
-        cfg = load_config(args.config)
-        phase = getattr(args, "phase", None)
-        if phase is not None and not math.isfinite(phase):
-            raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
-        summary = run_scenario(args.scenario, cfg, args.out, seed=args.seed,
-                               pairs=getattr(args, "pairs", None), phase=phase)
+        run()
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 3
     except FreqbinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(summary)
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run():
+        cfg = load_config(args.config)
+        phase = getattr(args, "phase", None)
+        if phase is not None and not math.isfinite(phase):
+            raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
+        sys.stdout.write(run_scenario(args.scenario, cfg, args.out, seed=args.seed,
+                                      pairs=getattr(args, "pairs", None), phase=phase))
+
+    return exit_code(run)
 
 
 if __name__ == "__main__":

@@ -141,8 +141,8 @@ def transmission(model: ResonatorModel, f):
     has unit peak and FWHM model.fwhm.  Valid because fwhm << fsr.
     """
     f = np.asarray(f, dtype=np.float64)
-    if np.any(f <= 0):
-        raise DomainError("frequency must be positive")
+    if not np.all(np.isfinite(f) & (f > 0)):
+        raise DomainError("frequency must be finite and positive")
     k = np.rint((f - model.pump_frequency) / model.fsr)
     delta = f - (model.pump_frequency + k * model.fsr)
     lorentz = 1.0 / (1.0 + (2.0 * delta / model.fwhm) ** 2)

@@ -8,10 +8,13 @@ A dataset's CSV holds `# key=value` header lines, a `delay_ps,counts` line
 and one row per point.  A simulated dataset's headers include the grid's
 `tau_start_s` and `tau_step_s`, from which `load_dataset` rebuilds the
 delays bit for bit; the picosecond column alone can come back 1 ulp off.
-Each row holds the repr of its values.  `write_rows` formats full blocks of
-rows with numpy, exactly (Dekker's product, then repr's choice of 15, 16 or
-17 digits), and hands the few values outside that method to repr; the bytes
-are those of the per-row repr comprehension.
+Each row holds the repr of its values.  `write_rows` writes these rows, and
+the `{:.9g}` rows of the transmission sweep.  It formats every block of at
+least 1,024 rows with numpy, exactly: Dekker's product gives each value's
+exact decimal digits, from which repr's choice of 15, 16 or 17 digits or
+%g's half-even rounding is made.  It hands the few values outside that
+method to Python's format; the bytes are those of the per-row
+comprehension, which writes shorter blocks.
 """
 
 from __future__ import annotations
@@ -27,11 +30,20 @@ from .rng import STREAM_BASIS, STREAM_FRINGE, CounterRng
 
 # Most points a scan grid holds, so a tiny step is an error, not a huge allocation.
 MAX_SCAN_POINTS = 1_000_000
-# Rows formatted per write: a full block is formatted by numpy, and one
-# block at a time keeps a large scan from holding every row in memory.
+# Rows formatted per write: one block at a time keeps a large scan from
+# holding every row's text in memory.
 _WRITE_BLOCK = 1 << 14
+# Fewest rows numpy formats; shorter blocks go through the per-row
+# comprehension.  Comprehension against kernel with an int / a float second
+# column (2 CPUs, Python 3.11, numpy 2.4), on the delays of fig3's window:
+# 161 rows 105 / 176 against 215 / 373 us, 1,201 rows 771 / 1,291 against
+# 378 / 658 us.  On fig2's coarse grid (0.0, 2.0, ...: short reprs),
+# 1,201 rows take 408 / 946 against 436 / 701 us.
+_KERNEL_ROWS = 1024
 # One CSV row as np.loadtxt parses it: the delay in ps and an exact count.
 _ROW = np.dtype([("t", "f8"), ("n", "i8")])
+# 10**0 to 10**22: the powers of ten a float64 holds exactly.
+_POW10 = np.array([10**k for k in range(23)], dtype=np.float64)
 
 __all__ = [
     "MAX_SCAN_POINTS",
@@ -118,7 +130,12 @@ class FringeDataset:
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            whole = np.asarray(counts, dtype=np.float64)
+            if not np.all((np.floor(whole) == whole) & (np.abs(whole) < 2.0**63)):
+                raise DomainError("counts must be whole numbers below 2**63")
+        counts = counts.astype(np.int64, copy=False)
         if taus.ndim != 1 or counts.ndim != 1 or taus.size != counts.size:
             raise DomainError("taus and counts must be 1-d arrays of equal length")
         if not np.all(np.isfinite(taus)):
@@ -147,31 +164,44 @@ class FringeDataset:
             write_rows(fh, self.taus * 1e12, self.counts)
 
 
-def write_rows(fh, first: np.ndarray, second: np.ndarray) -> None:
-    """Write one `first,second` line per element pair, each value as the repr
-    of its Python float or int, formatting _WRITE_BLOCK rows per write.
+def write_rows(fh, first: np.ndarray, second: np.ndarray,
+               significant: int | None = None) -> None:
+    """Write one `first,second` line per element pair, _WRITE_BLOCK rows per
+    write.  Each value is the repr of its Python float or int, or with
+    `significant` = P (1 to 16) its `"{:.Pg}"` text.
 
-    A full block of float64 firsts and float64 or int64 seconds is formatted
-    by numpy (`_block_text`), with repr itself for the values its exact
-    method leaves out; the bytes are those of the per-row repr comprehension,
-    which formats a shorter tail block and other dtypes.
+    A block of at least _KERNEL_ROWS float64 firsts and float64 seconds
+    (or, for repr, int64 seconds) is formatted by numpy (`_block_text`),
+    with Python's format itself for the values its exact method leaves out;
+    the bytes are those of the per-row comprehension, which formats shorter
+    blocks and other dtypes.
     """
-    kernel = first.dtype == np.float64 and second.dtype in (np.float64, np.int64)
+    if significant is None:
+        second_dtypes = (np.float64, np.int64)
+    elif 1 <= significant <= 16:
+        second_dtypes = (np.float64,)
+        row = f"{{:.{significant}g}},{{:.{significant}g}}\n".format
+    else:
+        raise DomainError("significant must be None or a digit count from 1 to 16")
+    kernel = first.dtype == np.float64 and second.dtype in second_dtypes
     for i in range(0, len(first), _WRITE_BLOCK):
         a, b = first[i:i + _WRITE_BLOCK], second[i:i + _WRITE_BLOCK]
-        if kernel and len(a) == _WRITE_BLOCK:
-            fh.write(_block_text(a, b))
-        else:
+        if kernel and len(a) >= _KERNEL_ROWS:
+            fh.write(_block_text(a, b, significant))
+        elif significant is None:  # the f-string is the faster repr here
             fh.write("".join([f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())]))
+        else:
+            fh.write("".join(map(row, a.tolist(), b.tolist())))
 
 
-def _block_text(first: np.ndarray, second: np.ndarray) -> str:
-    """The rows f"{a!r},{b!r}\n" writes for float64 `first` and float64 or
-    int64 `second`: each value's characters go into a rows x slots uint8
-    matrix, NUL in the slots it does not use, and the NULs are dropped."""
+def _block_text(first: np.ndarray, second: np.ndarray, significant: int | None = None) -> str:
+    """The rows write_rows writes for float64 `first` and float64 (or, for
+    repr, int64) `second`: each value's characters go into a rows x slots
+    uint8 matrix, NUL in the slots it does not use, and the NULs are dropped."""
     comma, newline = (np.full((len(first), 1), ord(c), np.uint8) for c in ",\n")
-    right = _float_chars(second) if second.dtype == np.float64 else _int_chars(second)
-    chars = np.concatenate([_float_chars(first), comma, right, newline], axis=1)
+    right = (_float_chars(second, significant) if second.dtype == np.float64
+             else _int_chars(second))
+    chars = np.concatenate([_float_chars(first, significant), comma, right, newline], axis=1)
     return chars.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -194,22 +224,29 @@ def _put_digits(chars: np.ndarray, mag: np.ndarray) -> None:
         mag = q
 
 
-def _float_chars(x: np.ndarray) -> np.ndarray:
-    """repr of each float64: a sign slot, the integer digits right-aligned,
-    '.', and the fraction digits up to the last nonzero one (at least one).
-    Values `_shortest_digits` leaves out are written by repr itself."""
-    m, e, slow = _shortest_digits(x)
+def _float_chars(x: np.ndarray, significant: int | None = None) -> np.ndarray:
+    """repr (or `"{:.Pg}"`, P = significant) of each float64 in fixed form: a
+    sign slot, the integer digits right-aligned, '.', and the fraction
+    digits up to the last nonzero one.  repr keeps at least one fraction
+    digit; %g drops the '.' when no fraction digit is left.  Values the
+    digit functions leave out are written by Python's format itself."""
+    if significant is None:
+        m, e, slow = _shortest_digits(x)
+        last, fmt = 16, repr  # m holds 17 digits
+    else:
+        m, e, slow = _significant_digits(x, significant)
+        last, fmt = significant - 1, f"{{:.{significant}g}}".format
     e = np.where(slow, e.max(initial=0, where=~slow), e)
     m = m.astype(np.uint64)
     p10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-    wi, wf = max(int(e.max()), 0) + 1, 16 - int(e.min())
-    unit = p10[16 - e]
+    # At least one fraction slot: %g leaves it empty when it has no fraction digit.
+    wi, wf = max(int(e.max()), 0) + 1, max(last - int(e.min()), 1)
+    unit = p10[last - e]
     whole = m // unit
     frac = (m - whole * unit) * p10[e - e.min()]  # wf digits, left-aligned
     chars = np.zeros((len(x), wi + wf + 2), np.uint8)
     chars[:, 0] = np.signbit(x) * ord("-")
     _put_digits(chars[:, 1:wi + 1], whole)
-    chars[:, wi + 1] = ord(".")
     nonzero = np.zeros(len(x), bool)
     for c in range(wi + wf + 1, wi + 2, -1):
         q = frac // 10
@@ -217,10 +254,15 @@ def _float_chars(x: np.ndarray) -> np.ndarray:
         nonzero |= d != 0
         chars[:, c] = (d + 48) * nonzero
         frac = q
-    chars[:, wi + 2] = frac + 48
+    if significant is None:  # repr writes the '.' and the first fraction digit
+        nonzero[:] = True
+    else:
+        nonzero |= frac != 0
+    chars[:, wi + 1] = nonzero * ord(".")
+    chars[:, wi + 2] = (frac + 48) * nonzero
     idx = np.flatnonzero(slow)
     if idx.size:
-        text = np.array([repr(v) for v in x[idx].tolist()], dtype="S")
+        text = np.array([fmt(v) for v in x[idx].tolist()], dtype="S")
         if text.itemsize > chars.shape[1]:
             chars = np.pad(chars, ((0, 0), (0, text.itemsize - chars.shape[1])))
         chars[idx] = text.astype(f"S{chars.shape[1]}").view(np.uint8).reshape(idx.size, -1)
@@ -230,50 +272,86 @@ def _float_chars(x: np.ndarray) -> np.ndarray:
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """repr's digits of each float64 as a 17-digit int64 m (trailing zeros
     padded) and its decimal exponent e, so |x| reads back from
-    m * 10**(e - 16); and a mask of the values left to repr: 0.0, non-finite
-    values and |x| outside [1e-3, 1e15), which repr writes in exponent form
-    or which lie past the exact powers of ten.
+    m * 10**(e - 16); and `_exact_digits`' mask of the values left to repr,
+    which also covers those repr writes in exponent form.
 
-    |x| * 10**(16 - e) is n + phi exactly, n an integer in [1e16, 1e17) and
-    phi in [0, 1): Dekker's product of |x| and the float 10**(16 - e), exact
-    up to 10**22.  repr writes the shortest decimal that reads back as x
-    and, of those, the nearest (Gay's dtoa, mode 0): the correctly rounded
-    15-, 16- or 17-digit decimal, whichever first lies strictly within half
-    an ulp of x.  Scaled by the same power, the distances and the half ulp
-    are exact, and in this band no candidate ties with the half ulp or
-    rounds up to the next power of ten.  A power of two here is a decimal of
-    at most 15 digits, so its narrower interval below does not matter.
+    repr writes the shortest decimal that reads back as x and, of those,
+    the nearest (Gay's dtoa, mode 0): the correctly rounded 15-, 16- or
+    17-digit decimal, whichever first lies strictly within half an ulp of
+    x.  Scaled by 10**(16 - e), the distances and the half ulp are exact,
+    and in this band no candidate ties with the half ulp or rounds up to
+    the next power of ten.  A power of two here is a decimal of at most 15
+    digits, so its narrower interval below does not matter.
     """
-    p10 = np.array([10**k for k in range(23)], dtype=np.float64)
-    p10_hi, p10_lo = _split(p10)
-    # Exact: the float nearest 10**k is at or above it for k >= -3.
-    bounds = np.array([float(f"1e{k}") for k in range(-3, 16)])
-    a = np.abs(x)
-    e = np.searchsorted(bounds, a, side="right") - 4
-    slow = (e < -3) | (e > 14)
-    a[slow] = 1.0  # keeps the products finite: m = 10**16, e = 0
-    e[slow] = 0
-
-    s = 16 - e
-    p = a * p10[s]
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = p10_hi[s], p10_lo[s]
-    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-    whole = np.floor(err)
-    n, phi = p.astype(np.int64) + whole.astype(np.int64), err - whole
+    n, phi, e, slow = _exact_digits(x)
 
     def rounded(unit):
-        """n + phi rounded half-even to a multiple of unit; its distance."""
+        """n + phi rounded half-even to a multiple of unit; its distance.
+        t is exact: the remainder is below 100 and phi's lowest bit is at
+        least 2**-43 (see `_exact_digits`)."""
         q = n // unit
         t = (n - q * unit) + phi
         q += (t > unit / 2) | ((t == unit / 2) & ((q & 1) == 1))
         return q * unit, np.abs((q * unit - n) - phi)
 
-    half = 0.5 * np.spacing(a) * p10[s]
+    half = 0.5 * np.spacing(np.where(slow, 1.0, np.abs(x))) * _POW10[16 - e]
     m15, d15 = rounded(100)
     m16, d16 = rounded(10)
     m = np.where(d15 < half, m15, np.where(d16 < half, m16, rounded(1)[0]))
     return m, e, slow
+
+
+def _significant_digits(x: np.ndarray,
+                        significant: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`"{:.Pg}"`'s digits of each float64, P = significant, as a P-digit
+    int64 m and the decimal exponent e after rounding, so |x| rounds to
+    m * 10**(e - P + 1); and `_exact_digits`' mask of the values left to
+    Python, widened by those %g writes in exponent form (e >= P).
+
+    %g rounds the exact binary value half-even.  n + phi is rounded at the
+    unit 10**(17 - P), deciding from the integer remainder r and phi
+    apart: up when r exceeds half the unit, or equals it and phi > 0 or
+    the quotient is odd.  (The float r + phi drops phi's low bits once r
+    reaches 2**10; for P up to 7 that can put it on the half unit.)  A
+    carry to 10**P moves e up by one.
+    """
+    n, phi, e, slow = _exact_digits(x)
+    unit = 10 ** (17 - significant)
+    q = n // unit
+    r = n - q * unit
+    q += (r > unit // 2) | ((r == unit // 2) & ((phi > 0) | ((q & 1) == 1)))
+    carry = q == 10**significant
+    e = e + carry
+    return np.where(carry, q // 10, q), e, slow | (e >= significant)
+
+
+def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """|x| * 10**(16 - e) as n + phi exactly, n an int64 in [1e16, 1e17) and
+    phi a float64 in [0, 1), with e = floor(log10 |x|); and a mask of the
+    values left to Python's format: 0.0, non-finite values and |x| outside
+    [1e-3, 1e15), which repr writes in exponent form or which lie past the
+    exact powers of ten.  Masked values get e = 0 and the digits of 1.0.
+
+    n + phi is Dekker's product of |x| and the float 10**(16 - e), exact up
+    to 10**22.  In this band its error term is a multiple of
+    ulp(x) * 2**(16 - e), at least 2**-43, so phi = err - floor(err) is exact.
+    """
+    p10_hi, p10_lo = _split(_POW10)
+    # Exact: the float nearest 10**k is at or above it for k >= -3.
+    bounds = np.array([float(f"1e{k}") for k in range(-3, 16)])
+    a = np.abs(x)
+    e = np.searchsorted(bounds, a, side="right") - 4
+    slow = (e < -3) | (e > 14)
+    a[slow] = 1.0  # keeps the products finite: n = 10**16, e = 0
+    e[slow] = 0
+
+    s = 16 - e
+    p = a * _POW10[s]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = p10_hi[s], p10_lo[s]
+    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    whole = np.floor(err)
+    return p.astype(np.int64) + whole.astype(np.int64), err - whole, e, slow
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

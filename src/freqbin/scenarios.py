@@ -226,7 +226,7 @@ def _run_spectrum(cfg, out_dir, seed):
     trans = transmission(model, freqs)
     with open(os.path.join(out_dir, "transmission.csv"), "w") as fh:
         fh.write("frequency_thz,transmittance\n")
-        fh.write("".join(map("{:.9g},{:.9g}\n".format, (freqs / 1e12).tolist(), trans.tolist())))
+        write_rows(fh, freqs / 1e12, trans, significant=9)
 
     scan = singles_spectrum_scan(
         model, cfg.scan_band, cfg.scan_step, cfg.channel_width,

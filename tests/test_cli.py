@@ -43,6 +43,30 @@ def test_reproduce_all_runs_without_scipy(tmp_path):
     assert _tree(tmp_path / "blocked") == _tree(tmp_path / "inprocess")
 
 
+@pytest.mark.parametrize("ini, key", [
+    ("[resonator]\nfwhm_mhz = -1\n", "fwhm_mhz"),
+    ("[scan]\nfine_step_ps = 2.0\n", "fine_step_ps"),
+])
+def test_reproduce_all_bad_config_exits_2(tmp_path, capsys, ini, key):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    reproduce_all = runpy.run_path(str(REPRODUCE_ALL))["main"]
+    assert reproduce_all(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise FitError("no convergence")
+
+    monkeypatch.setattr(freqbin.scenarios, "fit_fringe", boom)
+    reproduce_all = runpy.run_path(str(REPRODUCE_ALL))["main"]
+    assert reproduce_all(["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "fit error: no convergence\n"
+
+
 class TestMain:
     def test_fig5_writes_expected_files(self, tmp_path):
         out = tmp_path / "run"

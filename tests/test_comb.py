@@ -82,6 +82,14 @@ def test_transmission_vectorized_and_symmetric(model):
     assert np.all(up >= up[0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_transmission_rejects_non_finite_and_nonpositive(model, bad):
+    with pytest.raises(DomainError, match="finite and positive"):
+        transmission(model, bad)
+    with pytest.raises(DomainError, match="finite and positive"):
+        transmission(model, np.array([model.pump_frequency, bad]))
+
+
 def test_transmission_periodic_over_fsr(model):
     f = model.pump_frequency + mhz(40)
     assert transmission(model, f) == pytest.approx(
