@@ -4,6 +4,10 @@ Counts are aggregated per scan point (no time tags); every draw comes from
 the counter-based generator keyed by (seed, point index), so simulations are
 reproducible and independent of evaluation order or thread count.
 
+A scan is simulated, written and checked on load one block of _BLOCK
+points at a time, so apart from the delays and counts it holds, its
+working memory does not grow with its length.
+
 A dataset's CSV holds `# key=value` header lines, a `delay_ps,counts` line
 and one row per point.  A simulated dataset's headers include the grid's
 `tau_start_s` and `tau_step_s`, from which `load_dataset` rebuilds the
@@ -30,9 +34,10 @@ from .rng import STREAM_BASIS, STREAM_FRINGE, CounterRng
 
 # Most points a scan grid holds, so a tiny step is an error, not a huge allocation.
 MAX_SCAN_POINTS = 1_000_000
-# Rows formatted per write: one block at a time keeps a large scan from
-# holding every row's text in memory.
-_WRITE_BLOCK = 1 << 14
+# Points per block: the means and draws of a simulation, the rows of a
+# write and the header-grid check of a load.  One block at a time keeps a
+# large scan from holding its temporaries or every row's text in memory.
+_BLOCK = 1 << 14
 # Fewest rows numpy formats; shorter blocks go through the per-row
 # comprehension.  Comprehension against kernel with an int / a float second
 # column (2 CPUs, Python 3.11, numpy 2.4), on the delays of fig3's window:
@@ -111,12 +116,21 @@ class ScanConfig:
 
     def grid(self) -> np.ndarray:
         """Scan delays; the canonical grid every dataset reproduces exactly."""
-        return _delay_grid(self.tau_start, self.tau_step, len(self))
+        return _delay_grid(self.tau_start, self.tau_step, 0, len(self))
 
 
-def _delay_grid(start: float, step: float, n: int) -> np.ndarray:
-    """The n delays start + step * i: a scan's grid, also as rebuilt from a CSV."""
-    return start + step * np.arange(n)
+def _delay_grid(start: float, step: float, first: int, stop: int) -> np.ndarray:
+    """The delays start + step * i for first <= i < stop: a scan's grid, also
+    as rebuilt from a CSV, or one block of it.
+
+    Built in place as one array: i converts to a float exactly below 2**53
+    and the sum commutes, so each delay is start + step * i, whatever the
+    block it is built in.
+    """
+    grid = np.arange(first, stop, dtype=np.float64)
+    grid *= step
+    grid += start
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +149,13 @@ class FringeDataset:
             whole = np.asarray(counts, dtype=np.float64)
             if not np.all((np.floor(whole) == whole) & (np.abs(whole) < 2.0**63)):
                 raise DomainError("counts must be whole numbers below 2**63")
-        counts = counts.astype(np.int64, copy=False)
         if taus.ndim != 1 or counts.ndim != 1 or taus.size != counts.size:
             raise DomainError("taus and counts must be 1-d arrays of equal length")
+        taus = np.ascontiguousarray(taus)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         if not np.all(np.isfinite(taus)):
             raise DomainError("taus must be finite")
-        if taus.size and np.any(np.diff(taus) <= 0):
+        if np.any(taus[1:] <= taus[:-1]):
             raise DomainError("taus must be strictly increasing")
         if np.any(counts < 0):
             raise DomainError("counts must be non-negative")
@@ -155,18 +170,20 @@ class FringeDataset:
     def to_csv(self, path) -> None:
         """Write `# dwell_s=` and one `# key=value` line per metadata entry
         (sorted by key), a `delay_ps,counts` line, then one row per point:
-        the delay in ps as its shortest round-trip repr, and the count."""
+        the delay in ps as its shortest round-trip repr, and the count.  The
+        delays are scaled to ps one write_rows block at a time."""
         with open(path, "w") as fh:
             fh.write(f"# dwell_s={self.dwell!r}\n")
             for key in sorted(self.metadata):
                 fh.write(f"# {key}={self.metadata[key]}\n")
             fh.write("delay_ps,counts\n")
-            write_rows(fh, self.taus * 1e12, self.counts)
+            for i in range(0, len(self), _BLOCK):
+                write_rows(fh, self.taus[i:i + _BLOCK] * 1e12, self.counts[i:i + _BLOCK])
 
 
 def write_rows(fh, first: np.ndarray, second: np.ndarray,
                significant: int | None = None) -> None:
-    """Write one `first,second` line per element pair, _WRITE_BLOCK rows per
+    """Write one `first,second` line per element pair, _BLOCK rows per
     write.  Each value is the repr of its Python float or int, or with
     `significant` = P (1 to 16) its `"{:.Pg}"` text.
 
@@ -174,8 +191,11 @@ def write_rows(fh, first: np.ndarray, second: np.ndarray,
     (or, for repr, int64 seconds) is formatted by numpy (`_block_text`),
     with Python's format itself for the values its exact method leaves out;
     the bytes are those of the per-row comprehension, which formats shorter
-    blocks and other dtypes.
+    blocks and other dtypes.  Columns of unequal length raise DomainError.
     """
+    if len(first) != len(second):
+        raise DomainError(f"write_rows needs columns of equal length, "
+                          f"got {len(first)} and {len(second)} values")
     if significant is None:
         second_dtypes = (np.float64, np.int64)
     elif 1 <= significant <= 16:
@@ -184,8 +204,8 @@ def write_rows(fh, first: np.ndarray, second: np.ndarray,
     else:
         raise DomainError("significant must be None or a digit count from 1 to 16")
     kernel = first.dtype == np.float64 and second.dtype in second_dtypes
-    for i in range(0, len(first), _WRITE_BLOCK):
-        a, b = first[i:i + _WRITE_BLOCK], second[i:i + _WRITE_BLOCK]
+    for i in range(0, len(first), _BLOCK):
+        a, b = first[i:i + _BLOCK], second[i:i + _BLOCK]
         if kernel and len(a) >= _KERNEL_ROWS:
             fh.write(_block_text(a, b, significant))
         elif significant is None:  # the f-string is the faster repr here
@@ -371,21 +391,32 @@ def load_dataset(path) -> FringeDataset:
     ps column times 1e-12.  A malformed row, a missing or bad header, or a
     delay column more than 1 ulp off its header grid raises DomainError
     naming the file.
+
+    numpy parses the rows into one record array.  The counts are copied
+    out of it, the delay column is checked against the header grid one
+    block of _BLOCK rows at a time, and the records are dropped before the
+    grid is built, so the dataset holds 16 bytes per point and nothing else.
     """
     try:
         metadata, rows = _read_csv(path)
         if "dwell_s" not in metadata:
             raise DomainError("missing '# dwell_s=' header")
         dwell = float(metadata.pop("dwell_s"))
-        taus = rows["t"] * 1e-12
+        counts = rows["n"].copy()
         if "tau_start_s" in metadata and "tau_step_s" in metadata:
-            grid = _delay_grid(float(metadata["tau_start_s"]),
-                               float(metadata["tau_step_s"]), taus.size)
-            if not np.all(np.abs(taus - grid) <= np.spacing(np.abs(grid))):
-                raise DomainError("delays disagree with the tau_start_s and "
-                                  "tau_step_s headers by more than 1 ulp")
-            taus = grid
-        return FringeDataset(taus, rows["n"], dwell, metadata)
+            start, step = float(metadata["tau_start_s"]), float(metadata["tau_step_s"])
+            for i in range(0, rows.size, _BLOCK):
+                taus = rows["t"][i:i + _BLOCK] * 1e-12
+                grid = _delay_grid(start, step, i, i + taus.size)
+                if not np.all(np.abs(taus - grid) <= np.spacing(np.abs(grid))):
+                    raise DomainError("delays disagree with the tau_start_s and "
+                                      "tau_step_s headers by more than 1 ulp")
+            n = rows.size
+            del rows
+            taus = _delay_grid(start, step, 0, n)
+        else:
+            taus = rows["t"] * 1e-12
+        return FringeDataset(taus, counts, dwell, metadata)
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from None
 
@@ -422,6 +453,9 @@ def simulate_fringe(
     accidental), with accidental an additive coincidence rate in counts/s.
     The draw for point i uses counter i of (seed, fringe stream).  workers
     is accepted and ignored: the output is the same for any value.
+
+    The means are formed and drawn one block of _BLOCK points at a time
+    into the counts array, so no other array grows with the scan.
     """
     if pair_rate < 0:
         raise DomainError("pair_rate must be non-negative")
@@ -430,8 +464,11 @@ def simulate_fringe(
     taus = scan.grid()
     eta = det.efficiency_signal * det.efficiency_idler
     rng = CounterRng(seed, STREAM_FRINGE)
-    means = scan.dwell * (pair_rate * eta * hom_multi(fringe, taus) + accidental)
-    counts = rng.poisson(means, counter=np.arange(taus.size))
+    counts = np.empty(taus.size, dtype=np.int64)
+    for i in range(0, taus.size, _BLOCK):
+        block = taus[i:i + _BLOCK]
+        means = scan.dwell * (pair_rate * eta * hom_multi(fringe, block) + accidental)
+        counts[i:i + block.size] = rng.poisson(means, counter=np.arange(i, i + block.size))
 
     detunings = ",".join(repr(float(d)) for d, _, _ in fringe.pairs)
     metadata = {

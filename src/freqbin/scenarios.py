@@ -71,7 +71,11 @@ def run_scenario(
         _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
     seed = cfg.seed if seed is None else int(seed)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out: cannot create directory {str(out_dir)!r}: "
+                                 f"{exc.strerror or exc}") from None
     args = {}
     if pairs is not None:
         args["pairs"] = pairs

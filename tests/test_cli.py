@@ -57,6 +57,23 @@ def test_reproduce_all_bad_config_exits_2(tmp_path, capsys, ini, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("entry", ["freqbin", "reproduce_all"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, entry, below):
+    """An --out that is a file, or lies below one, exits 2 naming --out, no traceback."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "o" if below else blocker
+    if entry == "freqbin":
+        code = main(["fig5", "--out", str(out)])
+    else:
+        code = runpy.run_path(str(REPRODUCE_ALL))["main"](["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and str(blocker) in err and "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+
+
 def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise FitError("no convergence")

@@ -22,12 +22,14 @@ from freqbin.counting import (
     computational_basis_counts,
     load_dataset,
     simulate_fringe,
+    _BLOCK,
     _KERNEL_ROWS,
     _block_text,
     write_rows,
 )
 from freqbin.errors import DomainError
-from freqbin.hom import Envelope, FringeModel
+from freqbin.hom import Envelope, FringeModel, hom_multi
+from freqbin.rng import STREAM_FRINGE, CounterRng
 from freqbin.scenarios import run_scenario
 
 MODEL = load_config().resonator
@@ -397,6 +399,108 @@ def test_dense_multiplexed_scan_writes_repr_and_reloads(tmp_path, detector):
     back = load_dataset(path)
     assert back.taus.tobytes() == ds.taus.tobytes()
     np.testing.assert_array_equal(back.counts, ds.counts)
+
+
+def _traced(call):
+    """call()'s result and its peak traced allocation above the start, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, detector):
+    """From 100,001 to 800,001 points, the peak of simulate_fringe, to_csv
+    and load_dataset above the arrays each needs grows by less than 1 MiB:
+    they work one block at a time (a structural check, not a timing).
+
+    load_dataset needs numpy's record array (16 bytes a row) and the counts
+    copied out of it; what it returns holds exactly 16 bytes a point, and
+    on the larger scan it peaks at most 1.6 times that.
+    """
+    scratch = []
+    for points in (100_001, 800_001):
+        scan = ScanConfig(0.0, (points - 1) * 1e-13, 1e-13, 1.0)
+        ds, simulate = _traced(lambda: simulate_fringe(flat_model(0.5), scan, detector,
+                                                        8000.0, seed=3))
+        assert len(ds) == points
+        path = tmp_path / f"{points}.csv"
+        _, write = _traced(lambda: ds.to_csv(path))
+        back, load = _traced(lambda: load_dataset(path))
+        held = back.taus.nbytes + back.counts.nbytes
+        assert held == 16 * points
+        np.testing.assert_array_equal(back.counts, ds.counts)
+        scratch.append((simulate - ds.taus.nbytes - ds.counts.nbytes, write,
+                        load - 24 * points))
+    assert load <= 1.6 * held
+    for name, small, large in zip(("simulate_fringe", "to_csv", "load_dataset"), *scratch):
+        assert large - small < 2**20, name
+
+
+@pytest.mark.parametrize("headers", [True, False], ids=["grid_headers", "column_only"])
+def test_loaded_arrays_own_contiguous_memory(tmp_path, detector, headers):
+    """A loaded dataset's arrays are C-contiguous and pin no record array."""
+    ds = simulate_fringe(flat_model(0.5), ScanConfig(0.0, 1e-11, 1e-13, 1.0),
+                         detector, 100.0, seed=4)
+    if not headers:
+        ds = FringeDataset(ds.taus, ds.counts, ds.dwell)
+    path = tmp_path / "fringe.csv"
+    ds.to_csv(path)
+    back = load_dataset(path)
+    for values in (back.taus, back.counts):
+        assert values.flags.c_contiguous and values.base is None
+
+
+@pytest.mark.parametrize("points", [3 * _BLOCK + 7, 1])
+def test_blocked_counts_equal_one_shot_draws(detector, points):
+    """Drawn block by block, the counts equal one CounterRng.poisson call
+    over every mean; the means straddle the inversion/PTRS branch at 10."""
+    step = 1e-13
+    scan = ScanConfig(-1e-9, -1e-9 + (points - 0.6) * step, step, 1.0)
+    model = flat_model(0.9)
+    ds = simulate_fringe(model, scan, detector, 80.0, seed=11, accidental=2.0)
+    assert len(ds) == points
+    eta = detector.efficiency_signal * detector.efficiency_idler
+    means = scan.dwell * (80.0 * eta * hom_multi(model, scan.grid()) + 2.0)
+    assert points == 1 or (means.min() < 10.0 <= means.max())
+    expected = CounterRng(11, STREAM_FRINGE).poisson(means, counter=np.arange(points))
+    np.testing.assert_array_equal(ds.counts, expected)
+
+
+@pytest.mark.parametrize("row", [0, _BLOCK - 1, _BLOCK, -1],
+                         ids=["first", "block_end", "block_start", "last"])
+def test_header_grid_checked_in_every_block(tmp_path, detector, row):
+    """A delay 2 ulp off its header grid is refused wherever it lies."""
+    scan = ScanConfig(-1e-9, -1e-9 + 2 * _BLOCK * 1e-13, 1e-13, 1.0)
+    ds = simulate_fringe(flat_model(0.5), scan, detector, 100.0, seed=6)
+    taus = ds.taus.copy()
+    taus[row] = np.nextafter(np.nextafter(taus[row], np.inf), np.inf)
+    assert float(repr(float(taus[row] * 1e12))) * 1e-12 == taus[row]
+    path = tmp_path / "fringe.csv"
+    FringeDataset(taus, ds.counts, ds.dwell, ds.metadata).to_csv(path)
+    with pytest.raises(DomainError, match="fringe.csv.*1 ulp"):
+        load_dataset(path)
+
+
+def test_dataset_refuses_scalars_and_a_step_back_at_a_block_edge():
+    with pytest.raises(DomainError, match="1-d"):
+        FringeDataset(np.float64(1.0), np.int64(3), 1.0)
+    with pytest.raises(DomainError, match="1-d"):
+        FringeDataset(1.0, [3], 1.0)
+    taus = np.arange(2.0 * _BLOCK)
+    taus[_BLOCK] = taus[_BLOCK - 1]
+    with pytest.raises(DomainError, match="increasing"):
+        FringeDataset(taus, np.zeros(taus.size, np.int64), 1.0)
+
+
+@pytest.mark.parametrize("first, second", [(10, 5), (2000, 1500)])
+def test_write_rows_refuses_unequal_columns(first, second):
+    with pytest.raises(DomainError, match=f"{first} and {second}"):
+        write_rows(io.StringIO(), np.zeros(first), np.zeros(second, np.int64))
 
 
 @pytest.mark.parametrize("text, taus_ps, counts", [
