@@ -36,6 +36,7 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _SAMPLES = (lambda v: 2 <= v <= 1_000_000, "must lie in [2, 1,000,000]")
+_SEED = (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)")
 _ns = lambda x: x * 1e-9
 _ps = lambda x: x * 1e-12
 
@@ -82,7 +83,7 @@ _KEYS = (
     ("tomography", "theta_target_deg", "0.0", "theta_target", math.radians, None),
     ("tomography", "samples", "20000", "samples", int, _SAMPLES),
     ("tomography", "total_rate_hz", "140.68", "total_rate", float, _NON_NEGATIVE),
-    ("run", "seed", "12345", "seed", int, None),
+    ("run", "seed", "12345", "seed", int, _SEED),
 )
 
 DEFAULTS: dict[str, dict[str, str]] = {}

@@ -12,8 +12,10 @@ any parameter held fixed during the profile and yields the covariance.
 Fringe fits profile the delay offset tau0 with 3x3 solves, mixed from one
 Gram matrix per scan, for the baseline and the beat's cos and sin amplitudes;
 envelope fits score a (t0, log linewidth) grid of the folded envelope on
-at most 128 bin means of the scan, O(N) work.  Internally all times are in
-picoseconds, which keeps the Jacobian's columns comparable.
+at most 128 bin means of the scan, O(N) work; the grid's 297 x 128 table
+of E^2 is built once per delay grid and kept (one grid, about 0.3 MB) for
+the next fit on the same grid, with unchanged reports.  Internally all
+times are in picoseconds, which keeps the Jacobian's columns comparable.
 
 Accidental floor note: only (1 - alpha) V is identifiable from one scan,
 so the fits assume no floor and report (1 - alpha) V as the visibility;
@@ -22,6 +24,7 @@ fringe reports list alpha = 0.0 as fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -427,6 +430,28 @@ def _result(design, theta, cov, residual_ss, iterations, flags):
                      int(iterations), flags)
 
 
+@functools.lru_cache(maxsize=1)
+def _start_table(ends, tau, n):
+    """(t0 grid, u grid, E^2, sum n E^4) of `_envelope_start`, read-only.
+
+    ends, tau and n are the bytes of the first and last delay, the bin-mean
+    delays and the bin sizes: the table is a pure function of them, so it is
+    kept for the next fit on the same grid.  Bytes, not floats, keep a first
+    delay of -0.0 apart from 0.0, and the key holds no per-delay array.
+    """
+    first, last = np.frombuffer(ends)
+    tau, n = np.frombuffer(tau), np.frombuffer(n)
+    span_ps = float(last - first)
+    t0g, ug = (g.ravel() for g in np.meshgrid(
+        np.linspace(first, last, 33),
+        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)), indexing="ij"))
+    e2 = envelope_terms(np.exp(ug[:, None]), tau - t0g[:, None])[2] ** 2
+    table = (t0g, ug, e2, e2**2 @ n)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _envelope_start(taus_ps, counts):
     """(t0, u = log sigma_ps) grid of the folded envelope model and its costs.
 
@@ -440,20 +465,19 @@ def _envelope_start(taus_ps, counts):
     / sum n E^4 clipped at 0 (one delay per bin, the per-point score, when
     N <= _START_BINS).  The grid is 33 delay offsets spanning the scan (a
     bin is a quarter of their step) times 9 log-spaced linewidths in (1/4 ..
-    8) 2/span.  Work: O(N + 297 _START_BINS), not O(297 N).
+    8) 2/span.  Work: O(N + 297 _START_BINS), not O(297 N).  The 297 x
+    _START_BINS table of E^2 depends on the delays only; it is built once
+    per delay grid by `_start_table` and kept (about 0.3 MB) for the next
+    fit on the same grid, with the same costs to the bit.
     """
     baseline = counts.mean()
     dev = np.abs(counts - baseline)
     floor2 = 2.0 * baseline / math.pi
-    span_ps = float(taus_ps[-1] - taus_ps[0])
     cuts = np.linspace(0, taus_ps.size, min(_START_BINS, taus_ps.size) + 1).astype(np.intp)
     n = np.diff(cuts).astype(np.float64)
     tau, dbar, qbar = (np.add.reduceat(v, cuts[:-1]) / n for v in (taus_ps, dev, dev**2 - floor2))
-    t0g, ug = (g.ravel() for g in np.meshgrid(
-        np.linspace(taus_ps[0], taus_ps[-1], 33),
-        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)), indexing="ij"))
-    e2 = envelope_terms(np.exp(ug[:, None]), tau - t0g[:, None])[2] ** 2
-    k = np.maximum(e2 @ (n * qbar) / (e2**2 @ n), 0.0)
+    t0g, ug, e2, e4n = _start_table(taus_ps[[0, -1]].tobytes(), tau.tobytes(), n.tobytes())
+    k = np.maximum(e2 @ (n * qbar) / e4n, 0.0)
     return t0g, ug, (dbar - np.sqrt(k[:, None] * e2 + floor2)) ** 2 @ n
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .comb import pair_for_index, q_factor, resonance_lines, transmission
-from .config import ScenarioConfig, format_passbands
+from .config import _SEED, ScenarioConfig, format_passbands
 from .counting import (MAX_SCAN_POINTS, accidental_rate, computational_basis_counts,
                        simulate_fringe, write_rows)
 from .errors import ConfigurationError, DomainError
@@ -70,6 +70,8 @@ def run_scenario(
     if name == "fig4":
         _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
+    if seed is not None and not _SEED[0](int(seed)):
+        raise ConfigurationError(f"--seed {_SEED[1]} (got {seed})")
     seed = cfg.seed if seed is None else int(seed)
     try:
         os.makedirs(out_dir, exist_ok=True)

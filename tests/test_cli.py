@@ -74,6 +74,28 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, entry, below):
     assert blocker.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("argv, ini, label", [
+    (["--seed", "-1"], "", "--seed"),
+    (["--seed", str(2**64)], "", "--seed"),
+    ([], "[run]\nseed = -1\n", "[run] seed"),
+], ids=["flag_negative", "flag_2**64", "config_negative"])
+@pytest.mark.parametrize("entry", ["freqbin", "reproduce_all"])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, entry, argv, ini, label):
+    """A seed outside [0, 2**64) would alias another seed: exit 2 naming it, write nothing."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "o"
+    argv = [*argv, "--config", str(cfg), "--out", str(out)]
+    if entry == "freqbin":
+        code = main(["fig3", "--pairs", "5", *argv])
+    else:
+        code = runpy.run_path(str(REPRODUCE_ALL))["main"](argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {label} ") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise FitError("no convergence")

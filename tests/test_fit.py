@@ -1,5 +1,6 @@
 """Fringe fitting, envelope fitting, balance, and state reconstruction."""
 
+import gc
 import math
 from types import SimpleNamespace
 
@@ -523,6 +524,82 @@ def test_start_cell_matches_the_full_grid_over_seeds(monkeypatch):
             ref = fit_envelope(ds)
         for key in ("fwhm", "tau0", "visibility"):
             assert abs(res.params[key] - ref.params[key]) <= 1e-3 * res.sigmas[key], key
+
+
+def _start_bytes(taus_ps, counts, cold=False):
+    """`_envelope_start`'s (t0 grid, u grid, costs) as bytes, from an empty table cache if cold."""
+    if cold:
+        freqbin.fit._start_table.cache_clear()
+    return tuple(a.tobytes() for a in _envelope_start(taus_ps, counts))
+
+
+def _poisson_start_input(taus_ps, seed):
+    counts = np.random.default_rng(seed).poisson(500.0 + 300.0 * np.cos(taus_ps / 40.0))
+    return taus_ps, counts.astype(np.float64)
+
+
+def _start_table_cache():
+    """The lru_cache dict of `_start_table`: argument tuples to cache entries."""
+    return next(r for r in gc.get_referents(freqbin.fit._start_table) if isinstance(r, dict)
+                and all(isinstance(k, tuple) for k in r))
+
+
+def test_start_table_cache_matches_cold_starts_on_interleaved_grids():
+    # B shares A's first and last delay, so only the bin means tell them apart.
+    grid_a = np.linspace(0.0, 2400.0, 1201)
+    grid_b = np.linspace(0.0, 2400.0, 801)
+    scans = [_poisson_start_input(taus, seed)
+             for seed, taus in enumerate((grid_a, grid_b, grid_a, grid_a))]
+    freqbin.fit._start_table.cache_clear()
+    warm = [_start_bytes(*scan) for scan in scans]
+    assert freqbin.fit._start_table.cache_info().hits == 1
+    assert warm == [_start_bytes(*scan, cold=True) for scan in scans]
+
+
+def test_start_table_arrays_are_read_only():
+    freqbin.fit._start_table.cache_clear()
+    _envelope_start(*_poisson_start_input(np.linspace(0.0, 2400.0, 1201), 0))
+    (key, _), = _start_table_cache().items()
+    table = freqbin.fit._start_table(*key)
+    assert len(table) == 4
+    for array in table:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_start_table_keeps_negative_zero_apart():
+    # -0.0 == 0.0 as floats; the byte key gives each first delay its own table.
+    positive = np.linspace(0.0, 2400.0, 1201)
+    negative = positive.copy()
+    negative[0] = -0.0
+    scans = [_poisson_start_input(taus, 3) for taus in (positive, negative, positive)]
+    freqbin.fit._start_table.cache_clear()
+    warm = [_start_bytes(*scan) for scan in scans]
+    assert freqbin.fit._start_table.cache_info().misses == 3
+    assert warm == [_start_bytes(*scan, cold=True) for scan in scans]
+
+
+def test_start_table_cache_holds_no_delays():
+    taus_ps = np.linspace(0.0, 2400.0, 200_001)
+    freqbin.fit._start_table.cache_clear()
+    _envelope_start(*_poisson_start_input(taus_ps, 1))
+    (key, _), = _start_table_cache().items()
+    table = freqbin.fit._start_table(*key)  # a hit: the cached arrays themselves
+    assert freqbin.fit._start_table.cache_info().hits == 1
+    assert all(isinstance(part, bytes) and len(part) < taus_ps.nbytes for part in key)
+    held = sum(map(len, key)) + sum(a.nbytes for a in table)
+    assert held < 2**20
+
+
+def test_envelope_reports_match_with_a_cold_or_warm_start_table():
+    scans = [_stock_coarse(seed) for seed in range(20)]
+    warm = [fit_envelope(ds).report() for ds in scans]
+    cold = []
+    for ds in scans:
+        freqbin.fit._start_table.cache_clear()
+        cold.append(fit_envelope(ds).report())
+    assert warm == cold
 
 
 def _count_least_squares(monkeypatch):
