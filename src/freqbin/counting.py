@@ -12,13 +12,13 @@ A dataset's CSV holds `# key=value` header lines, a `delay_ps,counts` line
 and one row per point.  A simulated dataset's headers include the grid's
 `tau_start_s` and `tau_step_s`, from which `load_dataset` rebuilds the
 delays bit for bit; the picosecond column alone can come back 1 ulp off.
-Each row holds the repr of its values.  `write_rows` writes these rows, and
-the `{:.9g}` rows of the transmission sweep.  It formats every block of at
-least 1,024 rows with numpy, exactly: Dekker's product gives each value's
-exact decimal digits, from which repr's choice of 15, 16 or 17 digits or
-%g's half-even rounding is made.  It hands the few values outside that
-method to Python's format; the bytes are those of the per-row
-comprehension, which writes shorter blocks.
+Each row of every CSV the package writes, the transmission sweep's
+included, holds the repr of its values, so every file reloads bit for bit.
+`write_rows` writes these rows.  It formats every block of at least 1,024
+rows with numpy, exactly: Dekker's product gives each value's exact
+decimal digits, from which repr's choice of 15, 16 or 17 digits is made.
+It hands the few values outside that method to repr itself; the bytes are
+those of the per-row comprehension, which writes shorter blocks.
 """
 
 from __future__ import annotations
@@ -181,47 +181,35 @@ class FringeDataset:
                 write_rows(fh, self.taus[i:i + _BLOCK] * 1e12, self.counts[i:i + _BLOCK])
 
 
-def write_rows(fh, first: np.ndarray, second: np.ndarray,
-               significant: int | None = None) -> None:
+def write_rows(fh, first: np.ndarray, second: np.ndarray) -> None:
     """Write one `first,second` line per element pair, _BLOCK rows per
-    write.  Each value is the repr of its Python float or int, or with
-    `significant` = P (1 to 16) its `"{:.Pg}"` text.
+    write.  Each value is the repr of its Python float or int.
 
-    A block of at least _KERNEL_ROWS float64 firsts and float64 seconds
-    (or, for repr, int64 seconds) is formatted by numpy (`_block_text`),
-    with Python's format itself for the values its exact method leaves out;
-    the bytes are those of the per-row comprehension, which formats shorter
-    blocks and other dtypes.  Columns of unequal length raise DomainError.
+    A block of at least _KERNEL_ROWS float64 firsts and float64 or int64
+    seconds is formatted by numpy (`_block_text`), with repr itself for the
+    values its exact method leaves out; the bytes are those of the per-row
+    comprehension, which formats shorter blocks and other dtypes.  Columns
+    of unequal length raise DomainError.
     """
     if len(first) != len(second):
         raise DomainError(f"write_rows needs columns of equal length, "
                           f"got {len(first)} and {len(second)} values")
-    if significant is None:
-        second_dtypes = (np.float64, np.int64)
-    elif 1 <= significant <= 16:
-        second_dtypes = (np.float64,)
-        row = f"{{:.{significant}g}},{{:.{significant}g}}\n".format
-    else:
-        raise DomainError("significant must be None or a digit count from 1 to 16")
-    kernel = first.dtype == np.float64 and second.dtype in second_dtypes
+    kernel = first.dtype == np.float64 and second.dtype in (np.float64, np.int64)
     for i in range(0, len(first), _BLOCK):
         a, b = first[i:i + _BLOCK], second[i:i + _BLOCK]
         if kernel and len(a) >= _KERNEL_ROWS:
-            fh.write(_block_text(a, b, significant))
-        elif significant is None:  # the f-string is the faster repr here
-            fh.write("".join([f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())]))
+            fh.write(_block_text(a, b))
         else:
-            fh.write("".join(map(row, a.tolist(), b.tolist())))
+            fh.write("".join([f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())]))
 
 
-def _block_text(first: np.ndarray, second: np.ndarray, significant: int | None = None) -> str:
-    """The rows write_rows writes for float64 `first` and float64 (or, for
-    repr, int64) `second`: each value's characters go into a rows x slots
-    uint8 matrix, NUL in the slots it does not use, and the NULs are dropped."""
+def _block_text(first: np.ndarray, second: np.ndarray) -> str:
+    """The rows write_rows writes for float64 `first` and float64 or int64
+    `second`: each value's characters go into a rows x slots uint8 matrix,
+    NUL in the slots it does not use, and the NULs are dropped."""
     comma, newline = (np.full((len(first), 1), ord(c), np.uint8) for c in ",\n")
-    right = (_float_chars(second, significant) if second.dtype == np.float64
-             else _int_chars(second))
-    chars = np.concatenate([_float_chars(first, significant), comma, right, newline], axis=1)
+    right = _float_chars(second) if second.dtype == np.float64 else _int_chars(second)
+    chars = np.concatenate([_float_chars(first), comma, right, newline], axis=1)
     return chars.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -244,24 +232,17 @@ def _put_digits(chars: np.ndarray, mag: np.ndarray) -> None:
         mag = q
 
 
-def _float_chars(x: np.ndarray, significant: int | None = None) -> np.ndarray:
-    """repr (or `"{:.Pg}"`, P = significant) of each float64 in fixed form: a
-    sign slot, the integer digits right-aligned, '.', and the fraction
-    digits up to the last nonzero one.  repr keeps at least one fraction
-    digit; %g drops the '.' when no fraction digit is left.  Values the
-    digit functions leave out are written by Python's format itself."""
-    if significant is None:
-        m, e, slow = _shortest_digits(x)
-        last, fmt = 16, repr  # m holds 17 digits
-    else:
-        m, e, slow = _significant_digits(x, significant)
-        last, fmt = significant - 1, f"{{:.{significant}g}}".format
+def _float_chars(x: np.ndarray) -> np.ndarray:
+    """repr of each float64 in fixed form: a sign slot, the integer digits
+    right-aligned, '.', and the fraction digits up to the last nonzero one,
+    at least one.  Values the digit functions leave out are written by repr
+    itself."""
+    m, e, slow = _shortest_digits(x)
     e = np.where(slow, e.max(initial=0, where=~slow), e)
     m = m.astype(np.uint64)
     p10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-    # At least one fraction slot: %g leaves it empty when it has no fraction digit.
-    wi, wf = max(int(e.max()), 0) + 1, max(last - int(e.min()), 1)
-    unit = p10[last - e]
+    wi, wf = max(int(e.max()), 0) + 1, 16 - int(e.min())  # m holds 17 digits
+    unit = p10[16 - e]
     whole = m // unit
     frac = (m - whole * unit) * p10[e - e.min()]  # wf digits, left-aligned
     chars = np.zeros((len(x), wi + wf + 2), np.uint8)
@@ -274,15 +255,11 @@ def _float_chars(x: np.ndarray, significant: int | None = None) -> np.ndarray:
         nonzero |= d != 0
         chars[:, c] = (d + 48) * nonzero
         frac = q
-    if significant is None:  # repr writes the '.' and the first fraction digit
-        nonzero[:] = True
-    else:
-        nonzero |= frac != 0
-    chars[:, wi + 1] = nonzero * ord(".")
-    chars[:, wi + 2] = (frac + 48) * nonzero
+    chars[:, wi + 1] = ord(".")
+    chars[:, wi + 2] = frac + 48
     idx = np.flatnonzero(slow)
     if idx.size:
-        text = np.array([fmt(v) for v in x[idx].tolist()], dtype="S")
+        text = np.array([repr(v) for v in x[idx].tolist()], dtype="S")
         if text.itemsize > chars.shape[1]:
             chars = np.pad(chars, ((0, 0), (0, text.itemsize - chars.shape[1])))
         chars[idx] = text.astype(f"S{chars.shape[1]}").view(np.uint8).reshape(idx.size, -1)
@@ -321,34 +298,10 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return m, e, slow
 
 
-def _significant_digits(x: np.ndarray,
-                        significant: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`"{:.Pg}"`'s digits of each float64, P = significant, as a P-digit
-    int64 m and the decimal exponent e after rounding, so |x| rounds to
-    m * 10**(e - P + 1); and `_exact_digits`' mask of the values left to
-    Python, widened by those %g writes in exponent form (e >= P).
-
-    %g rounds the exact binary value half-even.  n + phi is rounded at the
-    unit 10**(17 - P), deciding from the integer remainder r and phi
-    apart: up when r exceeds half the unit, or equals it and phi > 0 or
-    the quotient is odd.  (The float r + phi drops phi's low bits once r
-    reaches 2**10; for P up to 7 that can put it on the half unit.)  A
-    carry to 10**P moves e up by one.
-    """
-    n, phi, e, slow = _exact_digits(x)
-    unit = 10 ** (17 - significant)
-    q = n // unit
-    r = n - q * unit
-    q += (r > unit // 2) | ((r == unit // 2) & ((phi > 0) | ((q & 1) == 1)))
-    carry = q == 10**significant
-    e = e + carry
-    return np.where(carry, q // 10, q), e, slow | (e >= significant)
-
-
 def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """|x| * 10**(16 - e) as n + phi exactly, n an int64 in [1e16, 1e17) and
     phi a float64 in [0, 1), with e = floor(log10 |x|); and a mask of the
-    values left to Python's format: 0.0, non-finite values and |x| outside
+    values left to repr: 0.0, non-finite values and |x| outside
     [1e-3, 1e15), which repr writes in exponent form or which lie past the
     exact powers of ten.  Masked values get e = 0 and the digits of 1.0.
 
@@ -461,9 +414,9 @@ def simulate_fringe(
         raise DomainError("pair_rate must be non-negative")
     if accidental < 0:
         raise DomainError("accidental rate must be non-negative")
+    rng = CounterRng(seed, STREAM_FRINGE)
     taus = scan.grid()
     eta = det.efficiency_signal * det.efficiency_idler
-    rng = CounterRng(seed, STREAM_FRINGE)
     counts = np.empty(taus.size, dtype=np.int64)
     for i in range(0, taus.size, _BLOCK):
         block = taus[i:i + _BLOCK]

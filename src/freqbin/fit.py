@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import FringeDataset
+from .counting import MAX_SCAN_POINTS, FringeDataset
 from .errors import DomainError, FitError, ReconstructionError
 from .hom import envelope_terms
 from .rng import STREAM_RECON, CounterRng
@@ -313,6 +313,15 @@ def tau0_profile_points(detunings) -> int:
     return math.ceil(32.0 * max(detunings) / min(detunings)) + 1
 
 
+def _profile_work(pairs: int, detunings) -> int:
+    """Design entries of `fit_fringe`'s tau0 profile that do not grow with
+    the scan, for M = `pairs` pairs whose beat detunings range over
+    `detunings` (their lowest and highest suffice): the (2M + 1)-column
+    mixing weights of each `tau0_profile_points` offset, and the Gram matrix."""
+    cols = 2 * pairs + 1
+    return max(tau0_profile_points(detunings) * cols, cols**2)
+
+
 def fit_fringe(
     data: FringeDataset,
     detunings,
@@ -329,7 +338,9 @@ def fit_fringe(
     sigma is accepted only as None (any other value raises DomainError).
     The fit assumes no accidental floor and reports alpha = 0.0 as fixed.
     fit_detuning (single pair only) frees the beat detuning so the
-    oscillation period is itself measured.
+    oscillation period is itself measured.  Detunings whose tau0 profile
+    would take more than MAX_SCAN_POINTS design entries (see
+    `_profile_work`) raise DomainError before anything is allocated.
 
     Search: at fixed tau0 (and the given detunings) the model is linear in
     the baseline and the beat's cosine and sine amplitudes, so each tau0
@@ -356,6 +367,12 @@ def fit_fringe(
         raise DomainError("detunings must be positive and finite")
     if fit_detuning and len(detunings) != 1:
         raise DomainError("fit_detuning requires a single pair")
+    work = _profile_work(len(detunings), detunings)
+    if work > MAX_SCAN_POINTS:
+        raise DomainError(
+            f"detunings {min(detunings):.6g} to {max(detunings):.6g} Hz over "
+            f"{len(detunings)} pairs: the tau0 profile would take {work:,} design "
+            f"entries, above {MAX_SCAN_POINTS:,}")
 
     taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
     counts = data.counts.astype(np.float64)
@@ -509,7 +526,10 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
             raise DomainError("fit_envelope needs the beat detunings (argument or "
                               "dataset metadata detunings_hz)")
         raw = str(data.metadata["detunings_hz"])
-        detunings = [float(tok) for tok in raw.split(",") if tok]
+        try:
+            detunings = [float(tok) for tok in raw.split(",") if tok]
+        except ValueError as exc:  # its message names the token
+            raise DomainError(f"dataset metadata detunings_hz: {exc}") from None
     d_ps = [float(d) * _PS for d in np.atleast_1d(detunings)]
     if len(d_ps) != 1:
         raise DomainError(

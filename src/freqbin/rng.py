@@ -16,6 +16,7 @@ are Box-Muller on slots 2s and 2s + 1 for slot s.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -77,13 +78,22 @@ class CounterRng:
     """Stateless generator keyed by (seed, stream); draws take a counter.
 
     Counters identify independent sampling sites (a scan point, a Monte
-    Carlo draw); slots index multiple values needed at one site.
+    Carlo draw); slots index multiple values needed at one site.  A seed
+    outside the integers in [0, 2**64) raises DomainError.
     """
 
     def __init__(self, seed: int, stream: int = 0):
+        # A seed is an integer in [0, 2**64): masking a wider one would alias
+        # another seed's draws, and truncating 1.5 would draw those of 1.
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise DomainError(f"seed must be an integer, got {seed!r}") from None
+        if not 0 <= seed <= _WORD:
+            raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
         # numpy scalar uint64 ops warn on overflow; array ops wrap silently,
         # so the mixed (seed, stream) key is kept as a 1-element array.
-        key = _splitmix(np.array([int(seed) & _WORD], dtype=np.uint64))
+        key = _splitmix(np.array([seed], dtype=np.uint64))
         self._key = _splitmix(key ^ np.uint64(int(stream) & _WORD))
 
     def _hash(self, counter: np.ndarray, slot: np.ndarray) -> np.ndarray:

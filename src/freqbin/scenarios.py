@@ -3,8 +3,8 @@
 Each scenario writes its data/fit files plus a manifest (resolved config,
 seed, package and numpy versions) into the output directory and returns a
 text summary.  Sub-scans within a scenario use consecutive derived seeds
-so their draws are independent while the whole run stays a pure function
-of (config, seed).
+(wrapped into [0, 2**64)) so their draws are independent while the whole
+run stays a pure function of (config, seed).
 
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
@@ -29,7 +29,7 @@ from .config import _SEED, ScenarioConfig, format_passbands
 from .counting import (MAX_SCAN_POINTS, accidental_rate, computational_basis_counts,
                        simulate_fringe, write_rows)
 from .errors import ConfigurationError, DomainError
-from .fit import estimate_balance, fit_envelope, fit_fringe, reconstruct, tau0_profile_points
+from .fit import _profile_work, estimate_balance, fit_envelope, fit_fringe, reconstruct
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
 from .states import (
     density_report,
@@ -147,17 +147,16 @@ def _check_profile_work(cfg: ScenarioConfig, pairs: range, label: str) -> None:
     """Reject a multiplexed fit of `pairs` in the multi window that would take too long.
 
     For M pairs fit_fringe builds a (2M + 1)-column design over the multi
-    window and its Gram matrix, then mixes the columns once per
-    `tau0_profile_points` offset: each size is at most MAX_SCAN_POINTS.  A
-    single pair fits the pair window, which the config bounds.  No list of
-    pairs is built (a range can name more pairs than fit in memory).
+    window, and its profile work (`fit._profile_work`): each size is at most
+    MAX_SCAN_POINTS.  A single pair fits the pair window, which the config
+    bounds.  No list of pairs is built (a range can name more pairs than
+    fit in memory).
     """
     if len(pairs) == 1:
         return
-    cols = 2 * len(pairs) + 1
-    offsets = tau0_profile_points([float(pair_for_index(cfg.resonator, m).detuning)
-                                   for m in (pairs[0], pairs[-1])])
-    work = max(cols * len(cfg.delay_scan("multi")), offsets * cols, cols**2)
+    ends = [float(pair_for_index(cfg.resonator, m).detuning) for m in (pairs[0], pairs[-1])]
+    work = max((2 * len(pairs) + 1) * len(cfg.delay_scan("multi")),
+               _profile_work(len(pairs), ends))
     if work > MAX_SCAN_POINTS:
         raise ConfigurationError(
             f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, [scan] fine_step_ps: "
@@ -232,7 +231,7 @@ def _run_spectrum(cfg, out_dir, seed):
     trans = transmission(model, freqs)
     with open(os.path.join(out_dir, "transmission.csv"), "w") as fh:
         fh.write("frequency_thz,transmittance\n")
-        write_rows(fh, freqs / 1e12, trans, significant=9)
+        write_rows(fh, freqs / 1e12, trans)
 
     scan = singles_spectrum_scan(
         model, cfg.scan_band, cfg.scan_step, cfg.channel_width,
@@ -266,8 +265,8 @@ def _run_fig2(cfg, out_dir, seed):
     with open(os.path.join(out_dir, "envelope_fit.txt"), "w") as fh:
         fh.write(env_fit.report())
 
-    za = _fit_scan(cfg, out_dir, "fine_zero", model, "fine_zero", seed + 1)
-    zb = _fit_scan(cfg, out_dir, "fine_offset", model, "fine_offset", seed + 2)
+    za = _fit_scan(cfg, out_dir, "fine_zero", model, "fine_zero", (seed + 1) % 2**64)
+    zb = _fit_scan(cfg, out_dir, "fine_offset", model, "fine_offset", (seed + 2) % 2**64)
     return "\n".join([
         "scenario = fig2",
         f"fwhm_true_hz = {float(cfg.resonator.fwhm)!r}",
@@ -329,7 +328,7 @@ def _run_fig4(cfg, out_dir, seed, phase_deg):
         ("multi", _FIG4_MULTI, "multi", 1),
     ):
         model = _fringe_model(cfg, indices, phi)
-        res = _fit_scan(cfg, out_dir, stem, model, window, seed + sub)
+        res = _fit_scan(cfg, out_dir, stem, model, window, (seed + sub) % 2**64)
         err = (res.phi - theta_t + math.pi) % (2.0 * math.pi) - math.pi
         lines += [
             f"{stem}_visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",

@@ -96,6 +96,20 @@ def test_out_of_range_seed_exits_2(tmp_path, capsys, entry, argv, ini, label):
     assert not out.exists()
 
 
+def test_sub_scans_wrap_past_the_top_seed(tmp_path):
+    """At --seed 2**64 - 1, fig2's and fig4's later sub-scans draw seeds 0
+    and 1, and their headers name the seed drawn."""
+    top = 2**64 - 1
+    expected = {"fig2": {"coarse.csv": top, "fine_zero.csv": 0, "fine_offset.csv": 1},
+                "fig4": {"single.csv": top, "multi.csv": 0}}
+    for scenario, files in expected.items():
+        out = tmp_path / scenario
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([scenario, "--seed", str(top), "--out", str(out)]) == 0
+        for name, seed in files.items():
+            assert f"# seed={seed}\n" in (out / name).read_text()
+
+
 def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise FitError("no convergence")

@@ -4,11 +4,10 @@ import io
 import math
 import tracemalloc
 import warnings
-from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import freqbin.counting
 from freqbin.comb import pair_for_index, transmission
@@ -268,83 +267,21 @@ def test_full_blocks_match_repr_sweep():
         assert fh.getvalue() == _rows(first, second)
 
 
-def _format_rows(first, second, significant):
-    """What write_rows must write with `significant`: each value's "{:.Pg}"."""
-    row = f"{{:.{significant}g}},{{:.{significant}g}}\n"
-    return "".join(map(row.format, first.tolist(), second.tolist()))
-
-
-def _written(first, second, significant=None):
+def _written(first, second):
     fh = io.StringIO()
-    write_rows(fh, first, second, significant=significant)
+    write_rows(fh, first, second)
     return fh.getvalue()
-
-
-@given(st.lists(st.floats(), min_size=1, max_size=64),
-       st.one_of(st.just(9), st.integers(1, 16)))
-@example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 100.0078125,
-          9.9999999951, 999999999.6, 1e-3, 1e9, 1e15, 194.0, 0.5], 9)
-@settings(max_examples=100, deadline=None)
-def test_significant_kernel_matches_format(values, significant):
-    """The values tiled to _KERNEL_ROWS rows, so that numpy formats them."""
-    x = np.resize(np.array(values), _KERNEL_ROWS)
-    y = x[::-1].copy()
-    assert _written(x, y, significant) == _format_rows(x, y, significant)
-
-
-def test_significant_sweep_matches_format():
-    """2**20 values at 9 digits: random bits across and past the kernel's
-    band, 9-digit ties and their neighbours, carries into the next decade,
-    the band edges and every power of two."""
-    rng = np.random.default_rng(20)
-    size = 2**20
-    mantissa = rng.integers(0, 2**52, size, dtype=np.uint64)
-    exponent = rng.integers(1023 - 14, 1023 + 54, size, dtype=np.uint64)
-    sign = rng.integers(0, 2, size, dtype=np.uint64)
-    values = ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64)
-    # Ties: odd N / 2**j in [10**(9 - j), 10**(10 - j)) has 10 significant
-    # digits, the last one a 5.
-    ties = np.concatenate([(rng.integers(10**9 // 5**j, 10**10 // 5**j, 4096) | 1) / 2.0**j
-                           for j in range(1, 13)])
-    assert all(len(Decimal(t).as_tuple().digits) == 10 for t in ties.tolist())
-    ties *= np.where(rng.random(ties.size) < 0.5, -1.0, 1.0)
-    # Within 1e-9 below each power of ten from 1e-3 to 1e15: half of them
-    # round up to it, as 9.9999999951 and 999999999.6 do.
-    carries = np.concatenate([10.0**k * (1.0 - 1e-9 * rng.random(4096)) for k in range(-3, 16)])
-    edges = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 100.0078125,
-                      9.9999999951, 9.9999999949, 999999999.6, 999999999.4])
-    decades = np.array([1e-3, -1e-3, 1e9, -1e9, 1e15, -1e15])
-    powers = np.ldexp(1.0, np.arange(-1074, 1024))
-    special = np.concatenate([ties, carries, edges, powers, -powers])
-    special = np.concatenate([special, *(np.nextafter(v, to) for v in (ties, decades, powers)
-                                         for to in (-np.inf, np.inf)), decades])
-    values[rng.permutation(size)[:special.size]] = special
-    first, second = values[:size // 2], values[size // 2:]
-    assert _written(first, second, 9) == _format_rows(first, second, 9)
-
-
-@pytest.mark.parametrize("significant", range(1, 17))
-def test_significant_near_ties_match_format(significant):
-    """The floats nearest P-digit decimal ties, written with P digits.  At
-    small P some lie so close to the tie that the float sum of remainder
-    and phi would land on it and misround (at P = 2, 51 in 20,000 do)."""
-    rng = np.random.default_rng(significant)
-    digits = rng.integers(10 ** (significant - 1), 10**significant, 4096).tolist()
-    exponents = rng.integers(-3 - significant, 0, 4096).tolist()
-    x = np.array([float(f"{m}5e{k}") for m, k in zip(digits, exponents)])
-    y = -x[::-1]
-    assert _written(x, y, significant) == _format_rows(x, y, significant)
 
 
 @pytest.mark.parametrize("rows", [1023, 1024, 1201])
 def test_kernel_takes_blocks_of_1024_rows_or_more(monkeypatch, rows):
-    """Both formats against the comprehension; numpy formats the block at
-    _KERNEL_ROWS rows or more, except for int counts at 9 digits."""
+    """Against the comprehension; numpy formats the block at _KERNEL_ROWS
+    rows or more."""
     calls = []
 
-    def spy(first, second, significant=None):
-        calls.append(significant)
-        return _block_text(first, second, significant)
+    def spy(first, second):
+        calls.append(second.dtype)
+        return _block_text(first, second)
 
     monkeypatch.setattr(freqbin.counting, "_block_text", spy)
     rng = np.random.default_rng(rows)
@@ -353,14 +290,7 @@ def test_kernel_takes_blocks_of_1024_rows_or_more(monkeypatch, rows):
     probability = 0.5 - 0.45 * np.cos(0.37 * taus_ps) * rng.random(rows)
     for second in (counts, probability):
         assert _written(taus_ps, second) == _rows(taus_ps, second)
-        assert _written(taus_ps, second, 9) == _format_rows(taus_ps, second, 9)
-    assert calls == ([None, None, 9] if rows >= _KERNEL_ROWS else [])
-
-
-@pytest.mark.parametrize("significant", [0, 17])
-def test_significant_outside_1_to_16_rejected(significant):
-    with pytest.raises(DomainError, match="significant"):
-        write_rows(io.StringIO(), np.zeros(2), np.zeros(2), significant=significant)
+    assert calls == ([np.int64, np.float64] if rows >= _KERNEL_ROWS else [])
 
 
 @pytest.mark.parametrize("ini, zeros, below_1e3", [
@@ -369,8 +299,8 @@ def test_significant_outside_1_to_16_rejected(significant):
     ("fsr_ghz = 95.04\n", False, True),
 ])
 def test_spectrum_at_full_extinction_writes_format(tmp_path, ini, zeros, below_1e3):
-    """transmission.csv is the "{:.9g}" comprehension's, with dips that reach
-    0 (handed to Python) or fall below 1e-3 (exponent form)."""
+    """transmission.csv is the repr comprehension's, with dips that reach
+    0 (handed to repr) or fall below 1e-3 (exponent form)."""
     path = tmp_path / "c.ini"
     path.write_text("[resonator]\nextinction = 1.0\n" + ini)
     cfg = load_config(path)
@@ -378,8 +308,19 @@ def test_spectrum_at_full_extinction_writes_format(tmp_path, ini, zeros, below_1
     freqs = cfg.transmission_sweep()
     trans = transmission(cfg.resonator, freqs)
     assert (np.any(trans == 0), np.any((trans > 0) & (trans < 1e-3))) == (zeros, below_1e3)
-    expected = "frequency_thz,transmittance\n" + _format_rows(freqs / 1e12, trans, 9)
+    expected = "frequency_thz,transmittance\n" + _rows(freqs / 1e12, trans)
     assert (tmp_path / "o" / "transmission.csv").read_text() == expected
+
+
+def test_stock_transmission_reloads_bitwise(tmp_path):
+    """Each value of the stock transmission.csv reads back as the float written."""
+    cfg = load_config(None)
+    run_scenario("spectrum", cfg, tmp_path)
+    freqs = cfg.transmission_sweep()
+    back = np.loadtxt(tmp_path / "transmission.csv", delimiter=",", skiprows=1)
+    assert back.shape == (freqs.size, 2)
+    assert back[:, 0].tobytes() == (freqs / 1e12).tobytes()
+    assert back[:, 1].tobytes() == transmission(cfg.resonator, freqs).tobytes()
 
 
 def test_dense_multiplexed_scan_writes_repr_and_reloads(tmp_path, detector):

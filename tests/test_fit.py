@@ -690,6 +690,25 @@ def test_fringe_fit_detunings_must_be_positive_and_finite(detunings, detector):
         fit_fringe(ds, detunings)
 
 
+def test_fringe_fit_refuses_a_huge_profile_before_building_it(monkeypatch):
+    """[1e9, 1e15] Hz would profile 32,000,001 offsets through a 3.8 GB
+    mixing array; the refusal comes before the design is built."""
+    def built(*args, **kwargs):
+        raise AssertionError("the fringe design was built before the work check")
+
+    monkeypatch.setattr(freqbin.fit, "_FringeDesign", built)
+    ds = FringeDataset(np.arange(41) * 1e-13, np.arange(41), 1.0)
+    with pytest.raises(DomainError, match=r"detunings 1e\+09 to 1e\+15 Hz .* 160,000,005"):
+        fit_fringe(ds, [1e9, 1e15])
+
+
+def test_envelope_fit_names_a_malformed_detunings_header():
+    taus, counts = np.linspace(0.0, 2.4e-9, 41), np.arange(41)
+    for raw, token in (("abc", "'abc'"), (f"{DET2!r},x1", "'x1'")):
+        with pytest.raises(DomainError, match=f"detunings_hz: .*{token}"):
+            fit_envelope(FringeDataset(taus, counts, 1.0, {"detunings_hz": raw}))
+
+
 @pytest.mark.parametrize("fit_detuning", [False, True])
 def test_phase_gauge_covariance_is_inverse_fisher_at_zero_delay(fit_detuning, detector):
     # With tau0 pinned at 0 the model is identifiable; the reported sigmas

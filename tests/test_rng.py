@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from freqbin import rng as rng_module
+from freqbin.comb import ghz
+from freqbin.config import load_config
+from freqbin.counting import ScanConfig, computational_basis_counts, simulate_fringe
 from freqbin.errors import DomainError
+from freqbin.fit import reconstruct
+from freqbin.hom import Envelope, FringeModel
 from freqbin.rng import (
     STREAM_BASIS,
     STREAM_FRINGE,
@@ -15,6 +20,7 @@ from freqbin.rng import (
     CounterRng,
     _log_poisson_pmf,
 )
+from freqbin.wss import singles_spectrum_scan
 
 # Frozen golden values: the generator is hand-rolled precisely so these
 # never move with library versions.
@@ -173,3 +179,27 @@ def test_uniform_shape_follows_counter(shape):
     rng = CounterRng(3, 1)
     counters = np.arange(int(np.prod(shape))).reshape(shape)
     assert rng.uniforms(counters).shape == shape
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5], ids=["negative", "2**64", "fraction"])
+def test_library_entry_points_refuse_seeds_outside_0_to_2_64(seed, detector):
+    """Masking 2**64 drew the counts of seed 0, and truncating 1.5 those of 1."""
+    model = load_config().resonator
+    fringe = FringeModel(((ghz(198), 0.8, 0.0),), 0.0, 0.0, Envelope.from_fwhm(model.fwhm))
+    band = (model.pump_frequency - ghz(300), model.pump_frequency + ghz(300))
+    calls = [
+        lambda: simulate_fringe(fringe, ScanConfig(0.0, 1e-11, 1e-12, 1.0), detector, 100.0, seed),
+        lambda: reconstruct(0.5, 0.01, 0.9, 0.01, 0.0, 0.01, seed=seed),
+        lambda: computational_basis_counts(0.5, 100.0, 1.0, seed),
+        lambda: singles_spectrum_scan(model, band, ghz(5), ghz(10), 1e6, 0.0, 1.0, seed),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="seed"):
+            call()
+
+
+def test_seeds_at_the_ends_of_the_range_are_accepted():
+    top = CounterRng(2**64 - 1).uniforms(np.arange(4))
+    assert np.array_equal(CounterRng(np.uint64(2**64 - 1)).uniforms(np.arange(4)), top)
+    assert not np.array_equal(CounterRng(0).uniforms(np.arange(4)), top)
+    assert np.array_equal(CounterRng(np.int64(7)).uniforms(3), CounterRng(7).uniforms(3))
