@@ -9,6 +9,9 @@ coefficients are solved in closed form on a grid of the (at most two)
 nonlinear parameters, and the best grid point is polished once by
 Gauss-Newton with step halving on the analytic Jacobian, which also frees
 any parameter held fixed during the profile and yields the covariance.
+Each design keeps its last model evaluation, so the Jacobian at an iterate
+reuses the residual's delay offsets, beat mean and envelope terms there,
+with the same bytes as building them again.
 Fringe fits profile the delay offset tau0 with 3x3 solves, mixed from one
 Gram matrix per scan, for the baseline and the beat's cos and sin amplitudes;
 envelope fits score a (t0, log linewidth) grid of the folded envelope on
@@ -139,13 +142,20 @@ class _FringeDesign:
             self.names.append("detuning")
         if fit_sigma:
             self.names.append("log_sigma")
+        self._key = self._model = None
 
     def _cos_env(self, theta):
         """(N, V, phi, dt, detunings, sigma_ps, B, envelope) at theta.
 
         B = mean_m cos(2 pi d_m dt + phi); envelope is `envelope_terms(sigma_ps,
-        dt)`, or None (and sigma_ps None) for the flat model.
+        dt)`, or None (and sigma_ps None) for the flat model.  The last
+        evaluation is kept, read-only and keyed by the bytes of theta, so the
+        Jacobian at an iterate reuses the residual's evaluation there (see
+        `least_squares`); an evaluation that raises keeps nothing.
         """
+        key = np.asarray(theta, dtype=np.float64).tobytes()
+        if key == self._key:
+            return self._model
         n, v, phi, t0 = theta[:4]
         dets = (theta[4],) if self.fit_detuning else self.d
         sigma_ps = math.exp(theta[-1]) if self.fit_sigma else None
@@ -155,7 +165,10 @@ class _FringeDesign:
         for d in dets:
             cosb += np.cos(2.0 * math.pi * d * dt + phi)
         cosb /= len(dets)
-        return n, v, phi, dt, dets, sigma_ps, cosb, env
+        for a in (dt, cosb) + (env or ()):
+            a.flags.writeable = False
+        self._key, self._model = key, (n, v, phi, dt, dets, sigma_ps, cosb, env)
+        return self._model
 
     def residual(self, theta):
         n, v, _, _, _, _, cosb, env = self._cos_env(theta)
@@ -182,20 +195,20 @@ class _FringeDesign:
         sinb_d /= len(dets)
         g = cosb * env
         p = 0.5 - 0.5 * v * g
-        cols = []
-        cols.append(-self.sw * p)                         # scale
-        cols.append(self.sw * n * 0.5 * g)                # visibility
-        cols.append(-self.sw * n * 0.5 * v * sinb * env)  # phi
+        jac = np.empty((dt.size, len(self.names)))
+        jac[:, 0] = -self.sw * p                          # scale
+        jac[:, 1] = self.sw * n * 0.5 * g                 # visibility
+        jac[:, 2] = -self.sw * n * 0.5 * v * sinb * env   # phi
         db_dt0 = 2.0 * math.pi * sinb_d
         dp_dt0 = -0.5 * v * (db_dt0 * env + cosb * denv_dt0)
-        cols.append(-self.sw * n * dp_dt0)                # tau0
+        jac[:, 3] = -self.sw * n * dp_dt0                 # tau0
         if self.fit_detuning:
             db_dd = -sinb * 2.0 * math.pi * dt
             dp_dd = -0.5 * v * db_dd * env
-            cols.append(-self.sw * n * dp_dd)             # detuning
+            jac[:, 4] = -self.sw * n * dp_dd              # detuning
         if self.fit_sigma:
-            cols.append(self.sw * n * 0.5 * v * cosb * denv_du)  # log_sigma
-        return np.column_stack(cols)
+            jac[:, -1] = self.sw * n * 0.5 * v * cosb * denv_du  # log_sigma
+        return jac
 
     def profile(self, t0s):
         """Weighted linear fits counts ~ a + b C + c S, one per delay offset.
@@ -247,6 +260,8 @@ def least_squares(fun, x0, jac):
 
     status 1 once a step promises (0.5 |J s|^2, halved with it) at most 1e-13 of
     the cost; 0 after 400 residual evaluations.  ValueError if fun(x0) is not finite.
+    jac(x) is always called right after fun(x) at the same x, so a jac that
+    keeps fun's last evaluation (as `_FringeDesign` does) builds no model twice.
     """
     x = np.array(x0, dtype=np.float64)
     r = fun(x)

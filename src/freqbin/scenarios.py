@@ -19,6 +19,7 @@ Each fringe window runs through `_fit_scan`.
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 import numpy as np
@@ -70,9 +71,15 @@ def run_scenario(
     if name == "fig4":
         _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
         kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
-    if seed is not None and not _SEED[0](int(seed)):
-        raise ConfigurationError(f"--seed {_SEED[1]} (got {seed})")
-    seed = cfg.seed if seed is None else int(seed)
+    if seed is None:
+        seed = cfg.seed
+    else:  # 1.5 is refused, not truncated to seed 1
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ConfigurationError(f"--seed must be an integer (got {seed!r})") from None
+        if not _SEED[0](seed):
+            raise ConfigurationError(f"--seed {_SEED[1]} (got {seed})")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

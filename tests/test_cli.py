@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -108,6 +109,19 @@ def test_sub_scans_wrap_past_the_top_seed(tmp_path):
             assert main([scenario, "--seed", str(top), "--out", str(out)]) == 0
         for name, seed in files.items():
             assert f"# seed={seed}\n" in (out / name).read_text()
+
+
+def test_library_seed_must_be_an_integer(tmp_path):
+    """run_scenario refuses seed 1.5 before it creates anything, rather than
+    truncate it; a numpy integer seed runs as that integer."""
+    cfg = load_config(None)
+    with pytest.raises(ConfigurationError, match="^--seed must be an integer"):
+        freqbin.scenarios.run_scenario("fig5", cfg, tmp_path / "half", seed=1.5)
+    assert not (tmp_path / "half").exists()
+    for name, seed in (("numpy", np.int64(7)), ("int", 7)):
+        freqbin.scenarios.run_scenario("fig5", cfg, tmp_path / name, seed=seed)
+    assert "seed = 7\n" in (tmp_path / "numpy" / "manifest.txt").read_text()
+    assert _tree(tmp_path / "numpy") == _tree(tmp_path / "int")
 
 
 def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -199,6 +199,28 @@ def test_header_grid_contradicted_by_column_rejected(tmp_path, detector):
         load_dataset(path)
 
 
+def _assert_same(actual, expected):
+    """actual == expected for large str or bytes values, failing at once.
+
+    pytest's own report of a failed == builds a diff of both whole values,
+    which for a file of 10**5 rows does not finish; this names the first
+    differing line (str) or byte offset (bytes) and both lengths instead.
+    """
+    __tracebackhide__ = True
+    if actual == expected:
+        return
+    if isinstance(actual, bytes):
+        at = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+                  min(len(actual), len(expected)))
+        where = f"byte {at}"
+    else:
+        got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        where = f"line {at + 1}: {got[at:at + 1]!r} != {want[at:at + 1]!r}"
+    pytest.fail(f"first difference at {where}; lengths {len(actual)} and {len(expected)}")
+
+
 def test_to_csv_bytes_match_per_row_format(tmp_path, detector):
     """Two blocks of 2**14 rows and negative delays, byte for byte."""
     scan = ScanConfig(-1e-9, 1e-9, 1e-13, 0.5)
@@ -210,14 +232,14 @@ def test_to_csv_bytes_match_per_row_format(tmp_path, detector):
     expected += [f"# {key}={ds.metadata[key]}\n" for key in sorted(ds.metadata)]
     expected.append("delay_ps,counts\n")
     expected += [f"{float(tau) * 1e12!r},{int(n)}\n" for tau, n in zip(ds.taus, ds.counts)]
-    assert path.read_text() == "".join(expected)
+    _assert_same(path.read_text(), "".join(expected))
 
     curve = tmp_path / "curve.csv"
     values = np.linspace(0.0, 1.0, len(ds)) ** 3
     with open(curve, "w") as fh:
         write_rows(fh, ds.taus * 1e12, values)
-    assert curve.read_text() == "".join(
-        f"{float(tau) * 1e12!r},{float(v)!r}\n" for tau, v in zip(ds.taus, values))
+    _assert_same(curve.read_text(), "".join(
+        f"{float(tau) * 1e12!r},{float(v)!r}\n" for tau, v in zip(ds.taus, values)))
 
 
 def _rows(first, second):
@@ -230,8 +252,8 @@ def _rows(first, second):
 @settings(max_examples=100, deadline=None)
 def test_block_kernel_matches_repr(rows):
     x, y, n = (np.array(column) for column in zip(*rows))
-    assert _block_text(x, n) == _rows(x, n)
-    assert _block_text(x, y) == _rows(x, y)
+    _assert_same(_block_text(x, n), _rows(x, n))
+    _assert_same(_block_text(x, y), _rows(x, y))
 
 
 def test_full_blocks_match_repr_sweep():
@@ -264,7 +286,7 @@ def test_full_blocks_match_repr_sweep():
     for second in (counts, first[::-1].copy()):
         fh = io.StringIO()
         write_rows(fh, first, second)
-        assert fh.getvalue() == _rows(first, second)
+        _assert_same(fh.getvalue(), _rows(first, second))
 
 
 def _written(first, second):
@@ -289,7 +311,7 @@ def test_kernel_takes_blocks_of_1024_rows_or_more(monkeypatch, rows):
     counts = rng.poisson(4100.0, rows)
     probability = 0.5 - 0.45 * np.cos(0.37 * taus_ps) * rng.random(rows)
     for second in (counts, probability):
-        assert _written(taus_ps, second) == _rows(taus_ps, second)
+        _assert_same(_written(taus_ps, second), _rows(taus_ps, second))
     assert calls == ([np.int64, np.float64] if rows >= _KERNEL_ROWS else [])
 
 
@@ -309,7 +331,7 @@ def test_spectrum_at_full_extinction_writes_format(tmp_path, ini, zeros, below_1
     trans = transmission(cfg.resonator, freqs)
     assert (np.any(trans == 0), np.any((trans > 0) & (trans < 1e-3))) == (zeros, below_1e3)
     expected = "frequency_thz,transmittance\n" + _rows(freqs / 1e12, trans)
-    assert (tmp_path / "o" / "transmission.csv").read_text() == expected
+    _assert_same((tmp_path / "o" / "transmission.csv").read_text(), expected)
 
 
 def test_stock_transmission_reloads_bitwise(tmp_path):
@@ -319,8 +341,8 @@ def test_stock_transmission_reloads_bitwise(tmp_path):
     freqs = cfg.transmission_sweep()
     back = np.loadtxt(tmp_path / "transmission.csv", delimiter=",", skiprows=1)
     assert back.shape == (freqs.size, 2)
-    assert back[:, 0].tobytes() == (freqs / 1e12).tobytes()
-    assert back[:, 1].tobytes() == transmission(cfg.resonator, freqs).tobytes()
+    _assert_same(back[:, 0].tobytes(), (freqs / 1e12).tobytes())
+    _assert_same(back[:, 1].tobytes(), transmission(cfg.resonator, freqs).tobytes())
 
 
 def test_dense_multiplexed_scan_writes_repr_and_reloads(tmp_path, detector):
@@ -336,9 +358,9 @@ def test_dense_multiplexed_scan_writes_repr_and_reloads(tmp_path, detector):
     header = [f"# dwell_s={ds.dwell!r}\n"]
     header += [f"# {key}={ds.metadata[key]}\n" for key in sorted(ds.metadata)]
     header.append("delay_ps,counts\n")
-    assert path.read_text() == "".join(header) + _rows(ds.taus * 1e12, ds.counts)
+    _assert_same(path.read_text(), "".join(header) + _rows(ds.taus * 1e12, ds.counts))
     back = load_dataset(path)
-    assert back.taus.tobytes() == ds.taus.tobytes()
+    _assert_same(back.taus.tobytes(), ds.taus.tobytes())
     np.testing.assert_array_equal(back.counts, ds.counts)
 
 

@@ -676,6 +676,107 @@ def test_polish_at_the_evaluation_cap_is_a_fit_error():
         _polish(design, np.array([1.0]), "fit")
 
 
+def _design_kind(kind):
+    """(a maker of one fresh design, a theta) for each kind of fit design."""
+    taus_ps = np.arange(0.0, 2400.0 + 1.0, 20.0) if kind == "sigma" else np.arange(-8.0, 8.05, 0.1)
+    counts = np.random.default_rng(5).poisson(300.0, taus_ps.size).astype(np.float64)
+    theta = [600.0, 0.6, 0.4, 0.05]
+    if kind == "4-pair":
+        d_ps = [d * 1e-12 for d in DETS_2_5]
+    else:
+        d_ps = [DET2 * 1e-12]
+    if kind == "detuning":
+        theta.append(d_ps[0] * 1.001)
+    if kind == "sigma":
+        theta[3] = 300.0
+        theta.append(math.log(2.0 * math.pi * float(MODEL.fwhm) * 1e-12))
+    options = {"fit_detuning": kind == "detuning", "fit_sigma": kind == "sigma"}
+    return (lambda: _FringeDesign(taus_ps, counts, d_ps, **options)), np.array(theta)
+
+
+def _fresh(make, method, theta):
+    return getattr(make(), method)(theta.copy())
+
+
+@pytest.mark.parametrize("pair", ["moved", "signed-zero"])
+@pytest.mark.parametrize("kind", ["flat", "detuning", "4-pair", "sigma"])
+def test_design_evaluations_match_fresh_designs(kind, pair):
+    # One design keeps its last evaluation: interleaved residuals and
+    # Jacobians at two thetas must equal those of a fresh design, byte for
+    # byte.  "moved" changes only the last parameter; "signed-zero" only
+    # the sign of V = 0, which flips the zeros of the phi and tau0 columns.
+    make, a = _design_kind(kind)
+    b = a.copy()
+    if pair == "moved":
+        b[-1] *= 1.001
+    else:
+        a[1], b[1] = 0.0, -0.0
+    assert _fresh(make, "jacobian", a).tobytes() != _fresh(make, "jacobian", b).tobytes()
+    design = make()
+    for method, theta in (("residual", a), ("jacobian", a), ("residual", b),
+                          ("jacobian", a), ("jacobian", b), ("residual", a)):
+        got = getattr(design, method)(theta)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == _fresh(make, method, theta).tobytes()
+    assert design.jacobian(a).shape == (design.t.size, len(design.names))
+
+
+def test_design_reevaluates_a_theta_mutated_in_place():
+    # fit_fringe slides the gauge by editing theta in place between calls.
+    make, theta = _design_kind("flat")
+    design = make()
+    design.residual(theta)
+    theta[2] -= 0.3
+    theta[3] = 0.0
+    assert design.jacobian(theta).tobytes() == _fresh(make, "jacobian", theta).tobytes()
+    assert design.residual(theta).tobytes() == _fresh(make, "residual", theta).tobytes()
+
+
+def test_design_keeps_nothing_of_an_evaluation_that_raises():
+    # exp overflows on a runaway log linewidth; _polish makes that a FitError.
+    make, theta = _design_kind("sigma")
+    design = make()
+    design.residual(theta)
+    runaway = theta.copy()
+    runaway[-1] = 710.0
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            design.jacobian(runaway)
+    after = theta.copy()
+    after[0] *= 1.5
+    for x in (after, theta):
+        for method in ("jacobian", "residual"):
+            assert getattr(design, method)(x).tobytes() == _fresh(make, method, x).tobytes()
+
+
+def test_envelope_polish_evaluates_the_model_once_per_iterate(monkeypatch):
+    # Every model evaluation at a linewidth calls envelope_terms with a scalar
+    # sigma, as does the start's linear solve, once.  The polish's Jacobians
+    # reuse its residuals' evaluations; the covariance's Jacobian is at the
+    # canonical theta, one more.
+    ds = _stock_coarse(load_config().seed)
+    scalar_calls = []
+    terms = freqbin.fit.envelope_terms
+
+    def counted(sigma, tau):
+        scalar_calls.append(np.ndim(sigma) == 0)
+        return terms(sigma, tau)
+
+    monkeypatch.setattr(freqbin.fit, "envelope_terms", counted)
+    solutions = []
+    solve = freqbin.fit.least_squares
+
+    def recorded(*args):
+        solutions.append(solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(freqbin.fit, "least_squares", recorded)
+    fit_envelope(ds)
+    (solution,) = solutions
+    assert solution.njev > 1
+    assert sum(scalar_calls) == 1 + solution.nfev + 1
+
+
 def test_fringe_fit_with_a_linewidth_is_a_domain_error(detector):
     ds = _poisson_scan(0.7862, 0.4, 5, detector)
     with pytest.raises(DomainError, match="fit_envelope"):
