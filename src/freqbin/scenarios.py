@@ -2,9 +2,11 @@
 
 Each scenario writes its data/fit files plus a manifest (resolved config,
 seed, package and numpy versions) into the output directory and returns a
-text summary.  Sub-scans within a scenario use consecutive derived seeds
-(wrapped into [0, 2**64)) so their draws are independent while the whole
-run stays a pure function of (config, seed).
+text summary.  Each delay scan is a `_Scan` record that `_run_scans`
+simulates, writes and fits.  A scan draws from the run seed plus its seed
+offset (fig2: 0, 1, 2; fig4: 0, 1; all others: 0), wrapped into
+[0, 2**64), so the run is a pure function of (config, seed).  Scans with
+the same offset share their random numbers (ROADMAP item 3 keys them apart).
 
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
@@ -13,11 +15,11 @@ fig3's `--pairs` is checked against the comb, the WSS channel width, the
 fine step's Nyquist frequency and the fit's work before any output, and
 its multiplexed dip width is found there too; fig4's fixed multiplexed fit
 is checked against the same work bound.
-Each fringe window runs through `_fit_scan`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import os
@@ -85,12 +87,16 @@ def run_scenario(
     except OSError as exc:
         raise ConfigurationError(f"--out: cannot create directory {str(out_dir)!r}: "
                                  f"{exc.strerror or exc}") from None
-    args = {}
+    manifest = [("scenario", name), ("seed", seed), ("freqbin_version", __version__),
+                ("numpy_version", np.__version__)]
     if pairs is not None:
-        args["pairs"] = pairs
+        manifest.append(("arg_pairs", pairs))
     if phase is not None:
-        args["phase"] = repr(float(phase))
-    _write_manifest(out_dir, cfg, name, seed, args)
+        manifest.append(("arg_phase", float(phase)))
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write(_format(manifest))
+        for section, items in cfg.raw:
+            fh.write(f"[{section}]\n" + _format(items))
     runner = {
         "spectrum": _run_spectrum,
         "fig2": _run_fig2,
@@ -98,7 +104,7 @@ def run_scenario(
         "fig4": _run_fig4,
         "fig5": _run_fig5,
     }[name]
-    summary = runner(cfg, out_dir, seed, **kwargs)
+    summary = _format([("scenario", name), *runner(cfg, out_dir, seed, **kwargs)])
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary)
     return summary
@@ -182,23 +188,6 @@ def _fig3_dip_fwhm(cfg: ScenarioConfig, indices) -> float | None:
         ) from None
 
 
-def _write_manifest(out_dir, cfg: ScenarioConfig, name: str, seed: int, args: dict):
-    lines = [
-        f"scenario = {name}",
-        f"seed = {seed}",
-        f"freqbin_version = {__version__}",
-        f"numpy_version = {np.__version__}",
-    ]
-    for key, value in sorted(args.items()):
-        lines.append(f"arg_{key} = {value}")
-    for section, items in cfg.raw:
-        lines.append(f"[{section}]")
-        for key, value in items:
-            lines.append(f"{key} = {value}")
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _fringe_model(cfg: ScenarioConfig, indices, phi: float) -> FringeModel:
     env = Envelope.from_fwhm(cfg.resonator.fwhm)
     pairs = tuple(
@@ -216,20 +205,52 @@ def _sim(cfg, model, scan, seed):
                            accidental=accidental)
 
 
-def _fit_scan(cfg, out_dir, stem, model, window, seed, **fit_options):
-    """Simulate delay window `window`, write `<stem>.csv`, fit it, write `<stem>_fit.txt`."""
-    ds = _sim(cfg, model, cfg.delay_scan(window), seed)
-    ds.to_csv(os.path.join(out_dir, f"{stem}.csv"))
-    res = fit_fringe(ds, [d for d, _, _ in model.pairs], sigma=None, **fit_options)
-    with open(os.path.join(out_dir, f"{stem}_fit.txt"), "w") as fh:
-        fh.write(res.report())
-    return res
+@dataclasses.dataclass(frozen=True)
+class _Scan:
+    """One delay scan of a scenario: what is simulated, written and fitted."""
+
+    stem: str
+    window: str  # the config delay window
+    model: FringeModel  # the truth the counts are drawn from
+    # "fringe", "fringe-detuning" (detuning free) or "envelope"; the envelope
+    # fit's report is envelope_fit.txt, every other <stem>_fit.txt
+    fit: str = "fringe"
+    seed_offset: int = 0
+    curve: str | None = None  # the noise-free model curve file, if the scan writes one
 
 
-def _write_curve(path, taus, values) -> None:
-    with open(path, "w") as fh:
-        fh.write("delay_ps,probability\n")
-        write_rows(fh, taus * 1e12, values)
+def _run_scans(cfg, out_dir, seed, scans):
+    """Simulate each scan, write `<stem>.csv`, its curve and its fit report; yield each fit.
+
+    The fit functions are looked up at each fit, so a patch on this module reaches every call.
+    """
+    for scan in scans:
+        delays = cfg.delay_scan(scan.window)
+        ds = _sim(cfg, scan.model, delays, (seed + scan.seed_offset) % 2**64)
+        ds.to_csv(os.path.join(out_dir, f"{scan.stem}.csv"))
+        if scan.curve is not None:
+            taus = delays.grid()
+            with open(os.path.join(out_dir, scan.curve), "w") as fh:
+                fh.write("delay_ps,probability\n")
+                write_rows(fh, taus * 1e12, hom_multi(scan.model, taus))
+        if scan.fit == "envelope":
+            res, report = fit_envelope(ds), "envelope_fit.txt"
+        else:
+            res = fit_fringe(ds, [d for d, _, _ in scan.model.pairs],
+                             fit_detuning=scan.fit == "fringe-detuning")
+            report = f"{scan.stem}_fit.txt"
+        with open(os.path.join(out_dir, report), "w") as fh:
+            fh.write(res.report())
+        yield res
+
+
+def _format(rows) -> str:
+    """`key = value [+/- sigma]` lines: strings as they are, numbers as their repr."""
+    lines = []
+    for key, *values in rows:
+        text = " +/- ".join(v if isinstance(v, str) else repr(v) for v in values)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 def _run_spectrum(cfg, out_dir, seed):
@@ -249,100 +270,75 @@ def _run_spectrum(cfg, out_dir, seed):
         fh.write("center_thz,counts\n")
         write_rows(fh, np.array([center / 1e12 for center, _ in scan]), counts)
 
-    lines = resonance_lines(model, cfg.scan_band)
-    return "\n".join([
-        "scenario = spectrum",
-        f"q_factor = {q_factor(model.pump_frequency, model.fwhm)!r}",
-        f"lines_in_band = {len(lines)}",
-        f"scan_points = {len(scan)}",
-        f"scan_counts_max = {int(counts.max())}",
-        f"scan_counts_min = {int(counts.min())}",
-    ]) + "\n"
+    return [
+        ("q_factor", q_factor(model.pump_frequency, model.fwhm)),
+        ("lines_in_band", len(resonance_lines(model, cfg.scan_band))),
+        ("scan_points", len(scan)),
+        ("scan_counts_max", int(counts.max())),
+        ("scan_counts_min", int(counts.min())),
+    ]
 
 
 def _run_fig2(cfg, out_dir, seed):
     model = _fringe_model(cfg, [2], cfg.theta + cfg.phi_instr)
-
-    coarse_scan = cfg.delay_scan("coarse")
-    coarse = _sim(cfg, model, coarse_scan, seed)
-    coarse.to_csv(os.path.join(out_dir, "coarse.csv"))
-    _write_curve(os.path.join(out_dir, "curve_coarse.csv"),
-                 coarse_scan.grid(), hom_multi(model, coarse_scan.grid()))
-    env_fit = fit_envelope(coarse)
-    with open(os.path.join(out_dir, "envelope_fit.txt"), "w") as fh:
-        fh.write(env_fit.report())
-
-    za = _fit_scan(cfg, out_dir, "fine_zero", model, "fine_zero", (seed + 1) % 2**64)
-    zb = _fit_scan(cfg, out_dir, "fine_offset", model, "fine_offset", (seed + 2) % 2**64)
-    return "\n".join([
-        "scenario = fig2",
-        f"fwhm_true_hz = {float(cfg.resonator.fwhm)!r}",
-        f"fwhm_fit_hz = {env_fit.params['fwhm']!r} +/- {env_fit.sigmas['fwhm']!r}",
-        f"tau0_fit_s = {env_fit.params['tau0']!r}",
-        f"visibility_zero = {za.visibility_clamped!r} +/- {za.sigmas['visibility']!r}",
-        f"visibility_offset = {zb.visibility_clamped!r} +/- {zb.sigmas['visibility']!r}",
-        f"phi_zero = {za.phi!r} +/- {za.sigmas['phi']!r}",
-        f"oscillation_period_ps = {1e12 / model.pairs[0][0]!r}",
-    ]) + "\n"
+    env_fit, za, zb = _run_scans(cfg, out_dir, seed, [
+        _Scan("coarse", "coarse", model, "envelope", curve="curve_coarse.csv"),
+        _Scan("fine_zero", "fine_zero", model, seed_offset=1),
+        _Scan("fine_offset", "fine_offset", model, seed_offset=2),
+    ])
+    return [
+        ("fwhm_true_hz", float(cfg.resonator.fwhm)),
+        ("fwhm_fit_hz", env_fit.params["fwhm"], env_fit.sigmas["fwhm"]),
+        ("tau0_fit_s", env_fit.params["tau0"]),
+        ("visibility_zero", za.visibility_clamped, za.sigmas["visibility"]),
+        ("visibility_offset", zb.visibility_clamped, zb.sigmas["visibility"]),
+        ("phi_zero", za.phi, za.sigmas["phi"]),
+        ("oscillation_period_ps", 1e12 / model.pairs[0][0]),
+    ]
 
 
 def _run_fig3(cfg, out_dir, seed, indices, program, dip_fwhm):
     model = _fringe_model(cfg, indices, cfg.theta + cfg.phi_instr)
-    routed = route_lines(program, [
-        line
-        for m in indices
-        for line in (pair_for_index(cfg.resonator, m).signal,
-                     pair_for_index(cfg.resonator, m).idler)
-    ])
+    pairs = [pair_for_index(cfg.resonator, m) for m in indices]
+    routed = route_lines(program, [line for p in pairs for line in (p.signal, p.idler)])
     single = len(indices) == 1
-    res = _fit_scan(cfg, out_dir, "fringe", model, "pair" if single else "multi", seed,
-                    fit_detuning=single)
-    lines = ["scenario = fig3",
-             f"pairs = {','.join(str(m) for m in indices)}",
-             f"wss_program = {format_passbands(program)}",
-             f"wss_lines_routed = {sum(len(v) for v in routed.values())}",
-             f"visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",
-             f"phi = {res.phi!r} +/- {res.sigmas['phi']!r}"]
+    scan = (_Scan("fringe", "pair", model, "fringe-detuning") if single
+            else _Scan("fringe", "multi", model, curve="curve.csv"))
+    res, = _run_scans(cfg, out_dir, seed, [scan])
+    rows = [("pairs", ",".join(str(m) for m in indices)),
+            ("wss_program", format_passbands(program)),
+            ("wss_lines_routed", sum(len(v) for v in routed.values())),
+            ("visibility", res.visibility_clamped, res.sigmas["visibility"]),
+            ("phi", res.phi, res.sigmas["phi"])]
     if single:
         period_fit = 1.0 / res.params["detuning"]
         period_sigma = res.sigmas["detuning"] / res.params["detuning"] ** 2
-        lines += [
-            f"period_fit_ps = {period_fit * 1e12!r} +/- {period_sigma * 1e12!r}",
-            f"period_expected_ps = {1e12 / model.pairs[0][0]!r}",
-        ]
+        rows += [("period_fit_ps", period_fit * 1e12, period_sigma * 1e12),
+                 ("period_expected_ps", 1e12 / model.pairs[0][0])]
     else:
-        grid = cfg.delay_scan("multi").grid()
-        _write_curve(os.path.join(out_dir, "curve.csv"), grid, hom_multi(model, grid))
-        lines += [
-            f"revival_period_ps = {revival_period(cfg.resonator.fsr) * 1e12!r}",
-            f"dip_fwhm_ps = {dip_fwhm * 1e12!r}",
-        ]
-    return "\n".join(lines) + "\n"
+        rows += [("revival_period_ps", revival_period(cfg.resonator.fsr) * 1e12),
+                 ("dip_fwhm_ps", dip_fwhm * 1e12)]
+    return rows
 
 
 def _run_fig4(cfg, out_dir, seed, phase_deg):
     theta_t = math.radians(phase_deg) % (2.0 * math.pi)
-    alpha_hwp = hwp_angle_for_phase(theta_t)
     theta_real = phase_from_stack(stack_for_phase(theta_t))
     phi = theta_real + cfg.phi_instr
-    lines = ["scenario = fig4",
-             f"phase_target_deg = {float(phase_deg)!r}",
-             f"hwp_angle_rad = {alpha_hwp!r}",
-             f"phase_realized_rad = {theta_real!r}"]
+    rows = [("phase_target_deg", float(phase_deg)),
+            ("hwp_angle_rad", hwp_angle_for_phase(theta_t)),
+            ("phase_realized_rad", theta_real)]
 
-    for stem, indices, window, sub in (
-        ("single", [2], "pair", 0),
-        ("multi", _FIG4_MULTI, "multi", 1),
-    ):
-        model = _fringe_model(cfg, indices, phi)
-        res = _fit_scan(cfg, out_dir, stem, model, window, (seed + sub) % 2**64)
+    scans = [_Scan("single", "pair", _fringe_model(cfg, [2], phi)),
+             _Scan("multi", "multi", _fringe_model(cfg, _FIG4_MULTI, phi), seed_offset=1)]
+    for scan, res in zip(scans, _run_scans(cfg, out_dir, seed, scans)):
         err = (res.phi - theta_t + math.pi) % (2.0 * math.pi) - math.pi
-        lines += [
-            f"{stem}_visibility = {res.visibility_clamped!r} +/- {res.sigmas['visibility']!r}",
-            f"{stem}_phi = {res.phi!r} +/- {res.sigmas['phi']!r}",
-            f"{stem}_phi_error = {err!r}",
+        rows += [
+            (f"{scan.stem}_visibility", res.visibility_clamped, res.sigmas["visibility"]),
+            (f"{scan.stem}_phi", res.phi, res.sigmas["phi"]),
+            (f"{scan.stem}_phi_error", err),
         ]
-    return "\n".join(lines) + "\n"
+    return rows
 
 
 def _run_fig5(cfg, out_dir, seed):
@@ -360,16 +356,16 @@ def _run_fig5(cfg, out_dir, seed):
                                         cfg.dwell_single, seed)
     p_hat, sigma_p = estimate_balance(n1, math.sqrt(n1) if n1 else 0.0,
                                       n2, math.sqrt(n2) if n2 else 0.0)
-    report = "\n".join([
-        f"fidelity = {recon.fidelity!r} +/- {recon.sigma_fidelity!r}",
-        f"theta_target = {recon.theta_target!r}",
-        f"rejection_rate = {recon.rejection_rate!r}",
-        f"samples_accepted = {recon.samples_accepted}",
-        f"balance_input = {t.balance!r} +/- {t.sigma_balance!r}",
-        f"counts_si = {n1}",
-        f"counts_is = {n2}",
-        f"balance_simulated = {p_hat!r} +/- {sigma_p!r}",
-    ]) + "\n"
+    rows = [
+        ("fidelity", recon.fidelity, recon.sigma_fidelity),
+        ("theta_target", recon.theta_target),
+        ("rejection_rate", recon.rejection_rate),
+        ("samples_accepted", recon.samples_accepted),
+        ("balance_input", t.balance, t.sigma_balance),
+        ("counts_si", n1),
+        ("counts_is", n2),
+        ("balance_simulated", p_hat, sigma_p),
+    ]
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(report)
-    return "scenario = fig5\n" + report
+        fh.write(_format(rows))
+    return rows

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import re
 import runpy
 import subprocess
@@ -16,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 import freqbin.scenarios
 from freqbin.cli import build_parser, main
 from freqbin.config import _SCANS, DEFAULTS, load_config
-from freqbin.counting import MAX_SCAN_POINTS
+from freqbin.counting import MAX_SCAN_POINTS, load_dataset
 from freqbin.errors import ConfigurationError, FitError
+from freqbin.fit import fit_envelope, fit_fringe
 from freqbin.scenarios import _pair_range
 
 CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
@@ -132,6 +134,82 @@ def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
     reproduce_all = runpy.run_path(str(REPRODUCE_ALL))["main"]
     assert reproduce_all(["--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "fit error: no convergence\n"
+
+
+@pytest.fixture(scope="module")
+def reproduce_all_trees(tmp_path_factory):
+    """The stock `reproduce_all` tree and the `--seed 1` tree."""
+    root = tmp_path_factory.mktemp("reproduce_all")
+    reproduce_all = runpy.run_path(str(REPRODUCE_ALL))["main"]
+    trees = {"stock": root / "stock", "seed 1": root / "seed1"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert reproduce_all(["--out", str(trees["stock"])]) == 0
+        assert reproduce_all(["--seed", "1", "--out", str(trees["seed 1"])]) == 0
+    return trees
+
+
+def test_every_count_csv_refits_to_its_report(reproduce_all_trees):
+    """Each count CSV has one fit report (`coarse.csv` has `envelope_fit.txt`,
+    every other `<stem>.csv` has `<stem>_fit.txt`), and refitting the
+    reloaded CSV with the report's kind gives that report byte for byte."""
+    checked = 0
+    for tree in reproduce_all_trees.values():
+        for job in sorted(p for p in tree.iterdir() if p.is_dir()):
+            counts = sorted(p for p in job.glob("*.csv") if p.read_text().startswith("# "))
+            reports = {csv: job / ("envelope_fit.txt" if csv.stem == "coarse"
+                                   else f"{csv.stem}_fit.txt") for csv in counts}
+            assert sorted(reports.values()) == sorted(job.glob("*_fit.txt")), job.name
+            for csv, report in reports.items():
+                text = report.read_text()
+                data = load_dataset(csv)
+                if re.search(r"^fwhm = ", text, re.MULTILINE):
+                    refit = fit_envelope(data)
+                else:
+                    detunings = [float(d) for d in data.metadata["detunings_hz"].split(",")]
+                    refit = fit_fringe(data, detunings, fit_detuning=bool(
+                        re.search(r"^detuning = ", text, re.MULTILINE)))
+                assert refit.report() == text, f"{job.name}/{report.name}"
+                checked += 1
+    assert checked == 34
+
+
+_SUMMARY_LINE = re.compile(r"(\w+) = (.+?)(?: \+/- (.+))?")
+_TEXT_KEYS = {"scenario", "pairs", "wss_program"}
+
+
+def _number(text: str) -> float:
+    try:
+        value = int(text)
+    except ValueError:
+        value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def test_summary_lines_are_key_value_sigma(reproduce_all_trees):
+    """Every stock `summary.txt` line, and fig5's `report.txt`, is `key = value`
+    or `key = value +/- sigma` with finite plain numbers (a numpy scalar's
+    repr does not parse), and fig5's report is its summary without the
+    scenario line."""
+    tree = reproduce_all_trees["stock"]
+    texts = [p.read_text() for p in sorted(tree.glob("*/summary.txt"))]
+    texts.append((tree / "fig5" / "report.txt").read_text())
+    assert len(texts) == 14
+    for text in texts:
+        assert text.endswith("\n")
+        for line in text.splitlines():
+            match = _SUMMARY_LINE.fullmatch(line)
+            assert match, line
+            key, value, sigma = match.groups()
+            if key in _TEXT_KEYS:
+                assert sigma is None, line
+            else:
+                _number(value)
+            if sigma is not None:
+                _number(sigma)
+    fig5 = tree / "fig5"
+    assert (fig5 / "summary.txt").read_text() == "scenario = fig5\n" + (
+        fig5 / "report.txt").read_text()
 
 
 class TestMain:
