@@ -9,12 +9,11 @@ Exit codes: 0 success, 2 configuration/usage error, 3 fit non-convergence.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Callable
 
 from .config import load_config
-from .errors import ConfigurationError, FitError, FreqbinError
+from .errors import FitError, FreqbinError
 from .scenarios import SCENARIOS, run_scenario
 
 __all__ = ["main", "build_parser", "exit_code"]
@@ -62,11 +61,9 @@ def main(argv=None) -> int:
 
     def run():
         cfg = load_config(args.config)
-        phase = getattr(args, "phase", None)
-        if phase is not None and not math.isfinite(phase):
-            raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
         sys.stdout.write(run_scenario(args.scenario, cfg, args.out, seed=args.seed,
-                                      pairs=getattr(args, "pairs", None), phase=phase))
+                                      pairs=getattr(args, "pairs", None),
+                                      phase=getattr(args, "phase", None)))
 
     return exit_code(run)
 

@@ -3,22 +3,20 @@
 There are two fits.  `fit_fringe` fits the flat beat model (no envelope
 factor) to a fine window; `fit_envelope` fits the full fringe model with
 its linewidth free to a coarse scan.  Both minimize sum w_i (counts_i -
-N p(tau_i))^2 with Poisson weights w = 1/max(counts, 1).  Every search is
+N p(tau_i))^2 with Poisson weights w = 1/max(counts, 1).  Every start is
 separable (variable projection, Golub & Pereyra 1973): the linear
-coefficients are solved in closed form on a grid of the (at most two)
-nonlinear parameters, and the best grid point is polished once by
-Gauss-Newton with step halving on the analytic Jacobian, which also frees
-any parameter held fixed during the profile and yields the covariance.
+coefficients are solved in closed form at given nonlinear parameters, and
+the start is polished once by Gauss-Newton with step halving on the
+analytic Jacobian, which also frees any parameter held fixed there and
+yields the covariance.
 Each design keeps its last model evaluation, so the Jacobian at an iterate
 reuses the residual's delay offsets, beat mean and envelope terms there,
 with the same bytes as building them again.
-Fringe fits profile the delay offset tau0 with 3x3 solves, mixed from one
-Gram matrix per scan, for the baseline and the beat's cos and sin amplitudes;
-envelope fits score a (t0, log linewidth) grid of the folded envelope on
-at most 128 bin means of the scan, O(N) work; the grid's 297 x 128 table
-of E^2 is built once per delay grid and kept (one grid, about 0.3 MB) for
-the next fit on the same grid, with unchanged reports.  Internally all
-times are in picoseconds, which keeps the Jacobian's columns comparable.
+Fringe fits start from the best point of a delay-offset (tau0) profile of
+3x3 solves, mixed from one Gram matrix per scan, for the baseline and the
+beat's cos and sin amplitudes; envelope fits start from the peak and
+half-height width of the beat power in closed form, O(N) work.  Internally
+all times are in picoseconds, which keeps the Jacobian's columns comparable.
 
 Accidental floor note: only (1 - alpha) V is identifiable from one scan,
 so the fits assume no floor and report (1 - alpha) V as the visibility;
@@ -27,7 +25,6 @@ fringe reports list alpha = 0.0 as fixed.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -62,8 +59,12 @@ MIN_ENVELOPE_SPAN_PS = 1000.0
 # Profile costs within this relative band count as ties.
 _TIE_REL = 1e-6
 
-# Index bins whose means score the envelope start grid.
-_START_BINS = 128
+# Index bins whose means locate the envelope start.  With 64, some scans at
+# about 11 counts per point did not fit from the start.
+_START_BINS = 16
+
+# The root of (1 + x)^2 e^(-2x) = 1/2 (see `_envelope_start`).
+_X_HALF = 1.077960450100453
 
 
 @dataclass(frozen=True)
@@ -462,63 +463,49 @@ def _result(design, theta, cov, residual_ss, iterations, flags):
                      int(iterations), flags)
 
 
-@functools.lru_cache(maxsize=1)
-def _start_table(ends, tau, n):
-    """(t0 grid, u grid, E^2, sum n E^4) of `_envelope_start`, read-only.
-
-    ends, tau and n are the bytes of the first and last delay, the bin-mean
-    delays and the bin sizes: the table is a pure function of them, so it is
-    kept for the next fit on the same grid.  Bytes, not floats, keep a first
-    delay of -0.0 apart from 0.0, and the key holds no per-delay array.
-    """
-    first, last = np.frombuffer(ends)
-    tau, n = np.frombuffer(tau), np.frombuffer(n)
-    span_ps = float(last - first)
-    t0g, ug = (g.ravel() for g in np.meshgrid(
-        np.linspace(first, last, 33),
-        np.log(2.0 / span_ps * np.logspace(-2.0, 3.0, 9, base=2.0)), indexing="ij"))
-    e2 = envelope_terms(np.exp(ug[:, None]), tau - t0g[:, None])[2] ** 2
-    table = (t0g, ug, e2, e2**2 @ n)
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
 def _envelope_start(taus_ps, counts):
-    """(t0, u = log sigma_ps) grid of the folded envelope model and its costs.
+    """(t0, sigma_ps) that start the envelope fit, in closed form.
 
-    The unresolved oscillation is folded out: |counts - mean| is compared
-    with sqrt(k E^2 + 2 b/pi), the folded-normal mean of beat plus Poisson
-    noise around the baseline b.  The delays, dev = |counts - b| and q =
-    dev^2 - 2b/pi are averaged over min(_START_BINS, N) contiguous index
-    bins of n points.  Where E is constant across a bin, its per-point cost
-    sum (dev - model)^2 is n (mean dev - model)^2 plus a term free of the
-    grid, so each grid point is scored on the bin means, with k = sum n E^2 q
-    / sum n E^4 clipped at 0 (one delay per bin, the per-point score, when
-    N <= _START_BINS).  The grid is 33 delay offsets spanning the scan (a
-    bin is a quarter of their step) times 9 log-spaced linewidths in (1/4 ..
-    8) 2/span.  Work: O(N + 297 _START_BINS), not O(297 N).  The 297 x
-    _START_BINS table of E^2 depends on the delays only; it is built once
-    per delay grid by `_start_table` and kept (about 0.3 MB) for the next
-    fit on the same grid, with the same costs to the bit.
+    With b the scan mean, q = (counts - b)^2 - b is the beat power above the
+    Poisson variance: where the oscillation is unresolved, q estimates
+    A^2 E^2(tau - t0) / 2.  The delays and q are averaged over
+    min(_START_BINS, N) contiguous index bins.  t0 is the mean delay of the
+    bin with the largest mean q, and sigma = x_h / w: E^2 = (1 + x)^2 e^(-2x)
+    falls to half at x = x_h = `_X_HALF`, and w is the larger of the two
+    distances from t0 at which the bin means fall to half the peak,
+    interpolated linearly between bins.  If neither side falls that far, or
+    the peak is not positive, w is half the span.  sigma is clamped to
+    (1/4 .. 8) 2/span: at about 11 counts per point noise can put half the
+    peak within a bin of t0, and a start of 20 to 64 times 2/span makes the
+    polish overflow.  Work: O(N).
     """
+    span_ps = float(taus_ps[-1] - taus_ps[0])
     baseline = counts.mean()
-    dev = np.abs(counts - baseline)
-    floor2 = 2.0 * baseline / math.pi
     cuts = np.linspace(0, taus_ps.size, min(_START_BINS, taus_ps.size) + 1).astype(np.intp)
-    n = np.diff(cuts).astype(np.float64)
-    tau, dbar, qbar = (np.add.reduceat(v, cuts[:-1]) / n for v in (taus_ps, dev, dev**2 - floor2))
-    t0g, ug, e2, e4n = _start_table(taus_ps[[0, -1]].tobytes(), tau.tobytes(), n.tobytes())
-    k = np.maximum(e2 @ (n * qbar) / e4n, 0.0)
-    return t0g, ug, (dbar - np.sqrt(k[:, None] * e2 + floor2)) ** 2 @ n
+    n = np.diff(cuts)
+    tau, q = (np.add.reduceat(v, cuts[:-1]) / n
+              for v in (taus_ps, (counts - baseline) ** 2 - baseline))
+    i = int(np.argmax(q))
+    half = q[i] / 2.0
+    w = 0.5 * span_ps
+    if half > 0:
+        below = np.flatnonzero(q <= half)
+        # (last bin above half the peak, first bin at or below it) on each side
+        sides = [(k - 1, k) for k in below[below > i][:1]]
+        sides += [(k + 1, k) for k in below[below < i][-1:]]
+        if sides:
+            w = max(abs(tau[j] + (q[j] - half) / (q[j] - q[k]) * (tau[k] - tau[j]) - tau[i])
+                    for j, k in sides)
+    sigma_ps = min(max(_X_HALF / w, 0.5 / span_ps), 16.0 / span_ps)
+    return float(tau[i]), float(sigma_ps)
 
 
 def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     """Estimate the coherence envelope linewidth from a coarse delay scan.
 
     The full fringe model is fitted with the linewidth free.  Its start is
-    the best point of the folded-envelope grid (see `_envelope_start`) with
-    scale, visibility and phase from one linear solve there; one polish
+    the delay offset and linewidth of `_envelope_start`, with scale,
+    visibility and phase from one linear solve there; one polish
     (see `least_squares`) then frees every parameter and gives the
     covariance; FitError if it does not converge.
     Exactly one beat detuning is required: the argument, else the dataset
@@ -557,9 +544,7 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
         raise FitError("coarse scan has constant counts: no envelope to fit")
 
     design = _FringeDesign(taus_ps, counts, d_ps, fit_sigma=True)
-    t0g, ug, costs = _envelope_start(taus_ps, counts)
-    i = int(np.argmin(costs))
-    t0, sigma0 = float(t0g[i]), math.exp(ug[i])
+    t0, sigma0 = _envelope_start(taus_ps, counts)
     th = 2.0 * math.pi * d_ps[0] * (taus_ps - t0)
     scale = design.sw * envelope_terms(sigma0, taus_ps - t0)[2]
     basis = np.column_stack([design.sw, np.cos(th) * scale, np.sin(th) * scale])

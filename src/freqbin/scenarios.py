@@ -11,6 +11,7 @@ the same offset share their random numbers (ROADMAP item 3 keys them apart).
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
 least 1 ns, a sweep above 0 Hz), so none fails after output is written.
+`phase` must be a finite number and `pairs` a string, both checked first.
 fig3's `--pairs` is checked against the comb, the WSS channel width, the
 fine step's Nyquist frequency and the fit's work before any output, and
 its multiplexed dip width is found there too; fig4's fixed multiplexed fit
@@ -64,6 +65,16 @@ def run_scenario(
         raise ConfigurationError(
             f"unknown scenario {name!r} (choose from {', '.join(SCENARIOS)})"
         )
+    if pairs is not None and not isinstance(pairs, str):
+        raise ConfigurationError(f"--pairs: expected a string like 5 or 2-5, got {pairs!r}")
+    if phase is not None:
+        try:
+            value = float(phase)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigurationError(f"--phase: expected a finite number, got {phase!r}")
+        phase = value
     kwargs = {}
     if name == "fig3":
         if pairs is None:
@@ -72,7 +83,7 @@ def run_scenario(
         kwargs["dip_fwhm"] = _fig3_dip_fwhm(cfg, kwargs["indices"])
     if name == "fig4":
         _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
-        kwargs["phase_deg"] = 0.0 if phase is None else float(phase)
+        kwargs["phase_deg"] = 0.0 if phase is None else phase
     if seed is None:
         seed = cfg.seed
     else:  # 1.5 is refused, not truncated to seed 1
@@ -92,7 +103,7 @@ def run_scenario(
     if pairs is not None:
         manifest.append(("arg_pairs", pairs))
     if phase is not None:
-        manifest.append(("arg_phase", float(phase)))
+        manifest.append(("arg_phase", phase))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(_format(manifest))
         for section, items in cfg.raw:

@@ -126,6 +126,20 @@ def test_library_seed_must_be_an_integer(tmp_path):
     assert _tree(tmp_path / "numpy") == _tree(tmp_path / "int")
 
 
+@pytest.mark.parametrize("scenario,args,label", [
+    ("fig5", {"phase": "abc"}, "--phase"),
+    ("fig4", {"phase": math.nan}, "--phase"),
+    ("fig5", {"phase": math.inf}, "--phase"),
+    ("fig3", {"pairs": 5}, "--pairs"),
+], ids=["phase-text", "phase-nan", "phase-inf", "pairs-int"])
+def test_library_phase_and_pairs_are_checked_before_any_output(tmp_path, scenario, args,
+                                                                 label):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match=f"^{label}: "):
+        freqbin.scenarios.run_scenario(scenario, load_config(None), out, **args)
+    assert not out.exists()
+
+
 def test_reproduce_all_fit_failure_exits_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise FitError("no convergence")
