@@ -14,7 +14,9 @@ reuses the residual's delay offsets, beat mean and envelope terms there,
 with the same bytes as building them again.
 Fringe fits start from the best point of a delay-offset (tau0) profile of
 3x3 solves, mixed from one Gram matrix per scan, for the baseline and the
-beat's cos and sin amplitudes; envelope fits start from the peak and
+beat's cos and sin amplitudes.  One pair fixes only its beat phase at zero
+delay, so a single-pair fit holds tau0 at 0 and starts from the one solve
+there.  Envelope fits start from the peak and
 half-height width of the beat power in closed form, O(N) work.  Internally
 all times are in picoseconds, which keeps the Jacobian's columns comparable.
 
@@ -80,7 +82,6 @@ class FitResult:
     covariance: np.ndarray
     free_names: tuple[str, ...]
     residual_ss: float
-    converged: bool
     iterations: int
     flags: tuple[str, ...] = ()
 
@@ -104,7 +105,6 @@ class FitResult:
     def report(self) -> str:
         """key = value +/- sigma lines plus a covariance block."""
         lines = [
-            f"converged = {self.converged}",
             f"iterations = {self.iterations}",
             f"residual_ss = {self.residual_ss!r}",
             f"flags = {','.join(self.flags)}",
@@ -127,7 +127,8 @@ class _FringeDesign:
     B = mean_m cos(2 pi d_m (tau - t0) + phi); times in ps.  Free
     parameters are (N, V, phi, t0), then either the detuning (single pair,
     fit_detuning) or u = log(sigma_ps) (fit_sigma).  Without fit_sigma the
-    model is flat: E = 1.
+    model is flat: E = 1.  A flat single-pair design (`gauge`) fixes t0 = 0
+    and drops it: its phi and t0 act only through the zero-delay beat phase.
     """
 
     def __init__(self, taus_ps, counts, detunings_ps, *, fit_detuning=False,
@@ -138,7 +139,8 @@ class _FringeDesign:
         self.fit_detuning = fit_detuning
         self.fit_sigma = fit_sigma
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
-        self.names = ["scale", "visibility", "phi", "tau0"]
+        self.gauge = len(self.d) == 1 and not fit_sigma
+        self.names = ["scale", "visibility", "phi"] + ([] if self.gauge else ["tau0"])
         if fit_detuning:
             self.names.append("detuning")
         if fit_sigma:
@@ -157,8 +159,9 @@ class _FringeDesign:
         key = np.asarray(theta, dtype=np.float64).tobytes()
         if key == self._key:
             return self._model
-        n, v, phi, t0 = theta[:4]
-        dets = (theta[4],) if self.fit_detuning else self.d
+        n, v, phi = theta[:3]
+        t0 = 0.0 if self.gauge else theta[3]
+        dets = (theta[self.names.index("detuning")],) if self.fit_detuning else self.d
         sigma_ps = math.exp(theta[-1]) if self.fit_sigma else None
         dt = self.t - t0
         env = None if sigma_ps is None else envelope_terms(sigma_ps, dt)
@@ -200,13 +203,14 @@ class _FringeDesign:
         jac[:, 0] = -self.sw * p                          # scale
         jac[:, 1] = self.sw * n * 0.5 * g                 # visibility
         jac[:, 2] = -self.sw * n * 0.5 * v * sinb * env   # phi
-        db_dt0 = 2.0 * math.pi * sinb_d
-        dp_dt0 = -0.5 * v * (db_dt0 * env + cosb * denv_dt0)
-        jac[:, 3] = -self.sw * n * dp_dt0                 # tau0
+        if not self.gauge:
+            db_dt0 = 2.0 * math.pi * sinb_d
+            dp_dt0 = -0.5 * v * (db_dt0 * env + cosb * denv_dt0)
+            jac[:, 3] = -self.sw * n * dp_dt0             # tau0
         if self.fit_detuning:
             db_dd = -sinb * 2.0 * math.pi * dt
             dp_dd = -0.5 * v * db_dd * env
-            jac[:, 4] = -self.sw * n * dp_dd              # detuning
+            jac[:, self.names.index("detuning")] = -self.sw * n * dp_dd  # detuning
         if self.fit_sigma:
             jac[:, -1] = self.sw * n * 0.5 * v * cosb * denv_du  # log_sigma
         return jac
@@ -240,12 +244,13 @@ class _FringeDesign:
     def start(self, t0, coef, sigma_ps):
         """Parameter vector of the linear fit (a, b, c) at delay offset t0.
 
-        N = 2a, V = hypot(b, c)/a and phi = atan2(c, -b); a free detuning
-        starts at the given one.
+        N = 2a, V = hypot(b, c)/a and phi = atan2(c, -b); a gauge design
+        takes t0 = 0 and leaves it out; a free detuning starts at the given one.
         """
         a, b, c = coef
-        theta = [2.0 * a, math.hypot(b, c) / a,
-                 math.atan2(c, -b), t0]
+        theta = [2.0 * a, math.hypot(b, c) / a, math.atan2(c, -b)]
+        if not self.gauge:
+            theta.append(t0)
         if self.fit_detuning:
             theta.append(self.d[0])
         if self.fit_sigma:
@@ -369,9 +374,9 @@ def fit_fringe(
     its residual-evaluation count.
 
     Single-pair fits determine phi and tau0 only jointly (the beat phase
-    at zero delay); their profile is the single solve at tau0 = 0, and
-    they are reported in the tau0 = 0 gauge with phi the zero-delay beat
-    phase, flagged "phase-gauge", and sigma(tau0) set to zero.
+    at zero delay), so they fit with tau0 fixed at 0: their profile is the
+    single solve there, phi is the zero-delay beat phase, tau0 is reported
+    as fixed at 0.0, and the fit is flagged "phase-gauge".
     """
     if sigma is not None:
         raise DomainError("fit_fringe fits the flat beat model only (sigma=None); "
@@ -398,18 +403,15 @@ def fit_fringe(
     flags: list[str] = []
     if np.ptp(counts) == 0:
         # Degenerate data: no fringe information; report V = 0, not an error.
-        theta = [2.0 * counts.mean() if counts.mean() > 0 else 1.0, 0.0, 0.0, 0.0]
+        theta = np.zeros(len(design.names))
+        theta[0] = 2.0 * counts.mean() if counts.mean() > 0 else 1.0
         if fit_detuning:
-            theta.append(d_ps[0])
-        theta = np.array(theta)
+            theta[-1] = d_ps[0]
         cov = _covariance(design.jacobian(theta))
         return _result(design, theta, cov, 0.0, 0, ("degenerate-data",))
 
-    # A single-pair model depends on (phi, tau0) only through the beat
-    # phase at zero delay, so tau0 = 0 loses nothing.
-    gauge = len(d_ps) == 1
     period_ps = 1.0 / min(d_ps)
-    t0s = (np.zeros(1) if gauge else
+    t0s = (np.zeros(1) if design.gauge else
            np.linspace(-period_ps, period_ps, tau0_profile_points(detunings)))
     costs, coefs = design.profile(t0s)
     ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
@@ -417,25 +419,10 @@ def fit_fringe(
     winner = _polish(design, design.start(t0s[best], coefs[best], None), "fringe fit")
 
     theta = _canonical_fringe(winner.x)
-    # The polish may still park anywhere along the gauge's flat (phi, tau0)
-    # direction.  Slide the solution to the tau0 = 0 gauge, pin tau0 there,
-    # and propagate the covariance through the reparameterization so
-    # sigma(phi) is the uncertainty of the identifiable combination.
-    if gauge:
-        det_hat = theta[design.names.index("detuning")] if fit_detuning else d_ps[0]
-        theta[2] -= 2.0 * math.pi * det_hat * theta[3]
-        theta[3] = 0.0
-        theta = _canonical_fringe(theta)
     jac = design.jacobian(theta)
     cov = _covariance(jac)
-    if gauge:
-        gmap = np.eye(len(theta))
-        gmap[2, 3] = -2.0 * math.pi * det_hat
-        cov = gmap @ cov @ gmap.T
-        cov[3, :] = 0.0
-        cov[:, 3] = 0.0
+    if design.gauge:
         flags.append("phase-gauge")
-        jac = np.delete(jac, 3, axis=1)
     if np.linalg.cond(jac.T @ jac) > 1e10:
         flags.append("ill-conditioned")
     return _result(design, theta, cov, 2.0 * winner.cost, winner.nfev, tuple(flags))
@@ -446,7 +433,8 @@ def _result(design, theta, cov, residual_ss, iterations, flags):
 
     tau0 is reported in s, the detuning in Hz and u = log(sigma_ps) as the
     equivalent fwhm in Hz (its covariance by the delta method).  Fringe
-    fits also list the accidental floor they assume, alpha = 0.0.
+    fits also list the accidental floor they assume, alpha = 0.0, and a
+    gauge design its fixed tau0 = 0.0.
     """
     names = list(design.names)
     d = np.array([{"tau0": _PS, "detuning": 1e12}.get(n, 1.0) for n in names])
@@ -457,9 +445,11 @@ def _result(design, theta, cov, residual_ss, iterations, flags):
     cov_rep = cov * np.outer(d, d)
     params = {name: float(values[i]) for i, name in enumerate(names)}
     sigmas = {name: float(math.sqrt(max(cov_rep[i, i], 0.0))) for i, name in enumerate(names)}
+    if design.gauge:
+        params["tau0"] = sigmas["tau0"] = 0.0
     if not design.fit_sigma:
         params["alpha"] = 0.0
-    return FitResult(params, sigmas, cov_rep, tuple(names), float(residual_ss), True,
+    return FitResult(params, sigmas, cov_rep, tuple(names), float(residual_ss),
                      int(iterations), flags)
 
 
@@ -553,7 +543,7 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
     theta = _canonical_fringe(res.x)
 
     cov = _covariance(design.jacobian(theta))
-    ill = span_ps * math.exp(theta[4]) < 1.0 or cov[4, 4] > 1.0
+    ill = span_ps * math.exp(theta[-1]) < 1.0 or cov[-1, -1] > 1.0
     return _result(design, theta, cov, 2.0 * res.cost, res.nfev,
                    ("ill-conditioned",) if ill else ())
 

@@ -62,7 +62,6 @@ class TestFringeNoiseless:
         res = fit_fringe(ds, [DET2], sigma=None)
         assert abs(res.params["visibility"] - 0.8) < 1e-6
         assert abs(res.params["phi"] - 1.0) < 1e-6
-        assert res.converged
 
     def test_single_pair_reports_phase_gauge(self):
         p = _cosine_probability(FINE_TAUS, [DET2], 0.8, 1.0, 0.0)
@@ -158,11 +157,9 @@ def _grid_search_residual_ss(data, detunings, fit_detuning=False):
 
     32 Levenberg-Marquardt starts (four phases times eight delay offsets
     over one period of the slowest beat), each converged start polished
-    at 1e-14 tolerance; the lowest residual is returned.  Single-pair fits
-    are evaluated where the former search reported them, slid along the
-    flat (phi, tau0) direction to tau0 = 0: a start can drift to
-    |tau0| ~ 1 us, where phase rounding alone lowers the residual by about
-    2e-9 relative.
+    at 1e-14 tolerance; the lowest residual is returned.  A single-pair
+    design has no tau0 (it is fixed at 0), so there a start's delay offset
+    enters as the beat phase it shifts.
     """
     order = np.argsort(data.taus)
     taus_ps = data.taus[order] * 1e12
@@ -172,11 +169,12 @@ def _grid_search_residual_ss(data, detunings, fit_detuning=False):
     n0 = 2.0 * counts.mean()
     v0 = float(np.clip(np.ptp(counts) / max(counts.mean(), 1.0) / 2.0, 0.05, 0.9))
     period_ps = 1.0 / min(d_ps)
-    gauge = len(d_ps) == 1
     best = math.inf
     for phi0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
         for j in range(8):
-            x0 = [n0, v0, phi0, j * period_ps / 8.0]
+            t0 = j * period_ps / 8.0
+            x0 = ([n0, v0, phi0 - 2.0 * math.pi * d_ps[0] * t0] if design.gauge
+                  else [n0, v0, phi0, t0])
             if fit_detuning:
                 x0.append(d_ps[0])
             r = least_squares(design.residual, np.array(x0), jac=design.jacobian,
@@ -186,10 +184,6 @@ def _grid_search_residual_ss(data, detunings, fit_detuning=False):
                 x = least_squares(design.residual, r.x, jac=design.jacobian,
                                   method="lm", xtol=1e-14, ftol=1e-14,
                                   gtol=1e-14, max_nfev=400).x
-                if gauge:
-                    det = x[4] if fit_detuning else d_ps[0]
-                    x[2] -= 2.0 * math.pi * det * x[3]
-                    x[3] = 0.0
                 best = min(best, float(np.sum(design.residual(x) ** 2)))
     return best
 
@@ -303,19 +297,23 @@ class TestFringePoisson:
     def test_constant_counts_flag_degenerate(self):
         taus = np.arange(-2e-12, 2.0001e-12, 0.1e-12)
         ds = FringeDataset(taus, np.full(taus.size, 500, dtype=np.int64), 1.0)
-        res = fit_fringe(ds, [DET2], sigma=None)
-        assert "degenerate-data" in res.flags
-        assert res.params["visibility"] == 0.0
+        for dets, options in (([DET2], {}), ([DET2], {"fit_detuning": True}),
+                              ([DET2, DET3], {})):
+            res = fit_fringe(ds, dets, sigma=None, **options)
+            assert "degenerate-data" in res.flags
+            assert res.params["visibility"] == 0.0
+            assert res.covariance.shape == (len(res.free_names),) * 2
+            assert ("tau0" in res.free_names) == (len(dets) == 2)
 
     def test_report_lists_parameters_and_flags(self, detector):
         ds = _poisson_scan(0.7862, 0.0, 42, detector)
         res = fit_fringe(ds, [DET2], sigma=None)
         text = res.report()
-        assert "converged = True" in text
         assert "visibility = " in text
         assert "+/-" in text
         assert "flags = phase-gauge" in text
-        assert "# covariance order: scale,visibility,phi,tau0" in text
+        assert "tau0 = 0.0 (fixed)" in text
+        assert "# covariance order: scale,visibility,phi\n" in text
 
 
 class TestEnvelopeFit:
@@ -326,7 +324,6 @@ class TestEnvelopeFit:
         res = fit_envelope(ds, detunings=[DET2])
         fwhm = float(MODEL.fwhm)
         assert abs(res.params["fwhm"] - fwhm) / fwhm < 0.01
-        assert res.converged
 
     def test_poisson_data_median_error_small(self, detector):
         scan = ScanConfig(0.0, 2.4e-9, 2e-12, 1.0)
@@ -620,16 +617,16 @@ def _design_kind(kind):
     """(a maker of one fresh design, a theta) for each kind of fit design."""
     taus_ps = np.arange(0.0, 2400.0 + 1.0, 20.0) if kind == "sigma" else np.arange(-8.0, 8.05, 0.1)
     counts = np.random.default_rng(5).poisson(300.0, taus_ps.size).astype(np.float64)
-    theta = [600.0, 0.6, 0.4, 0.05]
+    theta = [600.0, 0.6, 0.4]
     if kind == "4-pair":
         d_ps = [d * 1e-12 for d in DETS_2_5]
+        theta.append(0.05)
     else:
         d_ps = [DET2 * 1e-12]
     if kind == "detuning":
         theta.append(d_ps[0] * 1.001)
     if kind == "sigma":
-        theta[3] = 300.0
-        theta.append(math.log(2.0 * math.pi * float(MODEL.fwhm) * 1e-12))
+        theta += [300.0, math.log(2.0 * math.pi * float(MODEL.fwhm) * 1e-12)]
     options = {"fit_detuning": kind == "detuning", "fit_sigma": kind == "sigma"}
     return (lambda: _FringeDesign(taus_ps, counts, d_ps, **options)), np.array(theta)
 
@@ -662,12 +659,12 @@ def test_design_evaluations_match_fresh_designs(kind, pair):
 
 
 def test_design_reevaluates_a_theta_mutated_in_place():
-    # fit_fringe slides the gauge by editing theta in place between calls.
+    # The kept evaluation is keyed by theta's values, not its identity: a
+    # caller may edit theta in place between calls.
     make, theta = _design_kind("flat")
     design = make()
     design.residual(theta)
     theta[2] -= 0.3
-    theta[3] = 0.0
     assert design.jacobian(theta).tobytes() == _fresh(make, "jacobian", theta).tobytes()
     assert design.residual(theta).tobytes() == _fresh(make, "residual", theta).tobytes()
 
@@ -770,6 +767,23 @@ def test_phase_gauge_covariance_is_inverse_fisher_at_zero_delay(fit_detuning, de
     expected = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
     reported = np.array([res.sigmas[k] for k in names])
     np.testing.assert_allclose(reported, expected, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("fit_detuning", [False, True])
+def test_single_pair_designs_leave_tau0_out(fit_detuning, detector):
+    # One pair fixes only its zero-delay beat phase: tau0 is no parameter, the
+    # Jacobian has full column rank and the covariance has no zero row.
+    ds = _poisson_scan(0.7862, 0.4, 5, detector)
+    design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64), [DET2 * 1e-12],
+                           fit_detuning=fit_detuning)
+    _, coefs = design.profile(np.zeros(1))
+    jac = design.jacobian(design.start(0.0, coefs[0], None))
+    assert np.linalg.matrix_rank(jac) == len(design.names)
+    res = fit_fringe(ds, [DET2], fit_detuning=fit_detuning)
+    assert "tau0" not in res.free_names
+    assert "tau0 = 0.0 (fixed)" in res.report()
+    assert res.covariance.shape == (len(res.free_names),) * 2
+    assert np.all(np.any(res.covariance != 0.0, axis=1))
 
 
 class TestBalance:
