@@ -12,13 +12,15 @@ yields the covariance.
 Each design keeps its last model evaluation, so the Jacobian at an iterate
 reuses the residual's delay offsets, beat mean and envelope terms there,
 with the same bytes as building them again.
-Fringe fits start from the best point of a delay-offset (tau0) profile of
-3x3 solves, mixed from one Gram matrix per scan, for the baseline and the
-beat's cos and sin amplitudes.  One pair fixes only its beat phase at zero
-delay, so a single-pair fit holds tau0 at 0 and starts from the one solve
-there.  Envelope fits start from the peak and
-half-height width of the beat power in closed form, O(N) work.  Internally
-all times are in picoseconds, which keeps the Jacobian's columns comparable.
+Fringe fits start from one Gram matrix per scan.  For several pairs, tau0
+is the phase step between adjacent pairs' free beat amplitudes (Kay's
+phase-difference estimator, IEEE Trans. ASSP 37:1987, 1989, across the
+comb), and a 3x3 mix of the Gram matrix gives the baseline and the beat's
+cos and sin amplitudes there.  One pair fixes only its beat phase at zero
+delay, so a single-pair fit holds tau0 at 0.  Envelope fits start from the
+peak and half-height width of the beat power in closed form, O(N) work.
+Internally all times are in picoseconds, which keeps the Jacobian's
+columns comparable.
 
 Accidental floor note: only (1 - alpha) V is identifiable from one scan,
 so the fits assume no floor and report (1 - alpha) V as the visibility;
@@ -44,7 +46,7 @@ __all__ = [
     "ReconstructionResult",
     "fit_fringe",
     "fit_envelope",
-    "tau0_profile_points",
+    "check_multiplexed_scan",
     "estimate_balance",
     "reconstruct",
     "MIN_FIT_POINTS",
@@ -57,9 +59,6 @@ _PS = 1e-12  # seconds per picosecond
 # (in ps) from which an envelope linewidth is fitted.
 MIN_FIT_POINTS = 8
 MIN_ENVELOPE_SPAN_PS = 1000.0
-
-# Profile costs within this relative band count as ties.
-_TIE_REL = 1e-6
 
 # Index bins whose means locate the envelope start.  With 64, some scans at
 # about 11 counts per point did not fit from the start.
@@ -88,11 +87,6 @@ class FitResult:
     @property
     def visibility(self) -> float:
         return self.params["visibility"]
-
-    @property
-    def visibility_clamped(self) -> float:
-        """Visibility clamped to [0, 1] for reporting; raw value preserved."""
-        return min(max(self.params["visibility"], 0.0), 1.0)
 
     @property
     def phi(self) -> float:
@@ -215,31 +209,35 @@ class _FringeDesign:
             jac[:, -1] = self.sw * n * 0.5 * v * cosb * denv_du  # log_sigma
         return jac
 
-    def profile(self, t0s):
-        """Weighted linear fits counts ~ a + b C + c S, one per delay offset.
+    def linear_solve(self):
+        """(t0, (a, b, c)): the weighted linear fit counts ~ a + b C + c S at a delay offset t0.
 
         C and S are mean_m cos and sin(2 pi d_m (tau - t0)) at the design's
         fixed detunings: the columns X = sqrt(w) [1, cos 2 pi d_m tau, sin 2 pi
-        d_m tau] mixed by R(t0), the cos and sin of 2 pi d_m t0 over M.  So
-        G = X^T X and h = X^T y are formed once, and each offset solves
-        (R^T G R) beta = R^T h.  Returns the costs y^T y - beta . R^T h (an
-        exact fit can round below 0, so clipped there) and the (a, b, c) rows.
+        d_m tau] mixed by R(t0), the cos and sin of 2 pi d_m t0 over M.  G =
+        X^T X and h = X^T y are formed once.  A gauge design takes t0 = 0;
+        else the free solve G^+ h gives each pair's amplitude u_m = b_m - i c_m,
+        proportional to exp(-2 pi i d_m t0), and with the detunings equally
+        spaced by delta, t0 = -arg(sum_m u_(m+1) conj(u_m)) / (2 pi delta), in
+        (-1/(2 delta), 1/(2 delta)].  (a, b, c) solves (R^T G R) beta = R^T h.
         """
-        t0s = np.asarray(t0s, dtype=np.float64)
         omega = 2.0 * math.pi * np.array(self.d)
         m = omega.size
         th = self.t[:, None] * omega
         x = self.sw[:, None] * np.hstack([np.ones((self.t.size, 1)), np.cos(th), np.sin(th)])
-        y = self.sw * self.c
-        cos_ph, sin_ph = np.cos(t0s[:, None] * omega) / m, np.sin(t0s[:, None] * omega) / m
-        mix = np.zeros((t0s.size, 2 * m + 1, 3))
-        mix[:, 0, 0] = 1.0
-        mix[:, 1:, 1] = np.hstack([cos_ph, sin_ph])
-        mix[:, 1:, 2] = np.hstack([-sin_ph, cos_ph])
-        mix_t = mix.swapaxes(1, 2)
-        rh = mix_t @ (x.T @ y)
-        beta = (np.linalg.pinv(mix_t @ (x.T @ x) @ mix) @ rh[..., None])[..., 0]
-        return np.maximum(y @ y - np.sum(beta * rh, axis=1), 0.0), beta
+        gram, h = x.T @ x, x.T @ (self.sw * self.c)
+        t0 = 0.0
+        if not self.gauge:
+            free = np.linalg.pinv(gram) @ h
+            u = (free[1:m + 1] - 1j * free[m + 1:])[np.argsort(self.d)]
+            delta = (max(self.d) - min(self.d)) / (m - 1)
+            t0 = -float(np.angle(np.sum(u[1:] * np.conj(u[:-1])))) / (2.0 * math.pi * delta)
+        cos_ph, sin_ph = np.cos(t0 * omega) / m, np.sin(t0 * omega) / m
+        mix = np.zeros((2 * m + 1, 3))
+        mix[0, 0] = 1.0
+        mix[1:, 1] = np.concatenate([cos_ph, sin_ph])
+        mix[1:, 2] = np.concatenate([-sin_ph, cos_ph])
+        return t0, np.linalg.pinv(mix.T @ gram @ mix) @ (mix.T @ h)
 
     def start(self, t0, coef, sigma_ps):
         """Parameter vector of the linear fit (a, b, c) at delay offset t0.
@@ -265,7 +263,7 @@ def least_squares(fun, x0, jac):
     """Gauss-Newton for min 0.5 |fun(x)|^2: lstsq steps, each halved until the cost falls.
 
     status 1 once a step promises (0.5 |J s|^2, halved with it) at most 1e-13 of
-    the cost; 0 after 400 residual evaluations.  ValueError if fun(x0) is not finite.
+    the cost; 0 after 400 residual evaluations; -1 if fun(x0) is not finite.
     jac(x) is always called right after fun(x) at the same x, so a jac that
     keeps fun's last evaluation (as `_FringeDesign` does) builds no model twice.
     """
@@ -273,7 +271,7 @@ def least_squares(fun, x0, jac):
     r = fun(x)
     cost = 0.5 * float(r @ r)
     if not math.isfinite(cost):
-        raise ValueError("the residuals are not finite at the start")
+        return Solution(x, cost, 1, 0, -1)
     nfev, njev = 1, 0
     while True:
         j = jac(x)
@@ -298,11 +296,11 @@ def _polish(design, x0, what):
     """One `least_squares` run from x0; FitError unless it converges."""
     try:
         res = least_squares(design.residual, x0, design.jacobian)
-    except ValueError as exc:
-        raise FitError(f"{what} has no finite start: {exc}") from exc
     except OverflowError as exc:  # a free log-linewidth ran past exp's range
         raise FitError(f"{what} diverged: {exc}") from exc
-    if res.status <= 0:
+    if res.status < 0:
+        raise FitError(f"{what} has no finite start")
+    if res.status == 0:
         raise FitError(f"{what} did not converge in {res.nfev} evaluations "
                        f"(residual ss {2.0 * res.cost!r})")
     return res
@@ -323,24 +321,32 @@ def _covariance(jac):
     return 0.5 * (cov + cov.T)
 
 
-def tau0_profile_points(detunings) -> int:
-    """How many delay offsets `fit_fringe` profiles for these beat detunings.
+def check_multiplexed_scan(detunings, span: float, points: int) -> None:
+    """DomainError unless `fit_fringe` can fit these beat detunings (Hz) to a
+    scan of `points` delays spanning `span` s.
 
-    1 for a single pair; else 32 max/min rounded up, plus 1: a step of at
-    most 1/(16 max) over +/- 1/min.
+    Several detunings must be distinct and equally spaced, by delta, as the
+    closed-form tau0 start assumes; the scan must span two beat periods,
+    2/delta, or adjacent pairs are not resolved; and the design of M pairs,
+    (2M + 1) columns by max(N, 2M + 1) rows, must take at most
+    MAX_SCAN_POINTS entries.  That bound comes first and needs only
+    len(detunings), so a range can name more detunings than fit in memory.
     """
-    if len(detunings) == 1:
-        return 1
-    return math.ceil(32.0 * max(detunings) / min(detunings)) + 1
-
-
-def _profile_work(pairs: int, detunings) -> int:
-    """Design entries of `fit_fringe`'s tau0 profile that do not grow with
-    the scan, for M = `pairs` pairs whose beat detunings range over
-    `detunings` (their lowest and highest suffice): the (2M + 1)-column
-    mixing weights of each `tau0_profile_points` offset, and the Gram matrix."""
-    cols = 2 * pairs + 1
-    return max(tau0_profile_points(detunings) * cols, cols**2)
+    pairs = len(detunings)
+    if pairs < 2:
+        return
+    entries = (2 * pairs + 1) * max(points, 2 * pairs + 1)
+    if entries > MAX_SCAN_POINTS:
+        raise DomainError(f"{pairs} pairs over {points:,} delays: the fit's design would "
+                          f"take {entries:,} entries, above {MAX_SCAN_POINTS:,}")
+    steps = np.diff(np.sort(np.asarray(detunings, dtype=np.float64)))
+    if not steps.min() > 0 or np.ptp(steps) > 1e-9 * steps.mean():
+        raise DomainError("the detunings of a multiplexed fit must be distinct and "
+                          "equally spaced")
+    if not span * steps.mean() >= 2.0:
+        raise DomainError(
+            f"the scan spans {span * 1e12:.6g} ps, below two periods of the pairs' "
+            f"beat, {2e12 / steps.mean():.6g} ps")
 
 
 def fit_fringe(
@@ -359,22 +365,22 @@ def fit_fringe(
     sigma is accepted only as None (any other value raises DomainError).
     The fit assumes no accidental floor and reports alpha = 0.0 as fixed.
     fit_detuning (single pair only) frees the beat detuning so the
-    oscillation period is itself measured.  Detunings whose tau0 profile
-    would take more than MAX_SCAN_POINTS design entries (see
-    `_profile_work`) raise DomainError before anything is allocated.
+    oscillation period is itself measured.  Several pairs are checked by
+    `check_multiplexed_scan` (DomainError) before anything is built; a scan
+    of constant counts raises FitError.
 
     Search: at fixed tau0 (and the given detunings) the model is linear in
-    the baseline and the beat's cosine and sine amplitudes, so each tau0
-    costs one 3x3 solve, mixed from one Gram matrix of the pairs' cos and
-    sin columns (see `_FringeDesign.profile`).  tau0 is profiled on the grid of
-    `tau0_profile_points` offsets over +/- 1/min(d); costs within a relative
-    1e-6 of the lowest tie and go to the smallest |tau0|.  One polish from
-    that point (see `least_squares`) frees every parameter and gives the
-    covariance; FitError if it does not converge.  `iterations` reports
-    its residual-evaluation count.
+    the baseline and the beat's cosine and sine amplitudes.  tau0 comes in
+    closed form from the phase steps between adjacent pairs' free
+    amplitudes, and the linear coefficients from one 3x3 solve there, both
+    from one Gram matrix of the pairs' cos and sin columns (see
+    `_FringeDesign.linear_solve`).  One polish from that point (see
+    `least_squares`) frees every parameter and gives the covariance;
+    FitError if it does not converge.  `iterations` reports its
+    residual-evaluation count.
 
     Single-pair fits determine phi and tau0 only jointly (the beat phase
-    at zero delay), so they fit with tau0 fixed at 0: their profile is the
+    at zero delay), so they fit with tau0 fixed at 0: their start is the
     single solve there, phi is the zero-delay beat phase, tau0 is reported
     as fixed at 0.0, and the fit is flagged "phase-gauge".
     """
@@ -388,41 +394,21 @@ def fit_fringe(
         raise DomainError("detunings must be positive and finite")
     if fit_detuning and len(detunings) != 1:
         raise DomainError("fit_detuning requires a single pair")
-    work = _profile_work(len(detunings), detunings)
-    if work > MAX_SCAN_POINTS:
-        raise DomainError(
-            f"detunings {min(detunings):.6g} to {max(detunings):.6g} Hz over "
-            f"{len(detunings)} pairs: the tau0 profile would take {work:,} design "
-            f"entries, above {MAX_SCAN_POINTS:,}")
+    check_multiplexed_scan(detunings, float(data.taus[-1] - data.taus[0]), len(data))
+    counts = data.counts.astype(np.float64)
+    if np.ptp(counts) == 0:
+        raise FitError("fringe scan has constant counts: no fringe to fit")
 
     taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
-    counts = data.counts.astype(np.float64)
-    d_ps = [d * _PS for d in detunings]
-    design = _FringeDesign(taus_ps, counts, d_ps, fit_detuning=fit_detuning)
-
-    flags: list[str] = []
-    if np.ptp(counts) == 0:
-        # Degenerate data: no fringe information; report V = 0, not an error.
-        theta = np.zeros(len(design.names))
-        theta[0] = 2.0 * counts.mean() if counts.mean() > 0 else 1.0
-        if fit_detuning:
-            theta[-1] = d_ps[0]
-        cov = _covariance(design.jacobian(theta))
-        return _result(design, theta, cov, 0.0, 0, ("degenerate-data",))
-
-    period_ps = 1.0 / min(d_ps)
-    t0s = (np.zeros(1) if design.gauge else
-           np.linspace(-period_ps, period_ps, tau0_profile_points(detunings)))
-    costs, coefs = design.profile(t0s)
-    ties = np.flatnonzero(costs <= costs.min() * (1.0 + _TIE_REL) + 1e-12)
-    best = ties[np.argmin(np.abs(t0s[ties]))]
-    winner = _polish(design, design.start(t0s[best], coefs[best], None), "fringe fit")
+    design = _FringeDesign(taus_ps, counts, [d * _PS for d in detunings],
+                           fit_detuning=fit_detuning)
+    t0, coef = design.linear_solve()
+    winner = _polish(design, design.start(t0, coef, None), "fringe fit")
 
     theta = _canonical_fringe(winner.x)
     jac = design.jacobian(theta)
     cov = _covariance(jac)
-    if design.gauge:
-        flags.append("phase-gauge")
+    flags = ["phase-gauge"] if design.gauge else []
     if np.linalg.cond(jac.T @ jac) > 1e10:
         flags.append("ill-conditioned")
     return _result(design, theta, cov, 2.0 * winner.cost, winner.nfev, tuple(flags))

@@ -13,9 +13,9 @@ checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at
 least 1 ns, a sweep above 0 Hz), so none fails after output is written.
 `phase` must be a finite number and `pairs` a string, both checked first.
 fig3's `--pairs` is checked against the comb, the WSS channel width, the
-fine step's Nyquist frequency and the fit's work before any output, and
-its multiplexed dip width is found there too; fig4's fixed multiplexed fit
-is checked against the same work bound.
+fine step's Nyquist frequency and `fit.check_multiplexed_scan` before any
+output, and its multiplexed dip width is found there too; fig4's fixed
+multiplexed fit passes the same check.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import numpy as np
 from . import __version__
 from .comb import pair_for_index, q_factor, resonance_lines, transmission
 from .config import _SEED, ScenarioConfig, format_passbands
-from .counting import (MAX_SCAN_POINTS, accidental_rate, computational_basis_counts,
-                       simulate_fringe, write_rows)
+from .counting import accidental_rate, computational_basis_counts, simulate_fringe, write_rows
 from .errors import ConfigurationError, DomainError
-from .fit import _profile_work, estimate_balance, fit_envelope, fit_fringe, reconstruct
+from .fit import (check_multiplexed_scan, estimate_balance, fit_envelope, fit_fringe,
+                  reconstruct)
 from .hom import Envelope, FringeModel, central_dip_fwhm, hom_multi, revival_period
 from .states import (
     density_report,
@@ -82,7 +82,7 @@ def run_scenario(
         kwargs["indices"], kwargs["program"] = _fig3_pairs(cfg, pairs)
         kwargs["dip_fwhm"] = _fig3_dip_fwhm(cfg, kwargs["indices"])
     if name == "fig4":
-        _check_profile_work(cfg, _FIG4_MULTI, "fig4 pairs")
+        _check_multiplexed_scan(cfg, _FIG4_MULTI, "fig4 pairs")
         kwargs["phase_deg"] = 0.0 if phase is None else phase
     if seed is None:
         seed = cfg.seed
@@ -145,7 +145,7 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
     Each pair's beat 2*m*fsr must lie below the Nyquist frequency of the
     fine delay step, or the scan cannot sample its fringe.  The highest
     index is the one the comb can reject (its signal line goes below 0 Hz).
-    The multiplexed fit's work is bounded by `_check_profile_work`.
+    A multiplexed fit is checked by `_check_multiplexed_scan`.
     """
     pairs = _pair_range(text)
     top = pairs[-1]
@@ -159,7 +159,7 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
         pair_for_index(cfg.resonator, top)
     except DomainError as exc:
         raise ConfigurationError(f"--pairs: pair {top}: {exc}") from None
-    _check_profile_work(cfg, pairs, "--pairs")
+    _check_multiplexed_scan(cfg, pairs, "--pairs")
     try:
         program = select_pairs(cfg.resonator, pairs, cfg.channel_width)
     except ConfigurationError as exc:
@@ -167,24 +167,22 @@ def _fig3_pairs(cfg: ScenarioConfig, text: str):
     return list(pairs), program
 
 
-def _check_profile_work(cfg: ScenarioConfig, pairs: range, label: str) -> None:
-    """Reject a multiplexed fit of `pairs` in the multi window that would take too long.
+def _check_multiplexed_scan(cfg: ScenarioConfig, pairs: range, label: str) -> None:
+    """`fit.check_multiplexed_scan` of `pairs` in the multi window, as a ConfigurationError.
 
-    For M pairs fit_fringe builds a (2M + 1)-column design over the multi
-    window, and its profile work (`fit._profile_work`): each size is at most
-    MAX_SCAN_POINTS.  A single pair fits the pair window, which the config
-    bounds.  No list of pairs is built (a range can name more pairs than
-    fit in memory).
+    Pair m beats at 2 m FSR, an integer number of Hz, so the detunings are
+    passed as a range: no list of pairs is built (a range can name more
+    pairs than fit in memory).  The span is that of the grid's ends, as the
+    fit computes it.
     """
-    if len(pairs) == 1:
-        return
-    ends = [float(pair_for_index(cfg.resonator, m).detuning) for m in (pairs[0], pairs[-1])]
-    work = max((2 * len(pairs) + 1) * len(cfg.delay_scan("multi")),
-               _profile_work(len(pairs), ends))
-    if work > MAX_SCAN_POINTS:
-        raise ConfigurationError(
-            f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, [scan] fine_step_ps: "
-            f"the tau0 profile would take {work:,} design entries, above {MAX_SCAN_POINTS:,}")
+    step, scan = 2 * cfg.resonator.fsr, cfg.delay_scan("multi")
+    span = ((len(scan) - 1) * scan.tau_step + scan.tau_start) - scan.tau_start
+    try:
+        check_multiplexed_scan(range(step * pairs[0], step * pairs[-1] + 1, step), span,
+                               len(scan))
+    except DomainError as exc:
+        raise ConfigurationError(f"{label} {pairs[0]}-{pairs[-1]} with [scan] multi_span_ps, "
+                                 f"[scan] fine_step_ps: {exc}") from None
 
 
 def _fig3_dip_fwhm(cfg: ScenarioConfig, indices) -> float | None:
@@ -301,8 +299,8 @@ def _run_fig2(cfg, out_dir, seed):
         ("fwhm_true_hz", float(cfg.resonator.fwhm)),
         ("fwhm_fit_hz", env_fit.params["fwhm"], env_fit.sigmas["fwhm"]),
         ("tau0_fit_s", env_fit.params["tau0"]),
-        ("visibility_zero", za.visibility_clamped, za.sigmas["visibility"]),
-        ("visibility_offset", zb.visibility_clamped, zb.sigmas["visibility"]),
+        ("visibility_zero", za.visibility, za.sigmas["visibility"]),
+        ("visibility_offset", zb.visibility, zb.sigmas["visibility"]),
         ("phi_zero", za.phi, za.sigmas["phi"]),
         ("oscillation_period_ps", 1e12 / model.pairs[0][0]),
     ]
@@ -319,7 +317,7 @@ def _run_fig3(cfg, out_dir, seed, indices, program, dip_fwhm):
     rows = [("pairs", ",".join(str(m) for m in indices)),
             ("wss_program", format_passbands(program)),
             ("wss_lines_routed", sum(len(v) for v in routed.values())),
-            ("visibility", res.visibility_clamped, res.sigmas["visibility"]),
+            ("visibility", res.visibility, res.sigmas["visibility"]),
             ("phi", res.phi, res.sigmas["phi"])]
     if single:
         period_fit = 1.0 / res.params["detuning"]
@@ -345,7 +343,7 @@ def _run_fig4(cfg, out_dir, seed, phase_deg):
     for scan, res in zip(scans, _run_scans(cfg, out_dir, seed, scans)):
         err = (res.phi - theta_t + math.pi) % (2.0 * math.pi) - math.pi
         rows += [
-            (f"{scan.stem}_visibility", res.visibility_clamped, res.sigmas["visibility"]),
+            (f"{scan.stem}_visibility", res.visibility, res.sigmas["visibility"]),
             (f"{scan.stem}_phi", res.phi, res.sigmas["phi"]),
             (f"{scan.stem}_phi_error", err),
         ]

@@ -276,9 +276,12 @@ class TestMain:
         ("[state]\ntheta_deg = 90\n", "2-15", NO_DIP),
         ("[resonator]\nfsr_ghz = 0.000002\nfwhm_mhz = 0.000001\n[scan]\nfine_step_ps = 0.01\n"
          "[wss]\nchannel_width_ghz = 0.000001\n", "100000-200000", "--pairs"),
+        # 8 ps is below two 5.05 ps beat periods of adjacent pairs.
+        ("[scan]\nmulti_span_ps = 8\n", "2-5",
+         "--pairs 2-5 with [scan] multi_span_ps, [scan] fine_step_ps: the scan spans 8 ps"),
     ], ids=["above_nyquist", "long_range", "huge_index", "signal_below_0_hz",
             "passbands_overlap", "profile_work", "no_dip_visibility", "no_dip_theta",
-            "pair_count"])
+            "pair_count", "short_multi_span"])
     def test_bad_fig3_pairs_exit_2_before_output(self, tmp_path, capsys, ini, pairs,
                                                  label):
         cfg = tmp_path / "c.ini"
@@ -316,6 +319,18 @@ class TestMain:
         code = main(["fig2", "--config", str(dark), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "coarse scan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["fig3", "--pairs", "5"], ["fig3", "--pairs", "2-5"],
+                                      ["fig4", "--phase", "90"]], ids=["single", "multi", "fig4"])
+    def test_zero_count_fringe_scan_exits_3(self, tmp_path, capsys, argv):
+        # No detected pairs and no accidentals: every fringe scan counts 0.
+        dark = tmp_path / "dark.ini"
+        dark.write_text("[detector]\nefficiency_signal = 0.0\n"
+                        "[source]\nsingles_signal_hz = 0.0\n")
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(dark), "--out", str(out)]) == 3
+        assert "fringe scan has constant counts" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
 
     @pytest.mark.parametrize("scenario,ini,argv,key", [
         ("fig2", "[source]\nsingles_signal_hz = nan\n", [], "singles_signal_hz"),
@@ -397,8 +412,13 @@ class TestMain:
          ["[resonator] pump_thz", "[resonator] fsr_ghz"]),
         ("fig4", "[scan]\nfine_step_ps = 1e-5\nmulti_span_ps = 4\n", [],
          ["fig4 pairs 2-5 with [scan] multi_span_ps, [scan] fine_step_ps"]),
+        # 160,001 delays times the 9 columns of pairs 2-5.
+        ("fig4", "[scan]\nfine_step_ps = 1e-4\nmulti_span_ps = 16\n", [],
+         ["fig4 pairs 2-5 with [scan] multi_span_ps, [scan] fine_step_ps: 4 pairs over "
+          "160,001 delays: the fit's design would take 1,440,009 entries"]),
     ], ids=["offset_swamps_span", "tau0_rounding", "tau0_overflow", "fine_points",
-            "coarse_points", "coarse_span", "sweep_below_zero", "fig4_profile_work"])
+            "coarse_points", "coarse_span", "sweep_below_zero", "fig4_profile_work",
+            "fig4_design_size"])
     def test_bad_scan_window_exits_2_at_load(self, tmp_path, capsys, scenario, ini,
                                              argv, labels):
         cfg = tmp_path / "c.ini"
@@ -453,8 +473,8 @@ def test_hostile_config_value_runs_or_exits_2(argv, entry, value):
 
     The fitting scenarios (fig2, fig3, fig4) may also end in a fit failure, exit 3.
     A clean run's work was bounded: every delay window of its config has at
-    most MAX_SCAN_POINTS points, and a multiplexed fit passes the profile-work
-    check (a deterministic bound, not a timing).
+    most MAX_SCAN_POINTS points, and a multiplexed fit passes the
+    multiplexed-scan check (a deterministic bound, not a timing).
     """
     section, key = entry
     with tempfile.TemporaryDirectory() as tmp:
@@ -471,7 +491,7 @@ def test_hostile_config_value_runs_or_exits_2(argv, entry, value):
             assert all(len(loaded.delay_scan(name)) <= MAX_SCAN_POINTS for name in _SCANS)
             multiplexed = {"fig3": range(2, 16), "fig4": freqbin.scenarios._FIG4_MULTI}
             if argv[0] in multiplexed:
-                freqbin.scenarios._check_profile_work(loaded, multiplexed[argv[0]], argv[0])
+                freqbin.scenarios._check_multiplexed_scan(loaded, multiplexed[argv[0]], argv[0])
 
 
 class TestParser:

@@ -25,7 +25,6 @@ from freqbin.fit import (
     fit_envelope,
     fit_fringe,
     reconstruct,
-    tau0_profile_points,
 )
 from freqbin.hom import Envelope, FringeModel, envelope_terms, hom_multi, revival_period
 
@@ -34,11 +33,14 @@ from conftest import exact_dataset
 MODEL = load_config().resonator
 DET2 = float(pair_for_index(MODEL, 2).detuning)
 DET3 = float(pair_for_index(MODEL, 3).detuning)
+DET5 = float(pair_for_index(MODEL, 5).detuning)
 DETS_2_5 = [float(pair_for_index(MODEL, m).detuning) for m in range(2, 6)]
 DETS_2_15 = [float(pair_for_index(MODEL, m).detuning) for m in range(2, 16)]
 ENV = Envelope.from_fwhm(MODEL.fwhm)
 
 FINE_TAUS = np.arange(-2e-12, 2.0001e-12, 0.05e-12)
+# A multiplexed window: +/- 8 ps spans two beat periods of adjacent pairs (10.1 ps).
+MULTI_TAUS = np.arange(-8e-12, 8.0001e-12, 0.05e-12)
 
 
 def _cosine_probability(taus, detunings, visibility, phi, tau0):
@@ -84,8 +86,8 @@ class TestFringeNoiseless:
 
     def test_two_pairs_break_the_gauge(self):
         tau0 = 0.37e-12
-        p = _cosine_probability(FINE_TAUS, [DET2, DET3], 0.8, 1.0, tau0)
-        ds = exact_dataset(FINE_TAUS, p, 1e9)
+        p = _cosine_probability(MULTI_TAUS, [DET2, DET3], 0.8, 1.0, tau0)
+        ds = exact_dataset(MULTI_TAUS, p, 1e9)
         res = fit_fringe(ds, [DET2, DET3], sigma=None)
         assert "phase-gauge" not in res.flags
         assert abs(res.params["visibility"] - 0.8) < 1e-6
@@ -106,13 +108,12 @@ class TestFringeNoiseless:
         assert res.visibility == res.params["visibility"]
         assert res.phi == res.params["phi"]
         assert res.tau0 == res.params["tau0"]
-        assert 0.0 <= res.visibility_clamped <= 1.0
 
     def test_revival_alias_resolves_to_smallest_offset(self):
         # Without the envelope the 2-5 model repeats every revival period.
         tau0 = 3.0 * revival_period(MODEL.fsr) + 0.37e-12
-        p = _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 1.0, tau0)
-        ds = exact_dataset(FINE_TAUS, p, 1e9)
+        p = _cosine_probability(MULTI_TAUS, DETS_2_5, 0.8, 1.0, tau0)
+        ds = exact_dataset(MULTI_TAUS, p, 1e9)
         res = fit_fringe(ds, DETS_2_5, sigma=None)
         assert abs(res.params["tau0"] - 0.37e-12) < 1e-18
         assert abs(res.params["visibility"] - 0.8) < 1e-6
@@ -132,24 +133,6 @@ def test_multiplexed_fit_call_budget(monkeypatch, detector):
     monkeypatch.setattr(freqbin.fit, "least_squares", counted)
     fit_fringe(ds, DETS_2_5, sigma=None)
     assert len(calls) <= 2
-
-
-@pytest.mark.parametrize("dets, points", [([DET2], 1), (DETS_2_5, 81), (DETS_2_15, 241)],
-                         ids=["2", "2-5", "2-15"])
-def test_profile_grid_has_the_counted_points(monkeypatch, dets, points):
-    # The scenarios bound a fit's work by tau0_profile_points, so it must
-    # count the grid fit_fringe actually profiles.
-    sizes = []
-    profile = _FringeDesign.profile
-
-    def recorded(self, t0s):
-        sizes.append(len(t0s))
-        return profile(self, t0s)
-
-    monkeypatch.setattr(_FringeDesign, "profile", recorded)
-    fit_fringe(exact_dataset(FINE_TAUS, _cosine_probability(FINE_TAUS, dets, 0.8, 0.3, 0.0), 1e6),
-               dets)
-    assert sizes == [tau0_profile_points(dets)] == [points]
 
 
 def _grid_search_residual_ss(data, detunings, fit_detuning=False):
@@ -209,19 +192,6 @@ def _direct_profile(design, t0s):
     return np.array(costs), np.array(coefs)
 
 
-def _profile_case(data, detunings):
-    """fit_fringe's design and tau0 grid for a multiplexed scan."""
-    d_ps = [d * 1e-12 for d in detunings]
-    design = _FringeDesign(data.taus * 1e12, data.counts.astype(np.float64), d_ps)
-    period_ps = 1.0 / min(d_ps)
-    return design, np.linspace(-period_ps, period_ps, tau0_profile_points(detunings))
-
-
-def _tie_winner(costs, t0s):
-    ties = np.flatnonzero(costs <= costs.min() * (1.0 + freqbin.fit._TIE_REL) + 1e-12)
-    return ties[np.argmin(np.abs(t0s[ties]))]
-
-
 def _reference_case(name, detector):
     if name == "single":
         return _poisson_scan(0.7862, 0.4, 5, detector), [DET2], {}
@@ -247,30 +217,43 @@ def test_profile_search_matches_multistart_grid(name, detector):
 
 @pytest.mark.parametrize("name", ["2-5", "2-15", "exact-2-5"])
 def test_profile_matches_direct_solve(name, detector):
+    # The 3x3 mix of one Gram matrix solves what the N x 3 basis at the same
+    # offset solves; on exact data the closed-form offset is the truth.
+    tau0 = 3.0 * revival_period(MODEL.fsr) + 0.37e-12
     if name == "exact-2-5":
-        # tau0 off the grid: an exact fit's cost is only rounding (see below).
-        tau0 = 3.0 * revival_period(MODEL.fsr) + 0.37e-12
-        p = _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 1.0, tau0)
-        ds, dets = exact_dataset(FINE_TAUS, p, 1e9), DETS_2_5
+        p = _cosine_probability(MULTI_TAUS, DETS_2_5, 0.8, 1.0, tau0)
+        ds, dets = exact_dataset(MULTI_TAUS, p, 1e9), DETS_2_5
     else:
         ds, dets, _ = _reference_case(name, detector)
-    design, t0s = _profile_case(ds, dets)
-    costs, _ = design.profile(t0s)
-    ref, _ = _direct_profile(design, t0s)
-    assert _tie_winner(costs, t0s) == _tie_winner(ref, t0s)
-    np.testing.assert_allclose(costs, ref, rtol=1e-9, atol=0.0)
-    assert np.all(costs >= 0.0)
+    design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64),
+                           [d * 1e-12 for d in dets])
+    t0, coef = design.linear_solve()
+    _, ref = _direct_profile(design, [t0])
+    np.testing.assert_allclose(coef, ref[0], rtol=1e-9, atol=0.0)
+    if name == "exact-2-5":
+        assert t0 == pytest.approx(0.37, abs=1e-6)
 
 
-def test_profile_cost_of_an_exact_fit_is_not_negative():
-    # On exact data the grid's tau0 = 0 fits to rounding; y'y - beta.R'h
-    # could then fall below 0 and leave the tie set empty.
-    ds = exact_dataset(FINE_TAUS, _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 0.3, 0.0), 1e9)
-    design, t0s = _profile_case(ds, DETS_2_5)
-    costs, _ = design.profile(t0s)
-    assert np.all(costs >= 0.0)
-    assert _tie_winner(costs, t0s) == _tie_winner(_direct_profile(design, t0s)[0], t0s)
-    assert t0s[_tie_winner(costs, t0s)] == pytest.approx(0.0, abs=1e-12)
+def test_closed_start_finds_an_offset_beyond_the_former_grid(detector):
+    # Pairs 5-15 with tau0 2.4 ps off the centre of a 16 ps window: the former
+    # grid spanned +/- 1/d_5 = +/- 1.01 ps of the 5.05 ps period and ended in a
+    # wrong minimum.  The reference polishes from the best point of a dense
+    # profile over one full period 1/delta.
+    dets = [float(pair_for_index(MODEL, m).detuning) for m in range(5, 16)]
+    model = FringeModel(tuple((d, 0.8, 0.7) for d in dets), 2.4e-12, 0.0, ENV)
+    scan = ScanConfig(-8e-12, 8e-12, 0.1e-12, 30.0)
+    period_ps = 1e12 / (DET3 - DET2)
+    t0s = np.linspace(-period_ps / 2.0, period_ps / 2.0, 1024, endpoint=False)
+    for seed in (1, 2, 3):
+        ds = simulate_fringe(model, scan, detector, pair_rate=13.33 * len(dets), seed=seed)
+        res = fit_fringe(ds, dets)
+        design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64),
+                               [d * 1e-12 for d in dets])
+        costs, coefs = _direct_profile(design, t0s)
+        best = int(np.argmin(costs))
+        ref = _polish(design, design.start(t0s[best], coefs[best], None), "reference")
+        assert res.residual_ss <= 2.0 * ref.cost * (1.0 + 1e-9)
+        assert abs(res.tau0 - 2.4e-12) <= 3.0 * res.sigmas["tau0"]
 
 
 class TestFringePoisson:
@@ -294,16 +277,12 @@ class TestFringePoisson:
         assert a.sigmas == b.sigmas
         assert a.flags == b.flags
 
-    def test_constant_counts_flag_degenerate(self):
-        taus = np.arange(-2e-12, 2.0001e-12, 0.1e-12)
-        ds = FringeDataset(taus, np.full(taus.size, 500, dtype=np.int64), 1.0)
+    def test_constant_counts_are_a_fit_error(self):
+        ds = FringeDataset(MULTI_TAUS, np.full(MULTI_TAUS.size, 500, dtype=np.int64), 1.0)
         for dets, options in (([DET2], {}), ([DET2], {"fit_detuning": True}),
                               ([DET2, DET3], {})):
-            res = fit_fringe(ds, dets, sigma=None, **options)
-            assert "degenerate-data" in res.flags
-            assert res.params["visibility"] == 0.0
-            assert res.covariance.shape == (len(res.free_names),) * 2
-            assert ("tau0" in res.free_names) == (len(dets) == 2)
+            with pytest.raises(FitError, match="constant counts"):
+                fit_fringe(ds, dets, sigma=None, **options)
 
     def test_report_lists_parameters_and_flags(self, detector):
         ds = _poisson_scan(0.7862, 0.0, 42, detector)
@@ -601,7 +580,15 @@ def test_polish_without_finite_start_is_a_fit_error():
     taus_ps = np.arange(-2.0, 2.05, 0.1)
     design = _FringeDesign(taus_ps, np.full(taus_ps.size, 100.0), [DET2 * 1e-12])
     with pytest.raises(FitError, match="fringe fit has no finite start"):
-        _polish(design, np.array([math.nan, 0.5, 0.0, 0.0]), "fringe fit")
+        _polish(design, np.array([math.nan, 0.5, 0.0]), "fringe fit")
+
+
+def test_polish_with_a_wrong_length_start_is_a_value_error():
+    # A start of 4 entries for a 3-parameter design is the caller's error.
+    taus_ps = np.arange(-2.0, 2.05, 0.1)
+    design = _FringeDesign(taus_ps, np.full(taus_ps.size, 100.0), [DET2 * 1e-12])
+    with pytest.raises(ValueError, match="broadcast"):
+        _polish(design, np.array([100.0, 0.5, 0.0, 0.0]), "fringe fit")
 
 
 def test_polish_at_the_evaluation_cap_is_a_fit_error():
@@ -728,16 +715,34 @@ def test_fringe_fit_detunings_must_be_positive_and_finite(detunings, detector):
         fit_fringe(ds, detunings)
 
 
-def test_fringe_fit_refuses_a_huge_profile_before_building_it(monkeypatch):
-    """[1e9, 1e15] Hz would profile 32,000,001 offsets through a 3.8 GB
-    mixing array; the refusal comes before the design is built."""
+def _refuse_design(monkeypatch):
     def built(*args, **kwargs):
-        raise AssertionError("the fringe design was built before the work check")
+        raise AssertionError("the fringe design was built before the scan check")
 
     monkeypatch.setattr(freqbin.fit, "_FringeDesign", built)
-    ds = FringeDataset(np.arange(41) * 1e-13, np.arange(41), 1.0)
-    with pytest.raises(DomainError, match=r"detunings 1e\+09 to 1e\+15 Hz .* 160,000,005"):
-        fit_fringe(ds, [1e9, 1e15])
+
+
+def test_fringe_fit_refuses_a_huge_design_before_building_it(monkeypatch):
+    """3 pairs over 200,001 delays: 7 columns take 1,400,007 design entries."""
+    _refuse_design(monkeypatch)
+    ds = FringeDataset(np.arange(200_001) * 1e-16, np.arange(200_001) % 7, 1.0)
+    with pytest.raises(DomainError, match=r"3 pairs over 200,001 delays: .* 1,400,007 entries"):
+        fit_fringe(ds, DETS_2_5[:3])
+
+
+def test_fringe_fit_refuses_a_scan_shorter_than_two_periods(monkeypatch):
+    # 4 ps of 2-5 is less than one 5.05 ps period of adjacent pairs' beat.
+    _refuse_design(monkeypatch)
+    ds = exact_dataset(FINE_TAUS, _cosine_probability(FINE_TAUS, DETS_2_5, 0.8, 0.3, 0.0), 1e6)
+    with pytest.raises(DomainError, match=r"spans 4 ps, below two periods .* 10\.09"):
+        fit_fringe(ds, DETS_2_5)
+
+
+@pytest.mark.parametrize("dets", [[DET2, DET3, DET5], [DET2, DET2]], ids=["gap", "repeated"])
+def test_multiplexed_detunings_must_be_distinct_and_equally_spaced(dets):
+    ds = exact_dataset(MULTI_TAUS, _cosine_probability(MULTI_TAUS, dets, 0.8, 0.3, 0.0), 1e6)
+    with pytest.raises(DomainError, match="distinct and equally spaced"):
+        fit_fringe(ds, dets)
 
 
 def test_envelope_fit_names_a_malformed_detunings_header():
@@ -776,8 +781,9 @@ def test_single_pair_designs_leave_tau0_out(fit_detuning, detector):
     ds = _poisson_scan(0.7862, 0.4, 5, detector)
     design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64), [DET2 * 1e-12],
                            fit_detuning=fit_detuning)
-    _, coefs = design.profile(np.zeros(1))
-    jac = design.jacobian(design.start(0.0, coefs[0], None))
+    t0, coef = design.linear_solve()
+    assert t0 == 0.0
+    jac = design.jacobian(design.start(t0, coef, None))
     assert np.linalg.matrix_rank(jac) == len(design.names)
     res = fit_fringe(ds, [DET2], fit_detuning=fit_detuning)
     assert "tau0" not in res.free_names
