@@ -9,16 +9,18 @@ coefficients are solved in closed form at given nonlinear parameters, and
 the start is polished once by Gauss-Newton with step halving on the
 analytic Jacobian, which also frees any parameter held fixed there and
 yields the covariance.
-Each design keeps its last model evaluation, so the Jacobian at an iterate
-reuses the residual's delay offsets, beat mean and envelope terms there,
-with the same bytes as building them again.
-Fringe fits start from one Gram matrix per scan.  For several pairs, tau0
-is the phase step between adjacent pairs' free beat amplitudes (Kay's
-phase-difference estimator, IEEE Trans. ASSP 37:1987, 1989, across the
-comb), and a 3x3 mix of the Gram matrix gives the baseline and the beat's
-cos and sin amplitudes there.  One pair fixes only its beat phase at zero
-delay, so a single-pair fit holds tau0 at 0.  Envelope fits start from the
-peak and half-height width of the beat power in closed form, O(N) work.
+A design keeps no state: one evaluation gives the residual and a closure
+that builds the Jacobian from the same delay offsets, beat mean and
+envelope terms, and the polish builds it only at accepted iterates.
+Both fits start from one weighted linear solve for the baseline and the
+beat's cos and sin amplitudes at a delay offset (and, for the envelope, a
+linewidth).  For several pairs, tau0 is the phase step between adjacent
+pairs' free beat amplitudes (Kay's phase-difference estimator, IEEE Trans.
+ASSP 37:1987, 1989, across the comb), and a fitted tau0 is reported within
+one revival period around zero.  One pair fixes only its beat phase at
+zero delay, so a single-pair fit holds tau0 at 0.  Envelope fits take the
+delay offset and linewidth from the peak and half-height width of the beat
+power in closed form, O(N) work.
 Internally all times are in picoseconds, which keeps the Jacobian's
 columns comparable.
 
@@ -123,6 +125,8 @@ class _FringeDesign:
     fit_detuning) or u = log(sigma_ps) (fit_sigma).  Without fit_sigma the
     model is flat: E = 1.  A flat single-pair design (`gauge`) fixes t0 = 0
     and drops it: its phi and t0 act only through the zero-delay beat phase.
+    A flat design of several pairs, equally spaced by `delta`, repeats in t0
+    every 1/delta.
     """
 
     def __init__(self, taus_ps, counts, detunings_ps, *, fit_detuning=False,
@@ -134,124 +138,100 @@ class _FringeDesign:
         self.fit_sigma = fit_sigma
         self.sw = np.sqrt(1.0 / np.maximum(self.c, 1.0))
         self.gauge = len(self.d) == 1 and not fit_sigma
+        self.delta = (max(self.d) - min(self.d)) / (len(self.d) - 1) if len(self.d) > 1 else None
         self.names = ["scale", "visibility", "phi"] + ([] if self.gauge else ["tau0"])
         if fit_detuning:
             self.names.append("detuning")
         if fit_sigma:
             self.names.append("log_sigma")
-        self._key = self._model = None
 
-    def _cos_env(self, theta):
-        """(N, V, phi, dt, detunings, sigma_ps, B, envelope) at theta.
+    def evaluate(self, theta):
+        """(residual, jacobian) at theta; jacobian() builds J from this evaluation.
 
-        B = mean_m cos(2 pi d_m dt + phi); envelope is `envelope_terms(sigma_ps,
-        dt)`, or None (and sigma_ps None) for the flat model.  The last
-        evaluation is kept, read-only and keyed by the bytes of theta, so the
-        Jacobian at an iterate reuses the residual's evaluation there (see
-        `least_squares`); an evaluation that raises keeps nothing.
+        The residual is sqrt(w) (counts - model).  The design keeps nothing
+        between calls: each evaluation holds its own delay offsets, beat
+        mean and envelope terms (x, e^-x, E of `envelope_terms`; E = 1 for
+        the flat model).
         """
-        key = np.asarray(theta, dtype=np.float64).tobytes()
-        if key == self._key:
-            return self._model
         n, v, phi = theta[:3]
-        t0 = 0.0 if self.gauge else theta[3]
+        dt = self.t - (0.0 if self.gauge else theta[3])
         dets = (theta[self.names.index("detuning")],) if self.fit_detuning else self.d
-        sigma_ps = math.exp(theta[-1]) if self.fit_sigma else None
-        dt = self.t - t0
-        env = None if sigma_ps is None else envelope_terms(sigma_ps, dt)
+        if self.fit_sigma:
+            sigma_ps = math.exp(theta[-1])
+            x, ex, env = envelope_terms(sigma_ps, dt)
+        else:
+            env = 1.0
         cosb = np.zeros_like(dt)
         for d in dets:
             cosb += np.cos(2.0 * math.pi * d * dt + phi)
         cosb /= len(dets)
-        for a in (dt, cosb) + (env or ()):
-            a.flags.writeable = False
-        self._key, self._model = key, (n, v, phi, dt, dets, sigma_ps, cosb, env)
-        return self._model
+        residual = self.sw * (self.c - n * (0.5 - 0.5 * v * cosb * env))
 
-    def residual(self, theta):
-        n, v, _, _, _, _, cosb, env = self._cos_env(theta)
-        e = 1.0 if env is None else env[2]
-        return self.sw * (self.c - n * (0.5 - 0.5 * v * cosb * e))
+        def jacobian():
+            sinb = np.zeros_like(dt)
+            sinb_d = np.zeros_like(dt)
+            for d in dets:
+                s = np.sin(2.0 * math.pi * d * dt + phi)
+                sinb += s
+                sinb_d += s * d
+            sinb /= len(dets)
+            sinb_d /= len(dets)
+            g = cosb * env
+            jac = np.empty((dt.size, len(self.names)))
+            jac[:, 0] = -self.sw * (0.5 - 0.5 * v * g)        # scale
+            jac[:, 1] = self.sw * n * 0.5 * g                 # visibility
+            jac[:, 2] = -self.sw * n * 0.5 * v * sinb * env   # phi
+            if not self.gauge:
+                # dE/dt0 = sigma sign(dt) x e^{-x}
+                denv_dt0 = sigma_ps * np.sign(dt) * x * ex if self.fit_sigma else 0.0
+                dp_dt0 = -0.5 * v * (2.0 * math.pi * sinb_d * env + cosb * denv_dt0)
+                jac[:, 3] = -self.sw * n * dp_dt0             # tau0
+            if self.fit_detuning:
+                dp_dd = -0.5 * v * (-sinb * 2.0 * math.pi * dt) * env
+                jac[:, self.names.index("detuning")] = -self.sw * n * dp_dd  # detuning
+            if self.fit_sigma:
+                # dE/du = -x^2 e^{-x} (x ~ e^u)
+                jac[:, -1] = self.sw * n * 0.5 * v * cosb * (-(x**2) * ex)  # log_sigma
+            return jac
 
-    def jacobian(self, theta):
-        n, v, phi, dt, dets, sigma_ps, cosb, env = self._cos_env(theta)
-        if env is None:
-            env = np.ones_like(dt)
-            denv_dt0 = denv_du = np.zeros_like(dt)
-        else:
-            x, ex, env = env
-            # dE/dt0 = sigma sign(dt) x e^{-x}; dE/du = -x^2 e^{-x} (x ~ e^u)
-            denv_dt0 = sigma_ps * np.sign(dt) * x * ex
-            denv_du = -(x**2) * ex
-        sinb = np.zeros_like(dt)
-        sinb_d = np.zeros_like(dt)
-        for d in dets:
-            s = np.sin(2.0 * math.pi * d * dt + phi)
-            sinb += s
-            sinb_d += s * d
-        sinb /= len(dets)
-        sinb_d /= len(dets)
-        g = cosb * env
-        p = 0.5 - 0.5 * v * g
-        jac = np.empty((dt.size, len(self.names)))
-        jac[:, 0] = -self.sw * p                          # scale
-        jac[:, 1] = self.sw * n * 0.5 * g                 # visibility
-        jac[:, 2] = -self.sw * n * 0.5 * v * sinb * env   # phi
-        if not self.gauge:
-            db_dt0 = 2.0 * math.pi * sinb_d
-            dp_dt0 = -0.5 * v * (db_dt0 * env + cosb * denv_dt0)
-            jac[:, 3] = -self.sw * n * dp_dt0             # tau0
-        if self.fit_detuning:
-            db_dd = -sinb * 2.0 * math.pi * dt
-            dp_dd = -0.5 * v * db_dd * env
-            jac[:, self.names.index("detuning")] = -self.sw * n * dp_dd  # detuning
-        if self.fit_sigma:
-            jac[:, -1] = self.sw * n * 0.5 * v * cosb * denv_du  # log_sigma
-        return jac
+        return residual, jacobian
 
-    def linear_solve(self):
-        """(t0, (a, b, c)): the weighted linear fit counts ~ a + b C + c S at a delay offset t0.
+    def start(self, t0=None, sigma_ps=None):
+        """Parameter vector of the weighted linear fit counts ~ a + b E C + c E S.
 
         C and S are mean_m cos and sin(2 pi d_m (tau - t0)) at the design's
-        fixed detunings: the columns X = sqrt(w) [1, cos 2 pi d_m tau, sin 2 pi
-        d_m tau] mixed by R(t0), the cos and sin of 2 pi d_m t0 over M.  G =
-        X^T X and h = X^T y are formed once.  A gauge design takes t0 = 0;
-        else the free solve G^+ h gives each pair's amplitude u_m = b_m - i c_m,
-        proportional to exp(-2 pi i d_m t0), and with the detunings equally
-        spaced by delta, t0 = -arg(sum_m u_(m+1) conj(u_m)) / (2 pi delta), in
-        (-1/(2 delta), 1/(2 delta)].  (a, b, c) solves (R^T G R) beta = R^T h.
+        fixed detunings, and E is the envelope at sigma_ps (E = 1 without
+        it): N = 2a, V = hypot(b, c)/a and phi = atan2(c, -b).  A gauge
+        design takes t0 = 0 and leaves it out; a free detuning starts at the
+        given one.  Without a t0, several pairs take it in closed form: the
+        free solve on [1, cos 2 pi d_m tau, sin 2 pi d_m tau] gives each pair's
+        amplitude u_m = b_m - i c_m, proportional to exp(-2 pi i d_m t0), and
+        t0 = -arg(sum_m u_(m+1) conj(u_m)) / (2 pi delta), in (-1/(2 delta),
+        1/(2 delta)].
         """
         omega = 2.0 * math.pi * np.array(self.d)
-        m = omega.size
-        th = self.t[:, None] * omega
-        x = self.sw[:, None] * np.hstack([np.ones((self.t.size, 1)), np.cos(th), np.sin(th)])
-        gram, h = x.T @ x, x.T @ (self.sw * self.c)
-        t0 = 0.0
-        if not self.gauge:
-            free = np.linalg.pinv(gram) @ h
+        y = self.sw * self.c
+        if self.gauge:
+            t0 = 0.0
+        elif t0 is None:
+            th = self.t[:, None] * omega
+            x = self.sw[:, None] * np.hstack([np.ones((self.t.size, 1)), np.cos(th), np.sin(th)])
+            free = np.linalg.pinv(x.T @ x) @ (x.T @ y)
+            m = omega.size
             u = (free[1:m + 1] - 1j * free[m + 1:])[np.argsort(self.d)]
-            delta = (max(self.d) - min(self.d)) / (m - 1)
-            t0 = -float(np.angle(np.sum(u[1:] * np.conj(u[:-1])))) / (2.0 * math.pi * delta)
-        cos_ph, sin_ph = np.cos(t0 * omega) / m, np.sin(t0 * omega) / m
-        mix = np.zeros((2 * m + 1, 3))
-        mix[0, 0] = 1.0
-        mix[1:, 1] = np.concatenate([cos_ph, sin_ph])
-        mix[1:, 2] = np.concatenate([-sin_ph, cos_ph])
-        return t0, np.linalg.pinv(mix.T @ gram @ mix) @ (mix.T @ h)
-
-    def start(self, t0, coef, sigma_ps):
-        """Parameter vector of the linear fit (a, b, c) at delay offset t0.
-
-        N = 2a, V = hypot(b, c)/a and phi = atan2(c, -b); a gauge design
-        takes t0 = 0 and leaves it out; a free detuning starts at the given one.
-        """
-        a, b, c = coef
+            t0 = -float(np.angle(np.sum(u[1:] * np.conj(u[:-1])))) / (2.0 * math.pi * self.delta)
+        dt = self.t - t0
+        scale = self.sw if sigma_ps is None else self.sw * envelope_terms(sigma_ps, dt)[2]
+        th = dt[:, None] * omega
+        x = np.column_stack([self.sw, np.cos(th).mean(axis=1) * scale,
+                             np.sin(th).mean(axis=1) * scale])
+        a, b, c = np.linalg.pinv(x.T @ x) @ (x.T @ y)
         theta = [2.0 * a, math.hypot(b, c) / a, math.atan2(c, -b)]
         if not self.gauge:
             theta.append(t0)
         if self.fit_detuning:
             theta.append(self.d[0])
-        if self.fit_sigma:
+        if sigma_ps is not None:
             theta.append(math.log(sigma_ps))
         return np.array(theta, dtype=np.float64)
 
@@ -259,29 +239,30 @@ class _FringeDesign:
 Solution = namedtuple("Solution", "x cost nfev njev status")
 
 
-def least_squares(fun, x0, jac):
-    """Gauss-Newton for min 0.5 |fun(x)|^2: lstsq steps, each halved until the cost falls.
+def least_squares(fun, x0):
+    """Gauss-Newton for min 0.5 |r(x)|^2: lstsq steps, each halved until the cost falls.
 
-    status 1 once a step promises (0.5 |J s|^2, halved with it) at most 1e-13 of
-    the cost; 0 after 400 residual evaluations; -1 if fun(x0) is not finite.
-    jac(x) is always called right after fun(x) at the same x, so a jac that
-    keeps fun's last evaluation (as `_FringeDesign` does) builds no model twice.
+    fun(x) returns (r(x), jac) with jac() the Jacobian at x, as
+    `_FringeDesign.evaluate` does; only the accepted iterate's jac is
+    called, so no model is built twice.  status 1 once a step promises
+    (0.5 |J s|^2, halved with it) at most 1e-13 of the cost; 0 after 400
+    residual evaluations; -1 if r(x0) is not finite.
     """
     x = np.array(x0, dtype=np.float64)
-    r = fun(x)
+    r, jac = fun(x)
     cost = 0.5 * float(r @ r)
     if not math.isfinite(cost):
         return Solution(x, cost, 1, 0, -1)
     nfev, njev = 1, 0
     while True:
-        j = jac(x)
+        j = jac()
         njev += 1
         step = np.linalg.lstsq(j, -r, rcond=None)[0]
         gain = 0.5 * float(np.sum((j @ step) ** 2))
         while gain > 1e-13 * cost:
             if nfev >= 400:
                 return Solution(x, cost, nfev, njev, 0)
-            r_trial = fun(x + step)
+            r_trial, jac_trial = fun(x + step)
             nfev += 1
             cost_trial = 0.5 * float(r_trial @ r_trial)
             if cost_trial < cost:
@@ -289,13 +270,20 @@ def least_squares(fun, x0, jac):
             step, gain = step / 2.0, gain / 2.0
         else:
             return Solution(x, cost, nfev, njev, 1)
-        x, r, cost = x + step, r_trial, cost_trial
+        x, r, jac, cost = x + step, r_trial, jac_trial, cost_trial
 
 
 def _polish(design, x0, what):
-    """One `least_squares` run from x0; FitError unless it converges."""
+    """(solution, theta, J, covariance) of one `least_squares` run from x0.
+
+    FitError unless it converges.  theta is the solution in canonical form:
+    V >= 0, phi in (-pi, pi], and for a flat design of several pairs t0 in
+    (-1/(2 delta), 1/(2 delta)], moved by k whole periods with phi - 2 pi k
+    d_min / delta (0 mod 2 pi for a harmonic comb), which leaves the model
+    unchanged.  J and the covariance pinv(J^T J) are at theta.
+    """
     try:
-        res = least_squares(design.residual, x0, design.jacobian)
+        res = least_squares(design.evaluate, x0)
     except OverflowError as exc:  # a free log-linewidth ran past exp's range
         raise FitError(f"{what} diverged: {exc}") from exc
     if res.status < 0:
@@ -303,22 +291,18 @@ def _polish(design, x0, what):
     if res.status == 0:
         raise FitError(f"{what} did not converge in {res.nfev} evaluations "
                        f"(residual ss {2.0 * res.cost!r})")
-    return res
-
-
-def _canonical_fringe(theta):
-    """Wrap the solution into V >= 0, phi in (-pi, pi]."""
-    theta = np.array(theta, dtype=np.float64)
+    theta = res.x.copy()
+    if design.delta is not None and not design.fit_sigma:
+        k = math.ceil(theta[3] * design.delta - 0.5)
+        theta[3] -= k / design.delta
+        theta[2] -= 2.0 * math.pi * k * min(design.d) / design.delta
     if theta[1] < 0:
         theta[1] = -theta[1]
         theta[2] += math.pi
     theta[2] = math.pi - (math.pi - theta[2]) % (2.0 * math.pi)
-    return theta
-
-
-def _covariance(jac):
+    jac = design.evaluate(theta)[1]()
     cov = np.linalg.pinv(jac.T @ jac)
-    return 0.5 * (cov + cov.T)
+    return res, theta, jac, 0.5 * (cov + cov.T)
 
 
 def check_multiplexed_scan(detunings, span: float, points: int) -> None:
@@ -372,12 +356,13 @@ def fit_fringe(
     Search: at fixed tau0 (and the given detunings) the model is linear in
     the baseline and the beat's cosine and sine amplitudes.  tau0 comes in
     closed form from the phase steps between adjacent pairs' free
-    amplitudes, and the linear coefficients from one 3x3 solve there, both
-    from one Gram matrix of the pairs' cos and sin columns (see
-    `_FringeDesign.linear_solve`).  One polish from that point (see
+    amplitudes, and the linear coefficients from one weighted solve there
+    (see `_FringeDesign.start`).  One polish from that point (see
     `least_squares`) frees every parameter and gives the covariance;
     FitError if it does not converge.  `iterations` reports its
-    residual-evaluation count.
+    residual-evaluation count.  Several pairs, spaced by delta, give the
+    same model every 1/delta in tau0: the reported tau0 lies in
+    (-1/(2 delta), 1/(2 delta)], with phi moved to match.
 
     Single-pair fits determine phi and tau0 only jointly (the beat phase
     at zero delay), so they fit with tau0 fixed at 0: their start is the
@@ -402,16 +387,11 @@ def fit_fringe(
     taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
     design = _FringeDesign(taus_ps, counts, [d * _PS for d in detunings],
                            fit_detuning=fit_detuning)
-    t0, coef = design.linear_solve()
-    winner = _polish(design, design.start(t0, coef, None), "fringe fit")
-
-    theta = _canonical_fringe(winner.x)
-    jac = design.jacobian(theta)
-    cov = _covariance(jac)
+    res, theta, jac, cov = _polish(design, design.start(), "fringe fit")
     flags = ["phase-gauge"] if design.gauge else []
     if np.linalg.cond(jac.T @ jac) > 1e10:
         flags.append("ill-conditioned")
-    return _result(design, theta, cov, 2.0 * winner.cost, winner.nfev, tuple(flags))
+    return _result(design, theta, cov, 2.0 * res.cost, res.nfev, tuple(flags))
 
 
 def _result(design, theta, cov, residual_ss, iterations, flags):
@@ -481,7 +461,8 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
 
     The full fringe model is fitted with the linewidth free.  Its start is
     the delay offset and linewidth of `_envelope_start`, with scale,
-    visibility and phase from one linear solve there; one polish
+    visibility and phase from one linear solve there (see
+    `_FringeDesign.start`); one polish
     (see `least_squares`) then frees every parameter and gives the
     covariance; FitError if it does not converge.
     Exactly one beat detuning is required: the argument, else the dataset
@@ -520,15 +501,8 @@ def fit_envelope(data: FringeDataset, detunings=None) -> FitResult:
         raise FitError("coarse scan has constant counts: no envelope to fit")
 
     design = _FringeDesign(taus_ps, counts, d_ps, fit_sigma=True)
-    t0, sigma0 = _envelope_start(taus_ps, counts)
-    th = 2.0 * math.pi * d_ps[0] * (taus_ps - t0)
-    scale = design.sw * envelope_terms(sigma0, taus_ps - t0)[2]
-    basis = np.column_stack([design.sw, np.cos(th) * scale, np.sin(th) * scale])
-    coef = np.linalg.pinv(basis.T @ basis) @ (basis.T @ (design.sw * counts))
-    res = _polish(design, design.start(t0, coef, sigma0), "envelope fit")
-    theta = _canonical_fringe(res.x)
-
-    cov = _covariance(design.jacobian(theta))
+    start = design.start(*_envelope_start(taus_ps, counts))
+    res, theta, _, cov = _polish(design, start, "envelope fit")
     ill = span_ps * math.exp(theta[-1]) < 1.0 or cov[-1, -1] > 1.0
     return _result(design, theta, cov, 2.0 * res.cost, res.nfev,
                    ("ill-conditioned",) if ill else ())

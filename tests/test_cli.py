@@ -165,8 +165,9 @@ def reproduce_all_trees(tmp_path_factory):
 def test_every_count_csv_refits_to_its_report(reproduce_all_trees):
     """Each count CSV has one fit report (`coarse.csv` has `envelope_fit.txt`,
     every other `<stem>.csv` has `<stem>_fit.txt`), and refitting the
-    reloaded CSV with the report's kind gives that report byte for byte."""
-    checked = 0
+    reloaded CSV with the report's kind gives that report byte for byte.
+    Every multiplexed report's tau0 lies in (-1/(2 delta), 1/(2 delta)]."""
+    checked = multiplexed = 0
     for tree in reproduce_all_trees.values():
         for job in sorted(p for p in tree.iterdir() if p.is_dir()):
             counts = sorted(p for p in job.glob("*.csv") if p.read_text().startswith("# "))
@@ -182,9 +183,13 @@ def test_every_count_csv_refits_to_its_report(reproduce_all_trees):
                     detunings = [float(d) for d in data.metadata["detunings_hz"].split(",")]
                     refit = fit_fringe(data, detunings, fit_detuning=bool(
                         re.search(r"^detuning = ", text, re.MULTILINE)))
+                    if len(detunings) > 1:  # tau0 lies within one revival period
+                        delta = (max(detunings) - min(detunings)) / (len(detunings) - 1)
+                        assert -0.5 < refit.tau0 * delta <= 0.5, f"{job.name}/{report.name}"
+                        multiplexed += 1
                 assert refit.report() == text, f"{job.name}/{report.name}"
                 checked += 1
-    assert checked == 34
+    assert (checked, multiplexed) == (34, 14)
 
 
 _SUMMARY_LINE = re.compile(r"(\w+) = (.+?)(?: \+/- (.+))?")

@@ -16,7 +16,6 @@ from freqbin.config import load_config
 from freqbin.counting import FringeDataset, ScanConfig, accidental_rate, simulate_fringe
 from freqbin.errors import DomainError, FitError, NonPhysicalStateError, ReconstructionError
 from freqbin.fit import (
-    _canonical_fringe,
     _X_HALF,
     _envelope_start,
     _FringeDesign,
@@ -135,6 +134,11 @@ def test_multiplexed_fit_call_budget(monkeypatch, detector):
     assert len(calls) <= 2
 
 
+def _scipy_callbacks(design):
+    """(residual, jacobian) functions of theta, as scipy's least_squares takes them."""
+    return (lambda x: design.evaluate(x)[0]), (lambda x: design.evaluate(x)[1]())
+
+
 def _grid_search_residual_ss(data, detunings, fit_detuning=False):
     """Residual of the former search, kept as the reference optimum.
 
@@ -149,6 +153,7 @@ def _grid_search_residual_ss(data, detunings, fit_detuning=False):
     counts = data.counts[order].astype(np.float64)
     d_ps = [d * 1e-12 for d in detunings]
     design = _FringeDesign(taus_ps, counts, d_ps, fit_detuning=fit_detuning)
+    residual, jacobian = _scipy_callbacks(design)
     n0 = 2.0 * counts.mean()
     v0 = float(np.clip(np.ptp(counts) / max(counts.mean(), 1.0) / 2.0, 0.05, 0.9))
     period_ps = 1.0 / min(d_ps)
@@ -160,14 +165,14 @@ def _grid_search_residual_ss(data, detunings, fit_detuning=False):
                   else [n0, v0, phi0, t0])
             if fit_detuning:
                 x0.append(d_ps[0])
-            r = least_squares(design.residual, np.array(x0), jac=design.jacobian,
+            r = least_squares(residual, np.array(x0), jac=jacobian,
                               method="lm", xtol=1e-9, ftol=1e-9, gtol=1e-9,
                               max_nfev=200)
             if r.status > 0:
-                x = least_squares(design.residual, r.x, jac=design.jacobian,
+                x = least_squares(residual, r.x, jac=jacobian,
                                   method="lm", xtol=1e-14, ftol=1e-14,
                                   gtol=1e-14, max_nfev=400).x
-                best = min(best, float(np.sum(design.residual(x) ** 2)))
+                best = min(best, float(np.sum(residual(x) ** 2)))
     return best
 
 
@@ -217,8 +222,8 @@ def test_profile_search_matches_multistart_grid(name, detector):
 
 @pytest.mark.parametrize("name", ["2-5", "2-15", "exact-2-5"])
 def test_profile_matches_direct_solve(name, detector):
-    # The 3x3 mix of one Gram matrix solves what the N x 3 basis at the same
-    # offset solves; on exact data the closed-form offset is the truth.
+    # The start's linear coefficients are what the N x 3 basis at its offset
+    # solves; on exact data the closed-form offset is the truth.
     tau0 = 3.0 * revival_period(MODEL.fsr) + 0.37e-12
     if name == "exact-2-5":
         p = _cosine_probability(MULTI_TAUS, DETS_2_5, 0.8, 1.0, tau0)
@@ -227,7 +232,8 @@ def test_profile_matches_direct_solve(name, detector):
         ds, dets, _ = _reference_case(name, detector)
     design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64),
                            [d * 1e-12 for d in dets])
-    t0, coef = design.linear_solve()
+    n, v, phi, t0 = design.start()
+    coef = [n / 2.0, -n / 2.0 * v * math.cos(phi), n / 2.0 * v * math.sin(phi)]
     _, ref = _direct_profile(design, [t0])
     np.testing.assert_allclose(coef, ref[0], rtol=1e-9, atol=0.0)
     if name == "exact-2-5":
@@ -249,11 +255,55 @@ def test_closed_start_finds_an_offset_beyond_the_former_grid(detector):
         res = fit_fringe(ds, dets)
         design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64),
                                [d * 1e-12 for d in dets])
-        costs, coefs = _direct_profile(design, t0s)
-        best = int(np.argmin(costs))
-        ref = _polish(design, design.start(t0s[best], coefs[best], None), "reference")
+        costs, _ = _direct_profile(design, t0s)
+        ref = _polish(design, design.start(t0s[int(np.argmin(costs))]), "reference")[0]
         assert res.residual_ss <= 2.0 * ref.cost * (1.0 + 1e-9)
         assert abs(res.tau0 - 2.4e-12) <= 3.0 * res.sigmas["tau0"]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3], ids=["harmonic", "shifted"])
+def test_multiplexed_tau0_is_wrapped_into_one_period(shift):
+    # The flat model of pairs spaced by delta is unchanged by t0 -> t0 - k/delta
+    # with phi -> phi - 2 pi k d_min/delta (0 mod 2 pi for the harmonic comb
+    # 2-5, not for one shifted by 0.3 delta).  A polish started k periods out
+    # stays there; its canonical t0 lies in (-1/(2 delta), 1/(2 delta)].
+    delta = (DET3 - DET2) * 1e-12
+    d_ps = [d * 1e-12 + shift * delta for d in DETS_2_5]
+    taus_ps = MULTI_TAUS * 1e12
+    for periods in (0.6, -0.6, 1.7, -1.7):
+        t0 = periods / delta
+        counts = np.random.default_rng(3).poisson(
+            2000.0 * _cosine_probability(taus_ps, d_ps, 0.8, 1.0, t0))
+        design = _FringeDesign(taus_ps, counts, d_ps)
+        res, theta, _, _ = _polish(design, np.array([2000.0, 0.8, 1.0, t0]), "fringe fit")
+        assert abs(res.x[3] * delta - periods) < 0.1
+        assert -0.5 < theta[3] * delta <= 0.5
+        assert theta[3] * delta - res.x[3] * delta == pytest.approx(-round(periods), abs=1e-9)
+        residual = design.evaluate(theta)[0]
+        assert 0.5 * float(residual @ residual) == pytest.approx(res.cost, rel=1e-12, abs=0.0)
+        if shift == 0.0:
+            assert math.remainder(theta[2] - res.x[2], 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_multiplexed_tau0_near_the_period_edge_is_wrapped():
+    # Pairs 5-15 with tau0 2.4 ps, near the 2.524 ps half period, over +/- 1.2
+    # revival periods at the stock step, rates and accidentals: the polish
+    # ends at -2.675 ps, one period from the canonical +2.374 ps.
+    cfg = load_config()
+    pairs = range(5, 16)
+    dets = [float(pair_for_index(cfg.resonator, m).detuning) for m in pairs]
+    model = FringeModel(tuple((d, cfg.visibility, 0.7) for d in dets), 2.4e-12, 0.0, ENV)
+    period = revival_period(cfg.resonator.fsr)
+    accidental = accidental_rate(cfg.singles_signal * len(dets), cfg.singles_idler * len(dets),
+                                 cfg.detector.coincidence_window)
+    ds = simulate_fringe(model, ScanConfig(-1.2 * period, 1.2 * period, cfg.fine_step, 0.3),
+                         cfg.detector, cfg.pair_rate * len(dets), 16, accidental=accidental)
+    res = fit_fringe(ds, dets)
+    assert -period / 2.0 < res.tau0 <= period / 2.0
+    assert res.tau0 == pytest.approx(2.3735e-12, abs=1e-16)
+    assert abs(res.tau0 - 2.4e-12) <= 3.0 * res.sigmas["tau0"]
+    assert res.phi == pytest.approx(0.4548, abs=1e-4)
+    assert res.residual_ss == pytest.approx(132.4008388, rel=1e-9)
 
 
 class TestFringePoisson:
@@ -389,13 +439,7 @@ def _multistart_envelope(data, detunings):
                 best = r
     _, t01, u1 = best.x
     full = _FringeDesign(taus_ps, counts, [d * 1e-12 for d in detunings], fit_sigma=True)
-    dt = taus_ps - t01
-    th = 2.0 * math.pi * full.d[0] * dt
-    scale = full.sw * envelope_terms(math.exp(u1), dt)[2]
-    basis = np.column_stack([full.sw, np.cos(th) * scale, np.sin(th) * scale])
-    coef = np.linalg.pinv(basis.T @ basis) @ (basis.T @ (full.sw * counts))
-    res = _polish(full, full.start(t01, coef, math.exp(u1)), "reference")
-    n, v, phi, t0, u = _canonical_fringe(res.x)
+    res, (n, v, phi, t0, u), _, _ = _polish(full, full.start(t01, math.exp(u1)), "reference")
     params = {"scale": n, "visibility": v, "phi": phi, "tau0": t0 * 1e-12,
               "fwhm": math.exp(u) / (2.0 * math.pi) * 1e12}
     return 2.0 * res.cost, params
@@ -594,8 +638,7 @@ def test_polish_with_a_wrong_length_start_is_a_value_error():
 def test_polish_at_the_evaluation_cap_is_a_fit_error():
     # r = 1/x has its minimum at infinity: each step doubles x and promises
     # as large a relative decrease again, so only the cap ends the polish.
-    design = SimpleNamespace(residual=lambda x: 1.0 / x,
-                             jacobian=lambda x: np.diag(-1.0 / x**2))
+    design = SimpleNamespace(evaluate=lambda x: (1.0 / x, lambda: np.diag(-1.0 / x**2)))
     with pytest.raises(FitError, match="did not converge in 400 evaluations"):
         _polish(design, np.array([1.0]), "fit")
 
@@ -618,76 +661,99 @@ def _design_kind(kind):
     return (lambda: _FringeDesign(taus_ps, counts, d_ps, **options)), np.array(theta)
 
 
-def _fresh(make, method, theta):
-    return getattr(make(), method)(theta.copy())
+def _fresh(make, theta):
+    """(residual, Jacobian) of a fresh design at a copy of theta."""
+    residual, jacobian = make().evaluate(theta.copy())
+    return residual, jacobian()
 
 
 @pytest.mark.parametrize("pair", ["moved", "signed-zero"])
 @pytest.mark.parametrize("kind", ["flat", "detuning", "4-pair", "sigma"])
 def test_design_evaluations_match_fresh_designs(kind, pair):
-    # One design keeps its last evaluation: interleaved residuals and
-    # Jacobians at two thetas must equal those of a fresh design, byte for
-    # byte.  "moved" changes only the last parameter; "signed-zero" only
-    # the sign of V = 0, which flips the zeros of the phi and tau0 columns.
+    # A design keeps nothing between evaluations: interleaved evaluations at
+    # two thetas, their Jacobians built out of order, must equal those of a
+    # fresh design, byte for byte.  "moved" changes only the last parameter;
+    # "signed-zero" only the sign of V = 0, which flips the zeros of the phi
+    # and tau0 columns.
     make, a = _design_kind(kind)
     b = a.copy()
     if pair == "moved":
         b[-1] *= 1.001
     else:
         a[1], b[1] = 0.0, -0.0
-    assert _fresh(make, "jacobian", a).tobytes() != _fresh(make, "jacobian", b).tobytes()
+    assert _fresh(make, a)[1].tobytes() != _fresh(make, b)[1].tobytes()
     design = make()
-    for method, theta in (("residual", a), ("jacobian", a), ("residual", b),
-                          ("jacobian", a), ("jacobian", b), ("residual", a)):
-        got = getattr(design, method)(theta)
+    (ra, ja), (rb, jb) = design.evaluate(a), design.evaluate(b)
+    ra2, ja2 = design.evaluate(a)
+    for got, theta, which in ((ra, a, 0), (jb(), b, 1), (ja(), a, 1), (rb, b, 0),
+                              (ja2(), a, 1), (ra2, a, 0)):
         assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.tobytes() == _fresh(make, method, theta).tobytes()
-    assert design.jacobian(a).shape == (design.t.size, len(design.names))
+        assert got.tobytes() == _fresh(make, theta)[which].tobytes()
+    assert ja().shape == (design.t.size, len(design.names))
 
 
 def test_design_reevaluates_a_theta_mutated_in_place():
-    # The kept evaluation is keyed by theta's values, not its identity: a
-    # caller may edit theta in place between calls.
+    # An evaluation is of theta's values at the call: a caller may edit theta
+    # in place between calls, and an earlier Jacobian keeps the earlier values.
     make, theta = _design_kind("flat")
     design = make()
-    design.residual(theta)
+    before = theta.copy()
+    _, jacobian_before = design.evaluate(theta)
     theta[2] -= 0.3
-    assert design.jacobian(theta).tobytes() == _fresh(make, "jacobian", theta).tobytes()
-    assert design.residual(theta).tobytes() == _fresh(make, "residual", theta).tobytes()
+    residual, jacobian = design.evaluate(theta)
+    assert jacobian().tobytes() == _fresh(make, theta)[1].tobytes()
+    assert residual.tobytes() == _fresh(make, theta)[0].tobytes()
+    assert jacobian_before().tobytes() == _fresh(make, before)[1].tobytes()
 
 
 def test_design_keeps_nothing_of_an_evaluation_that_raises():
     # exp overflows on a runaway log linewidth; _polish makes that a FitError.
     make, theta = _design_kind("sigma")
     design = make()
-    design.residual(theta)
+    design.evaluate(theta)
     runaway = theta.copy()
     runaway[-1] = 710.0
     for _ in range(2):
         with pytest.raises(OverflowError):
-            design.jacobian(runaway)
+            design.evaluate(runaway)
     after = theta.copy()
     after[0] *= 1.5
     for x in (after, theta):
-        for method in ("jacobian", "residual"):
-            assert getattr(design, method)(x).tobytes() == _fresh(make, method, x).tobytes()
+        residual, jacobian = design.evaluate(x)
+        fresh = _fresh(make, x)
+        assert residual.tobytes() == fresh[0].tobytes()
+        assert jacobian().tobytes() == fresh[1].tobytes()
 
 
-def test_envelope_polish_evaluates_the_model_once_per_iterate(monkeypatch):
-    # Every model evaluation at a linewidth calls envelope_terms with a scalar
-    # sigma, as does the start's linear solve, once.  The polish's Jacobians
-    # reuse its residuals' evaluations; the covariance's Jacobian is at the
-    # canonical theta, one more.
-    ds = _stock_coarse(load_config().seed)
-    scalar_calls = []
+@pytest.mark.parametrize("kind", ["flat", "detuning", "4-pair", "sigma"])
+def test_polish_evaluates_the_model_once_per_iterate(kind, monkeypatch):
+    # The polish builds each accepted iterate's Jacobian from that iterate's
+    # evaluation: `evaluate` runs once per residual evaluation and each
+    # Jacobian once per iterate, plus one of each at the canonical theta for
+    # the covariance.  The envelope fit runs on fig2's coarse scan, where
+    # every model evaluation calls envelope_terms with a scalar sigma, as
+    # does the start's linear solve, once.
+    evaluations, jacobians, scalar_calls, solutions = [], [], [], []
+    evaluate = _FringeDesign.evaluate
+
+    def counted_evaluate(design, theta):
+        evaluations.append(1)
+        residual, jacobian = evaluate(design, theta)
+
+        def counted_jacobian():
+            jacobians.append(1)
+            return jacobian()
+
+        return residual, counted_jacobian
+
+    monkeypatch.setattr(_FringeDesign, "evaluate", counted_evaluate)
     terms = freqbin.fit.envelope_terms
 
-    def counted(sigma, tau):
+    def counted_terms(sigma, tau):
         scalar_calls.append(np.ndim(sigma) == 0)
         return terms(sigma, tau)
 
-    monkeypatch.setattr(freqbin.fit, "envelope_terms", counted)
-    solutions = []
+    monkeypatch.setattr(freqbin.fit, "envelope_terms", counted_terms)
     solve = freqbin.fit.least_squares
 
     def recorded(*args):
@@ -695,10 +761,16 @@ def test_envelope_polish_evaluates_the_model_once_per_iterate(monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(freqbin.fit, "least_squares", recorded)
-    fit_envelope(ds)
+    if kind == "sigma":
+        fit_envelope(_stock_coarse(load_config().seed))
+    else:
+        make, theta = _design_kind(kind)
+        _polish(make(), theta, "fit")
     (solution,) = solutions
     assert solution.njev > 1
-    assert sum(scalar_calls) == 1 + solution.nfev + 1
+    assert len(evaluations) == solution.nfev + 1
+    assert len(jacobians) == solution.njev + 1
+    assert sum(scalar_calls) == (1 + solution.nfev + 1 if kind == "sigma" else 0)
 
 
 def test_fringe_fit_with_a_linewidth_is_a_domain_error(detector):
@@ -781,9 +853,9 @@ def test_single_pair_designs_leave_tau0_out(fit_detuning, detector):
     ds = _poisson_scan(0.7862, 0.4, 5, detector)
     design = _FringeDesign(ds.taus * 1e12, ds.counts.astype(np.float64), [DET2 * 1e-12],
                            fit_detuning=fit_detuning)
-    t0, coef = design.linear_solve()
-    assert t0 == 0.0
-    jac = design.jacobian(design.start(t0, coef, None))
+    theta = design.start()
+    assert theta.size == len(design.names) == 3 + fit_detuning
+    jac = design.evaluate(theta)[1]()
     assert np.linalg.matrix_rank(jac) == len(design.names)
     res = fit_fringe(ds, [DET2], fit_detuning=fit_detuning)
     assert "tau0" not in res.free_names
