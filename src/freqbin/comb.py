@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import MAX_SCAN_POINTS
 from .errors import DomainError
 
 __all__ = [
@@ -117,15 +118,19 @@ class FrequencyPair:
 def resonance_lines(model: ResonatorModel, band: tuple[float, float]) -> list[CombLine]:
     """All comb lines whose centers lie in the closed band, ascending.
 
-    band is a (low, high) pair in Hz.
+    band is a (low, high) pair in Hz.  A band of more than MAX_SCAN_POINTS
+    lines is a DomainError, raised before any line is built.
     """
     lo, hi = band
     if not lo < hi:
         raise DomainError("band lower bound must be below upper bound")
-    if lo <= 0:
-        raise DomainError("band bounds must be positive")
+    if lo <= 0 or hi == math.inf:
+        raise DomainError("band bounds must be positive and finite")
     k_min = math.ceil((lo - model.pump_frequency) / model.fsr)
     k_max = math.floor((hi - model.pump_frequency) / model.fsr)
+    if k_max - k_min + 1 > MAX_SCAN_POINTS:
+        raise DomainError(f"the band holds {k_max - k_min + 1:,} comb lines, "
+                          f"above {MAX_SCAN_POINTS:,}")
     lines = []
     for k in range(k_min, k_max + 1):
         center = model.pump_frequency + k * model.fsr

@@ -20,7 +20,7 @@ import numpy as np
 from .comb import ResonatorModel, ghz, mhz, thz
 from .counting import MAX_SCAN_POINTS, DetectorModel, ScanConfig
 from .errors import ConfigurationError, DomainError, NonPhysicalStateError
-from .fit import MIN_ENVELOPE_SPAN_PS, MIN_FIT_POINTS
+from .fit import _MAX_SAMPLES, MIN_ENVELOPE_SPAN_PS, MIN_FIT_POINTS
 from .hom import revival_period
 from .states import restricted_density
 from .wss import FilterProgram
@@ -35,7 +35,7 @@ __all__ = [
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-_SAMPLES = (lambda v: 2 <= v <= 1_000_000, "must lie in [2, 1,000,000]")
+_SAMPLES = (lambda v: 2 <= v <= _MAX_SAMPLES, f"must lie in [2, {_MAX_SAMPLES:,}]")
 _SEED = (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)")
 _ns = lambda x: x * 1e-9
 _ps = lambda x: x * 1e-12

@@ -69,6 +69,9 @@ _START_BINS = 16
 # The root of (1 + x)^2 e^(-2x) = 1/2 (see `_envelope_start`).
 _X_HALF = 1.077960450100453
 
+# Most Monte Carlo draws `reconstruct` takes: the [tomography] samples bound.
+_MAX_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -151,47 +154,73 @@ class _FringeDesign:
         The residual is sqrt(w) (counts - model).  The design keeps nothing
         between calls: each evaluation holds its own delay offsets, beat
         mean and envelope terms (x, e^-x, E of `envelope_terms`; E = 1 for
-        the flat model).
+        the flat model).  Each pair's argument 2 pi d (tau - t0) + phi is
+        built once, and the Jacobian's sines reuse it.  Every product keeps
+        the operands and order of the plain-expression reference in
+        tests/test_fit.py, so no byte of the residual or Jacobian moves.
+        The Jacobian's rows are formed in place in one (k, N) block, the
+        transpose of the C-contiguous (N, k) array returned.
         """
         n, v, phi = theta[:3]
-        dt = self.t - (0.0 if self.gauge else theta[3])
+        dt = self.t if self.gauge else self.t - theta[3]
         dets = (theta[self.names.index("detuning")],) if self.fit_detuning else self.d
         if self.fit_sigma:
             sigma_ps = math.exp(theta[-1])
             x, ex, env = envelope_terms(sigma_ps, dt)
-        else:
-            env = 1.0
-        cosb = np.zeros_like(dt)
-        for d in dets:
-            cosb += np.cos(2.0 * math.pi * d * dt + phi)
-        cosb /= len(dets)
-        residual = self.sw * (self.c - n * (0.5 - 0.5 * v * cosb * env))
+        args = [2.0 * math.pi * d * dt + phi for d in dets]
+        # The beat means start from the first pair's term, not from zeros:
+        # 0.0 + y is y for every y but -0.0, which cos never gives.
+        cosb = np.cos(args[0])
+        for arg in args[1:]:
+            cosb += np.cos(arg)
+        if len(dets) > 1:
+            cosb /= len(dets)
+        # The flat model leaves its E = 1 out everywhere, as y * 1.0 is y.
+        p = 0.5 - (0.5 * v * cosb * env if self.fit_sigma else 0.5 * v * cosb)
+        residual = self.sw * (self.c - n * p)
 
         def jacobian():
-            sinb = np.zeros_like(dt)
-            sinb_d = np.zeros_like(dt)
-            for d in dets:
-                s = np.sin(2.0 * math.pi * d * dt + phi)
+            sins = [np.sin(arg) for arg in args]
+            sinb = sins[0] + 0.0  # a sine is -0.0 at -0.0, and 0.0 + -0.0 is +0.0
+            for s in sins[1:]:
                 sinb += s
-                sinb_d += s * d
-            sinb /= len(dets)
-            sinb_d /= len(dets)
-            g = cosb * env
+            if len(dets) > 1:
+                sinb /= len(dets)
             jac = np.empty((dt.size, len(self.names)))
-            jac[:, 0] = -self.sw * (0.5 - 0.5 * v * g)        # scale
-            jac[:, 1] = self.sw * n * 0.5 * g                 # visibility
-            jac[:, 2] = -self.sw * n * 0.5 * v * sinb * env   # phi
+            rows = jac.T
+            nsw = -self.sw
+            nswn = nsw * n
+            swnh = self.sw * n * 0.5
+            g = cosb * env if self.fit_sigma else cosb
+            np.multiply(nsw, 0.5 - 0.5 * v * g if self.fit_sigma else p, out=rows[0])  # scale
+            np.multiply(swnh, g, out=rows[1])                 # visibility
+            np.multiply(nswn * 0.5 * v, sinb, out=rows[2])
+            if self.fit_sigma:
+                rows[2] *= env                                # phi
             if not self.gauge:
-                # dE/dt0 = sigma sign(dt) x e^{-x}
-                denv_dt0 = sigma_ps * np.sign(dt) * x * ex if self.fit_sigma else 0.0
-                dp_dt0 = -0.5 * v * (2.0 * math.pi * sinb_d * env + cosb * denv_dt0)
-                jac[:, 3] = -self.sw * n * dp_dt0             # tau0
+                sinb_d = sins[0] * dets[0] + 0.0  # as for sinb
+                for s, d in zip(sins[1:], dets[1:]):
+                    sinb_d += s * d
+                if len(dets) > 1:
+                    sinb_d /= len(dets)
+                row = np.multiply(sinb_d, 2.0 * math.pi, out=rows[3])
+                if self.fit_sigma:
+                    row *= env
+                # dE/dt0 = sigma sign(dt) x e^{-x}.  The flat model keeps its
+                # 0.0: y + cosb * 0.0 is +0.0 where y is -0.0 and cosb > 0.
+                row += cosb * (sigma_ps * np.sign(dt) * x * ex if self.fit_sigma else 0.0)
+                row *= -0.5 * v
+                row *= nswn                                   # tau0
             if self.fit_detuning:
-                dp_dd = -0.5 * v * (-sinb * 2.0 * math.pi * dt) * env
-                jac[:, self.names.index("detuning")] = -self.sw * n * dp_dd  # detuning
+                row = rows[self.names.index("detuning")]
+                np.multiply(-sinb * 2.0 * math.pi, dt, out=row)
+                row *= -0.5 * v
+                if self.fit_sigma:
+                    row *= env
+                row *= nswn                                   # detuning
             if self.fit_sigma:
                 # dE/du = -x^2 e^{-x} (x ~ e^u)
-                jac[:, -1] = self.sw * n * 0.5 * v * cosb * (-(x**2) * ex)  # log_sigma
+                np.multiply(swnh * v * cosb, -(x**2) * ex, out=rows[-1])  # log_sigma
             return jac
 
         return residual, jacobian
@@ -210,6 +239,7 @@ class _FringeDesign:
         1/(2 delta)].
         """
         omega = 2.0 * math.pi * np.array(self.d)
+        m = omega.size
         y = self.sw * self.c
         if self.gauge:
             t0 = 0.0
@@ -217,14 +247,13 @@ class _FringeDesign:
             th = self.t[:, None] * omega
             x = self.sw[:, None] * np.hstack([np.ones((self.t.size, 1)), np.cos(th), np.sin(th)])
             free = np.linalg.pinv(x.T @ x) @ (x.T @ y)
-            m = omega.size
             u = (free[1:m + 1] - 1j * free[m + 1:])[np.argsort(self.d)]
             t0 = -float(np.angle(np.sum(u[1:] * np.conj(u[:-1])))) / (2.0 * math.pi * self.delta)
         dt = self.t - t0
         scale = self.sw if sigma_ps is None else self.sw * envelope_terms(sigma_ps, dt)[2]
         th = dt[:, None] * omega
-        x = np.column_stack([self.sw, np.cos(th).mean(axis=1) * scale,
-                             np.sin(th).mean(axis=1) * scale])
+        x = np.column_stack([self.sw, np.cos(th).sum(axis=1) / m * scale,
+                             np.sin(th).sum(axis=1) / m * scale])
         a, b, c = np.linalg.pinv(x.T @ x) @ (x.T @ y)
         theta = [2.0 * a, math.hypot(b, c) / a, math.atan2(c, -b)]
         if not self.gauge:
@@ -548,10 +577,11 @@ def reconstruct(
     Uncertainty: Gaussian draws of (p, V, phi); p and V are clamped to
     [0, 1] and draws violating positivity are discarded (rejection above
     50% aborts).  sigma_F is the sample standard deviation of the fidelity
-    over accepted draws.
+    over accepted draws.  samples must be an integer in [2, 1,000,000]
+    (DomainError before any draw).
     """
-    if samples < 2:
-        raise DomainError("samples must be at least 2")
+    if not (isinstance(samples, (int, np.integer)) and 2 <= samples <= _MAX_SAMPLES):
+        raise DomainError(f"samples must be an integer in [2, {_MAX_SAMPLES:,}], got {samples!r}")
     rho = restricted_density(p, V, phi)
     f_central = state_fidelity(rho, theta_target)
 

@@ -6,7 +6,7 @@ text summary.  Each delay scan is a `_Scan` record that `_run_scans`
 simulates, writes and fits.  A scan draws from the run seed plus its seed
 offset (fig2: 0, 1, 2; fig4: 0, 1; all others: 0), wrapped into
 [0, 2**64), so the run is a pure function of (config, seed).  Scans with
-the same offset share their random numbers (ROADMAP item 3 keys them apart).
+the same offset share their random numbers (ROADMAP item 4 keys them apart).
 
 The delay windows and the transmission sweep come from the config, which
 checks them at load (ordered, 8 to 1,000,000 points, a coarse span of at

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .comb import CombLine, ResonatorModel, pair_for_index, resonance_lines
+from .counting import MAX_SCAN_POINTS
 from .errors import ConfigurationError, DomainError
 from .rng import STREAM_SCAN, CounterRng
 
@@ -153,15 +154,24 @@ def singles_spectrum_scan(
     with a counter-based generator keyed by (seed, scan index), so the
     result is independent of evaluation order.
 
+    The centers advance by int(step), so a step below 1 Hz, or a band of
+    more than MAX_SCAN_POINTS centers, is a DomainError before any center
+    or comb line is built.
+
     Returns a list of (center frequency Hz, counts).
     """
     lo, hi = band
-    if not lo < hi:
-        raise DomainError("band lower bound must be below upper bound")
-    if step <= 0 or width <= 0 or dwell <= 0:
-        raise DomainError("step, width, and dwell must be positive")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError("band bounds must be finite, the lower below the upper")
+    if not 1 <= step < math.inf:
+        raise DomainError(f"step {step!r} Hz: the centers advance by int(step), at least 1 Hz")
+    if width <= 0 or dwell <= 0:
+        raise DomainError("width and dwell must be positive")
     if line_flux < 0 or dark_rate < 0:
         raise DomainError("rates must be non-negative")
+    points = int((hi - int(lo)) // int(step)) + 1
+    if points > MAX_SCAN_POINTS:
+        raise DomainError(f"the scan would take {points:,} centers, above {MAX_SCAN_POINTS:,}")
 
     margin = _CAPTURE_CUTOFF_LINEWIDTHS * model.fwhm + width
     lines = resonance_lines(model, (max(lo - margin, 1), hi + margin))

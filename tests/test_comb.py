@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import freqbin.comb
 from freqbin.comb import (
     CombLine,
     FrequencyPair,
@@ -18,6 +19,7 @@ from freqbin.comb import (
     transmission,
 )
 from freqbin.config import load_config
+from freqbin.counting import MAX_SCAN_POINTS
 from freqbin.errors import DomainError
 
 MODEL = load_config().resonator
@@ -57,6 +59,26 @@ def test_resonance_lines_empty_gap(model):
 def test_resonance_lines_invalid_band(model):
     with pytest.raises(DomainError):
         resonance_lines(model, (thz(194.0), thz(193.0)))
+
+
+class _Built(Exception):
+    """Raised where resonance_lines builds its first line."""
+
+
+def test_resonance_lines_refuses_a_band_of_too_many_lines(model, monkeypatch):
+    # One CombLine per FSR: the count k_max - k_min + 1 is checked before any
+    # line is built, so these bands never build one.
+    def built(*args):
+        raise _Built
+
+    monkeypatch.setattr(freqbin.comb, "CombLine", built)
+    lo = model.pump_frequency
+    with pytest.raises(DomainError, match=f"{MAX_SCAN_POINTS + 1:,} comb lines"):
+        resonance_lines(model, (lo, lo + MAX_SCAN_POINTS * model.fsr))  # k = 0 .. MAX
+    with pytest.raises(_Built):
+        resonance_lines(model, (lo, lo + (MAX_SCAN_POINTS - 1) * model.fsr))
+    with pytest.raises(DomainError, match="finite"):
+        resonance_lines(model, (lo, float("inf")))
 
 
 def test_transmission_on_resonance(model):

@@ -725,6 +725,82 @@ def test_design_keeps_nothing_of_an_evaluation_that_raises():
         assert jacobian().tobytes() == fresh[1].tobytes()
 
 
+def _reference_evaluate(design, theta):
+    """(residual, Jacobian) of a design at theta, written as plain expressions.
+
+    The reference for `_FringeDesign.evaluate`, whose bytes must equal these:
+    beat means summed from zeros, the flat model's E = 1.0 and dE/dt0 = 0.0
+    taken into every product, and each product in this operand order.
+    """
+    n, v, phi = theta[:3]
+    dt = design.t - (0.0 if design.gauge else theta[3])
+    dets = (theta[design.names.index("detuning")],) if design.fit_detuning else design.d
+    if design.fit_sigma:
+        sigma_ps = math.exp(theta[-1])
+        x, ex, env = envelope_terms(sigma_ps, dt)
+    else:
+        env = 1.0
+    cosb, sinb, sinb_d = np.zeros_like(dt), np.zeros_like(dt), np.zeros_like(dt)
+    for d in dets:
+        cosb += np.cos(2.0 * math.pi * d * dt + phi)
+        s = np.sin(2.0 * math.pi * d * dt + phi)
+        sinb += s
+        sinb_d += s * d
+    cosb /= len(dets)
+    sinb /= len(dets)
+    sinb_d /= len(dets)
+    residual = design.sw * (design.c - n * (0.5 - 0.5 * v * cosb * env))
+    g = cosb * env
+    jac = np.empty((dt.size, len(design.names)))
+    jac[:, 0] = -design.sw * (0.5 - 0.5 * v * g)
+    jac[:, 1] = design.sw * n * 0.5 * g
+    jac[:, 2] = -design.sw * n * 0.5 * v * sinb * env
+    if not design.gauge:
+        denv_dt0 = sigma_ps * np.sign(dt) * x * ex if design.fit_sigma else 0.0
+        dp_dt0 = -0.5 * v * (2.0 * math.pi * sinb_d * env + cosb * denv_dt0)
+        jac[:, 3] = -design.sw * n * dp_dt0
+    if design.fit_detuning:
+        dp_dd = -0.5 * v * (-sinb * 2.0 * math.pi * dt) * env
+        jac[:, design.names.index("detuning")] = -design.sw * n * dp_dd
+    if design.fit_sigma:
+        jac[:, -1] = design.sw * n * 0.5 * v * cosb * (-(x**2) * ex)
+    return residual, jac
+
+
+@pytest.mark.parametrize("point", ["theta", "V=-0.0", "phi=-0.0"])
+@pytest.mark.parametrize("kind", ["flat", "detuning", "4-pair", "sigma", "2-15", "slow-sigma"])
+def test_design_evaluation_matches_the_reference_bytes(kind, point):
+    # Each design kind, a flat 14-pair design and an envelope design whose
+    # 10 MHz beat leaves the tau0 column to the envelope's slope, at its
+    # theta, at V = -0.0 (signed zeros in the phi and tau0 columns) and at
+    # phi = -0.0 on delays that include -0.0, where an argument
+    # 2 pi d dt + phi is -0.0 and so is its sine.
+    make, theta = _design_kind({"2-15": "4-pair", "slow-sigma": "sigma"}.get(kind, kind))
+    design = make()
+    taus, dets = design.t, design.d
+    if kind == "2-15":
+        dets = [d * 1e-12 for d in DETS_2_15]
+    elif kind == "slow-sigma":
+        dets = [1e7 * 1e-12]
+    if point == "V=-0.0":
+        theta[1] = -0.0
+    elif point == "phi=-0.0":
+        theta[2] = -0.0
+        if not design.gauge:
+            theta[3] = 0.0  # t0: -0.0 - 0.0 is -0.0
+        taus = np.where(taus == taus[np.argmin(np.abs(taus))], -0.0, taus)
+        assert np.signbit(taus[taus == 0.0]).all()
+    design = _FringeDesign(taus, design.c, dets, fit_detuning=design.fit_detuning,
+                           fit_sigma=design.fit_sigma)
+    residual, jacobian = design.evaluate(theta.copy())
+    jac = jacobian()
+    ref_residual, ref_jac = _reference_evaluate(design, theta.copy())
+    assert jac.dtype == np.float64 and jac.flags.c_contiguous
+    assert jac.shape == ref_jac.shape == (taus.size, len(design.names))
+    assert residual.tobytes() == ref_residual.tobytes()
+    assert jac.tobytes() == ref_jac.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["flat", "detuning", "4-pair", "sigma"])
 def test_polish_evaluates_the_model_once_per_iterate(kind, monkeypatch):
     # The polish builds each accepted iterate's Jacobian from that iterate's
@@ -935,6 +1011,18 @@ class TestReconstruct:
     def test_inconsistent_uncertainties_rejected(self):
         with pytest.raises(ReconstructionError):
             reconstruct(0.9, 0.2, 0.6, 0.3, 0.0, 0.1, seed=3)
+
+    @pytest.mark.parametrize("samples", [10**9, 1_000_001, 1, 2.5, 20000.0])
+    def test_sample_count_is_refused_before_anything_is_built(self, samples, monkeypatch):
+        # The [tomography] samples bound, integers only: 10**9 would ask for
+        # 8 GB of indices, and 2.5 would draw 3 but count 2.5.
+        def built(*args, **kwargs):
+            raise AssertionError("reconstruct went past its sample check")
+
+        monkeypatch.setattr(freqbin.fit, "restricted_density", built)
+        monkeypatch.setattr(freqbin.fit, "CounterRng", built)
+        with pytest.raises(DomainError, match=r"samples must be an integer in \[2, 1,000,000\]"):
+            reconstruct(0.701, 0.005, 0.7713, 0.0193, -0.1168, 0.1094, samples=samples)
 
     def test_target_angle_recorded(self):
         res = reconstruct(

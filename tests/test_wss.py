@@ -5,8 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freqbin.wss
 from freqbin.comb import ghz, pair_for_index, thz
 from freqbin.config import load_config
+from freqbin.counting import MAX_SCAN_POINTS
 from freqbin.errors import ConfigurationError, DomainError
 from freqbin.wss import (
     FilterProgram,
@@ -208,3 +210,31 @@ def test_scan_argument_validation(model):
         singles_spectrum_scan(model, band, 0, ghz(20), 1.0, 1.0, 1.0, 0)
     with pytest.raises(DomainError):
         singles_spectrum_scan(model, band, ghz(33), ghz(20), -1.0, 1.0, 1.0, 0)
+
+
+class _Reached(Exception):
+    """Raised where a scan gets past its checks, before it builds anything."""
+
+
+def test_scan_refuses_a_sub_hertz_step_or_too_many_centers(model, monkeypatch):
+    # The centers advance by int(step): 0.5 Hz would never advance, and 1 Hz
+    # over 1 THz would build 10**12 centers.  Counts are computed here, never
+    # built: the comb lines come after both checks, and this patch stops there.
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(freqbin.wss, "resonance_lines", reached)
+    lo, step = thz(193.0), ghz(1)
+    rest = (ghz(20), 1.0, 1.0, 1.0, 0)
+    for bad in (0.5, 0.999, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="at least 1 Hz"):
+            singles_spectrum_scan(model, (lo, lo + ghz(100)), bad, *rest)
+    with pytest.raises(DomainError, match="1,000,000,000,001 centers"):
+        singles_spectrum_scan(model, (thz(193.0), thz(194.0)), 1, *rest)
+    # lo + k step for k = 0 .. MAX_SCAN_POINTS: one center above the bound
+    with pytest.raises(DomainError, match=f"{MAX_SCAN_POINTS + 1:,} centers"):
+        singles_spectrum_scan(model, (lo, lo + MAX_SCAN_POINTS * step), step, *rest)
+    with pytest.raises(_Reached):
+        singles_spectrum_scan(model, (lo, lo + (MAX_SCAN_POINTS - 1) * step), step, *rest)
+    with pytest.raises(DomainError, match="finite"):
+        singles_spectrum_scan(model, (lo, float("inf")), step, *rest)
