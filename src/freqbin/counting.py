@@ -80,10 +80,10 @@ class DetectorModel:
             raise DomainError("efficiency_signal must lie in [0, 1]")
         if not 0.0 <= self.efficiency_idler <= 1.0:
             raise DomainError("efficiency_idler must lie in [0, 1]")
-        if self.dark_rate < 0:
-            raise DomainError("dark_rate must be non-negative")
-        if not self.coincidence_window > 0:
-            raise DomainError("coincidence_window must be positive")
+        if not 0 <= self.dark_rate < math.inf:
+            raise DomainError("dark_rate must be non-negative and finite")
+        if not 0 < self.coincidence_window < math.inf:
+            raise DomainError("coincidence_window must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -410,10 +410,10 @@ def simulate_fringe(
     The means are formed and drawn one block of _BLOCK points at a time
     into the counts array, so no other array grows with the scan.
     """
-    if pair_rate < 0:
-        raise DomainError("pair_rate must be non-negative")
-    if accidental < 0:
-        raise DomainError("accidental rate must be non-negative")
+    if not 0 <= pair_rate < math.inf:
+        raise DomainError("pair_rate must be non-negative and finite")
+    if not 0 <= accidental < math.inf:
+        raise DomainError("accidental rate must be non-negative and finite")
     rng = CounterRng(seed, STREAM_FRINGE)
     taus = scan.grid()
     eta = det.efficiency_signal * det.efficiency_idler

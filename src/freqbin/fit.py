@@ -303,13 +303,14 @@ def least_squares(fun, x0):
 
 
 def _polish(design, x0, what):
-    """(solution, theta, J, covariance) of one `least_squares` run from x0.
+    """(solution, theta, s, covariance) of one `least_squares` run from x0.
 
     FitError unless it converges.  theta is the solution in canonical form:
     V >= 0, phi in (-pi, pi], and for a flat design of several pairs t0 in
     (-1/(2 delta), 1/(2 delta)], moved by k whole periods with phi - 2 pi k
     d_min / delta (0 mod 2 pi for a harmonic comb), which leaves the model
-    unchanged.  J and the covariance pinv(J^T J) are at theta.
+    unchanged.  At theta, the covariance is pinv(J^T J), by pinv's own steps, and
+    s the singular values of J^T J, descending: s[0] / s[-1] is its condition number.
     """
     try:
         res = least_squares(design.evaluate, x0)
@@ -330,8 +331,10 @@ def _polish(design, x0, what):
         theta[2] += math.pi
     theta[2] = math.pi - (math.pi - theta[2]) % (2.0 * math.pi)
     jac = design.evaluate(theta)[1]()
-    cov = np.linalg.pinv(jac.T @ jac)
-    return res, theta, jac, 0.5 * (cov + cov.T)
+    u, s, vt = np.linalg.svd(jac.T @ jac, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max())
+    cov = vt.T @ (inv_s[:, None] * u.T)
+    return res, theta, s, 0.5 * (cov + cov.T)
 
 
 def check_multiplexed_scan(detunings, span: float, points: int) -> None:
@@ -387,11 +390,12 @@ def fit_fringe(
     closed form from the phase steps between adjacent pairs' free
     amplitudes, and the linear coefficients from one weighted solve there
     (see `_FringeDesign.start`).  One polish from that point (see
-    `least_squares`) frees every parameter and gives the covariance;
-    FitError if it does not converge.  `iterations` reports its
-    residual-evaluation count.  Several pairs, spaced by delta, give the
-    same model every 1/delta in tau0: the reported tau0 lies in
-    (-1/(2 delta), 1/(2 delta)], with phi moved to match.
+    `least_squares`) frees every parameter and gives the covariance, and
+    the singular values behind it give J^T J's condition number, flagged
+    "ill-conditioned" above 1e10; FitError if it does not converge.
+    `iterations` reports its residual-evaluation count.  Several pairs,
+    spaced by delta, give the same model every 1/delta in tau0: the
+    reported tau0 lies in (-1/(2 delta), 1/(2 delta)], with phi moved to match.
 
     Single-pair fits determine phi and tau0 only jointly (the beat phase
     at zero delay), so they fit with tau0 fixed at 0: their start is the
@@ -416,9 +420,9 @@ def fit_fringe(
     taus_ps = data.taus * 1e12  # a dataset's delays strictly increase
     design = _FringeDesign(taus_ps, counts, [d * _PS for d in detunings],
                            fit_detuning=fit_detuning)
-    res, theta, jac, cov = _polish(design, design.start(), "fringe fit")
+    res, theta, s, cov = _polish(design, design.start(), "fringe fit")
     flags = ["phase-gauge"] if design.gauge else []
-    if np.linalg.cond(jac.T @ jac) > 1e10:
+    if s[0] > 1e10 * s[-1]:  # condition number above 1e10, infinite at s[-1] = 0
         flags.append("ill-conditioned")
     return _result(design, theta, cov, 2.0 * res.cost, res.nfev, tuple(flags))
 

@@ -38,8 +38,8 @@ class Envelope:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
 
     @classmethod
     def from_fwhm(cls, fwhm_hz: float) -> "Envelope":
@@ -62,11 +62,15 @@ class FringeModel:
     def __post_init__(self):
         if not self.pairs:
             raise DomainError("fringe model needs at least one pair")
-        for detuning, visibility, _ in self.pairs:
-            if detuning <= 0:
-                raise DomainError("pair detuning must be positive")
+        for detuning, visibility, phi in self.pairs:
+            if not 0 < detuning < math.inf:
+                raise DomainError("pair detuning must be positive and finite")
             if not 0.0 <= visibility <= 1.0:
                 raise DomainError("pair visibility must lie in [0, 1]")
+            if not math.isfinite(phi):
+                raise DomainError("pair phase must be finite")
+        if not math.isfinite(self.tau0):
+            raise DomainError("tau0 must be finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError("accidental fraction alpha must lie in [0, 1]")
 

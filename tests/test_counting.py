@@ -102,6 +102,29 @@ def test_zero_rate_gives_all_zeros(detector):
     assert np.all(ds.counts == 0)
 
 
+@pytest.mark.parametrize("field, dark_rate, window", [
+    ("dark_rate", math.nan, 1e-9),
+    ("dark_rate", math.inf, 1e-9),
+    ("coincidence_window", 100.0, math.inf),
+    ("coincidence_window", 100.0, math.nan),
+])
+def test_detector_refuses_non_finite_fields(field, dark_rate, window):
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        DetectorModel(0.5, 0.5, dark_rate, window)
+
+
+@pytest.mark.parametrize("field, pair_rate, accidental", [
+    ("pair_rate", math.nan, 0.0),
+    ("pair_rate", math.inf, 0.0),
+    ("accidental rate", 500.0, math.nan),
+    ("accidental rate", 500.0, math.inf),
+])
+def test_simulate_fringe_refuses_non_finite_rates(detector, field, pair_rate, accidental):
+    scan = ScanConfig(0.0, 1e-10, 1e-12, 1.0)
+    with pytest.raises(DomainError, match=f"^{field} must be non-negative and finite"):
+        simulate_fringe(flat_model(), scan, detector, pair_rate, seed=1, accidental=accidental)
+
+
 def test_determinism_same_seed(detector):
     scan = ScanConfig(0.0, 1e-10, 1e-12, 10.0)
     a = simulate_fringe(flat_model(0.8), scan, detector, 500.0, seed=42)

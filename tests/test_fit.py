@@ -940,6 +940,39 @@ def test_single_pair_designs_leave_tau0_out(fit_detuning, detector):
     assert np.all(np.any(res.covariance != 0.0, axis=1))
 
 
+@pytest.mark.parametrize("pairs, scan, phi, fit_detuning, flagged", [
+    ([5], "pair", None, True, True),
+    ([10], "pair", None, True, True),
+    ([15], "pair", None, True, True),
+    ([2], "fine_zero", None, False, False),
+    ([2], "pair", math.pi / 2, False, False),
+    (range(2, 6), "multi", None, False, False),
+    (range(2, 16), "multi", None, False, False),
+])
+def test_ill_conditioned_flag_is_a_condition_number_above_1e10(pairs, scan, phi,
+                                                               fit_detuning, flagged):
+    # fig3's single pairs, fig2's fine_zero window, fig4's single-pair window
+    # at 90 degrees and fig3's 2-5 and 2-15, each as its scenario builds it.
+    cfg = load_config()
+    n = len(pairs)
+    dets = [float(pair_for_index(cfg.resonator, m).detuning) for m in pairs]
+    phase = cfg.theta + cfg.phi_instr if phi is None else phi
+    model = FringeModel(tuple((d, cfg.visibility, phase) for d in dets), cfg.snapped_tau0,
+                        0.0, ENV)
+    accidental = accidental_rate(cfg.singles_signal * n, cfg.singles_idler * n,
+                                 cfg.detector.coincidence_window)
+    for seed in range(5):
+        data = simulate_fringe(model, cfg.delay_scan(scan), cfg.detector, cfg.pair_rate * n,
+                               seed, accidental=accidental)
+        res = fit_fringe(data, dets, fit_detuning=fit_detuning)
+        design = _FringeDesign(data.taus * 1e12, data.counts.astype(np.float64),
+                               [d * 1e-12 for d in dets], fit_detuning=fit_detuning)
+        theta = _polish(design, design.start(), "reference")[1]
+        jac = design.evaluate(theta)[1]()
+        cond = np.linalg.cond(jac.T @ jac)
+        assert ("ill-conditioned" in res.flags) == (cond > 1e10) == flagged, (seed, cond)
+
+
 class TestBalance:
     def test_reference_counts(self):
         p, sigma = estimate_balance(5914.0, 77.0, 2527.0, 50.0)

@@ -81,6 +81,12 @@ def test_envelope_requires_positive_sigma():
         Envelope(0.0)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
+def test_envelope_refuses_a_non_finite_sigma(sigma):
+    with pytest.raises(DomainError, match="sigma must be positive and finite"):
+        Envelope(sigma)
+
+
 @given(t=st.floats(min_value=1e-13, max_value=1e-7),
        scale=st.floats(min_value=1.001, max_value=10.0))
 def test_envelope_strictly_decreasing(t, scale):
@@ -214,6 +220,22 @@ def test_model_validation():
         FringeModel(((detuning(2), 0.5, 0.0),), 0.0, 1.5, env)
     with pytest.raises(DomainError):
         FringeModel(((-1.0, 0.5, 0.0),), 0.0, 0.0, env)
+
+
+@pytest.mark.parametrize("field, pair, tau0", [
+    ("pair detuning", (math.nan, 0.5, 0.0), 0.0),
+    ("pair detuning", (math.inf, 0.5, 0.0), 0.0),
+    ("pair phase", (1e9, 0.5, math.nan), 0.0),
+    ("pair phase", (1e9, 0.5, math.inf), 0.0),
+    ("pair phase", (1e9, 0.5, -math.inf), 0.0),
+    ("tau0", (1e9, 0.5, 0.0), math.nan),
+    ("tau0", (1e9, 0.5, 0.0), math.inf),
+    ("tau0", (1e9, 0.5, 0.0), -math.inf),
+])
+def test_fringe_model_refuses_non_finite_fields(field, pair, tau0):
+    # Each would make hom_multi and central_dip_fwhm return nan.
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        FringeModel(((detuning(2), 0.5, 0.0), pair), tau0, 0.0, Envelope(SIGMA))
 
 
 @st.composite
