@@ -5,7 +5,7 @@
 freqbin comes from PYTHONPATH and only its public API is used, so with
 PYTHONPATH at another checkout's src/ this writes that checkout's files:
 csv/ (`write_rows` bytes), dense/ (the dense_scan benchmark's scans, read
-back), envelope.txt and fringe.txt (fit reports of several seeds and designs,
+back with and without their grid headers), envelope.txt and fringe.txt (fit reports of several seeds and designs,
 interleaved, so state one fit left for the next would show).
 """
 
@@ -58,6 +58,16 @@ def write_dense(out):
         back = freqbin.load_dataset(path)
         np.save(os.path.join(out, f"grid{i}_taus.npy"), back.taus)
         np.save(os.path.join(out, f"grid{i}_counts.npy"), back.counts)
+        # Without the grid headers the delays come from the ps column.
+        with open(path) as fh:
+            text = "".join(line for line in fh if not line.startswith("# tau_"))
+        column = os.path.join(out, f"grid{i}_column.csv")
+        with open(column, "w") as fh:
+            fh.write(text)
+        back = freqbin.load_dataset(column)
+        os.remove(column)
+        np.save(os.path.join(out, f"grid{i}_column_taus.npy"), back.taus)
+        np.save(os.path.join(out, f"grid{i}_column_counts.npy"), back.counts)
 
 
 def write_envelope(path):

@@ -19,6 +19,10 @@ rows with numpy, exactly: Dekker's product gives each value's exact
 decimal digits, from which repr's choice of 15, 16 or 17 digits is made.
 It hands the few values outside that method to repr itself; the bytes are
 those of the per-row comprehension, which writes shorter blocks.
+`load_dataset` runs the same product in reverse: numpy reads each row's
+digits as integers, and an exact residual shows which delays their float
+quotient already rounds as float() does.  A file with a row outside the
+form to_csv writes is read by np.loadtxt instead.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ _BLOCK = 1 << 14
 _KERNEL_ROWS = 1024
 # One CSV row as np.loadtxt parses it: the delay in ps and an exact count.
 _ROW = np.dtype([("t", "f8"), ("n", "i8")])
+# Bytes load_dataset parses at a time: about _BLOCK rows of to_csv's 20-30.
+_CHUNK_BYTES = 32 * _BLOCK
+# Maps each newline to the comma np.fromstring reads between values.
+_COMMA_FOR_NEWLINE = bytes.maketrans(b"\n", b",")
 # 10**0 to 10**22: the powers of ten a float64 holds exactly.
 _POW10 = np.array([10**k for k in range(23)], dtype=np.float64)
 
@@ -101,8 +109,8 @@ class ScanConfig:
             raise DomainError("tau_step must be positive")
         if not self.tau_stop > self.tau_start:
             raise DomainError("tau_stop must exceed tau_start")
-        if not self.dwell > 0:
-            raise DomainError("dwell must be positive")
+        if not 0 < self.dwell < math.inf:
+            raise DomainError("dwell must be positive and finite")
         if not self._steps() < MAX_SCAN_POINTS:
             raise DomainError(f"the scan grid would exceed {MAX_SCAN_POINTS:,} points")
         if not self.tau_step > 2.0 * np.spacing(max(abs(self.tau_start), abs(self.tau_stop))):
@@ -159,8 +167,8 @@ class FringeDataset:
             raise DomainError("taus must be strictly increasing")
         if np.any(counts < 0):
             raise DomainError("counts must be non-negative")
-        if not self.dwell > 0:
-            raise DomainError("dwell must be positive")
+        if not 0 < self.dwell < math.inf:
+            raise DomainError("dwell must be positive and finite")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "counts", counts)
 
@@ -309,7 +317,6 @@ def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     to 10**22.  In this band its error term is a multiple of
     ulp(x) * 2**(16 - e), at least 2**-43, so phi = err - floor(err) is exact.
     """
-    p10_hi, p10_lo = _split(_POW10)
     # Exact: the float nearest 10**k is at or above it for k >= -3.
     bounds = np.array([float(f"1e{k}") for k in range(-3, 16)])
     a = np.abs(x)
@@ -318,13 +325,18 @@ def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     a[slow] = 1.0  # keeps the products finite: n = 10**16, e = 0
     e[slow] = 0
 
-    s = 16 - e
-    p = a * _POW10[s]
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = p10_hi[s], p10_lo[s]
-    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    p, err = _two_product(a, 16 - e)
     whole = np.floor(err)
     return p.astype(np.int64) + whole.astype(np.int64), err - whole, e, slow
+
+
+def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**k as p + err exactly, p being the float product: Dekker's
+    product, exact while neither part over- or underflows."""
+    p = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,6 +344,9 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = v * 134217729.0  # 2**27 + 1
     hi = c - (c - v)
     return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def load_dataset(path) -> FringeDataset:
@@ -345,37 +360,43 @@ def load_dataset(path) -> FringeDataset:
     delay column more than 1 ulp off its header grid raises DomainError
     naming the file.
 
-    numpy parses the rows into one record array.  The counts are copied
-    out of it, the delay column is checked against the header grid one
-    block of _BLOCK rows at a time, and the records are dropped before the
-    grid is built, so the dataset holds 16 bytes per point and nothing else.
+    The rows are counted, then parsed one chunk of about _BLOCK rows at a
+    time by `_parse_rows`, which takes the rows to_csv writes and gives
+    each delay as float() would, into the counts array and, without grid
+    headers, the delays array; with them, each chunk's delays are checked
+    against the grid and dropped.  So apart from one chunk's scratch, the
+    load holds the 16 bytes per point it returns.  A file with any row
+    outside that form is read whole by np.loadtxt into one record array:
+    the same arrays or the same error.
     """
     try:
-        metadata, rows = _read_csv(path)
+        metadata, skip = _read_headers(path)
+        try:
+            grid = float(metadata["tau_start_s"]), float(metadata["tau_step_s"])
+        except (KeyError, ValueError):
+            grid = None  # no grid; a bad header is refused below, after dwell_s
+        if skip is None:  # No rows: skip np.loadtxt, which warns on empty input.
+            taus, counts, on_grid = np.zeros(0), np.zeros(0, np.int64), True
+        else:
+            taus, counts, on_grid = (_read_rows(path, skip, grid)
+                                     or _loadtxt_rows(path, skip, grid))
         if "dwell_s" not in metadata:
             raise DomainError("missing '# dwell_s=' header")
         dwell = float(metadata.pop("dwell_s"))
-        counts = rows["n"].copy()
         if "tau_start_s" in metadata and "tau_step_s" in metadata:
             start, step = float(metadata["tau_start_s"]), float(metadata["tau_step_s"])
-            for i in range(0, rows.size, _BLOCK):
-                taus = rows["t"][i:i + _BLOCK] * 1e-12
-                grid = _delay_grid(start, step, i, i + taus.size)
-                if not np.all(np.abs(taus - grid) <= np.spacing(np.abs(grid))):
-                    raise DomainError("delays disagree with the tau_start_s and "
-                                      "tau_step_s headers by more than 1 ulp")
-            n = rows.size
-            del rows
-            taus = _delay_grid(start, step, 0, n)
-        else:
-            taus = rows["t"] * 1e-12
+            if not on_grid:
+                raise DomainError("delays disagree with the tau_start_s and "
+                                  "tau_step_s headers by more than 1 ulp")
+            taus = _delay_grid(start, step, 0, counts.size)
         return FringeDataset(taus, counts, dwell, metadata)
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from None
 
 
-def _read_csv(path) -> tuple[dict, np.ndarray]:
-    """The `# key=value` headers above the first row, and the rows, read by numpy."""
+def _read_headers(path) -> tuple[dict, int | None]:
+    """The `# key=value` headers above the first row, and the number of
+    lines before it (None if there is no row)."""
     metadata = {}
     with open(path) as fh:
         for skip, line in enumerate(fh):
@@ -385,10 +406,141 @@ def _read_csv(path) -> tuple[dict, np.ndarray]:
                 if sep:
                     metadata[key.strip()] = value.strip()
             elif text and not text.startswith("delay_ps"):
-                return metadata, np.loadtxt(path, delimiter=",", comments="#", dtype=_ROW,
-                                            ndmin=1, skiprows=skip)
-    # No rows: skip np.loadtxt, which warns on empty input.
-    return metadata, np.zeros(0, dtype=_ROW)
+                return metadata, skip
+    return metadata, None
+
+
+def _on_grid(taus: np.ndarray, grid: tuple[float, float], first: int) -> bool:
+    """Whether rows first, first + 1, ... lie within 1 ulp of the header grid."""
+    expected = _delay_grid(*grid, first, first + taus.size)
+    return bool(np.all(np.abs(taus - expected) <= np.spacing(np.abs(expected))))
+
+
+def _loadtxt_rows(path, skip: int, grid) -> tuple[np.ndarray | None, np.ndarray, bool]:
+    """The rows below line `skip` as np.loadtxt parses them into one record
+    array: the delays (None with a grid), the counts, and whether the
+    delays lie on the grid, checked one block of _BLOCK rows at a time."""
+    rows = np.loadtxt(path, delimiter=",", comments="#", dtype=_ROW, ndmin=1, skiprows=skip)
+    counts = rows["n"].copy()
+    if grid is None:
+        return rows["t"] * 1e-12, counts, True
+    return None, counts, all(_on_grid(rows["t"][i:i + _BLOCK] * 1e-12, grid, i)
+                             for i in range(0, rows.size, _BLOCK))
+
+
+def _read_rows(path, skip: int, grid) -> tuple[np.ndarray | None, np.ndarray, bool] | None:
+    """What _loadtxt_rows returns, or None if a line below line `skip` is
+    outside `_parse_rows`' form.  The rows are counted first, then parsed
+    one chunk at a time into arrays of that length."""
+    with open(path, "rb") as fh:
+        if any(b"\r" in fh.readline() for _ in range(skip)):
+            return None  # the header scan split these lines at \r as well
+        body = fh.tell()
+        rows, last = 0, b"\n"
+        while chunk := fh.read(_CHUNK_BYTES):
+            rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+            last = chunk[-1:]
+        rows += last != b"\n"
+        fh.seek(body)
+        counts = np.empty(rows, np.int64)
+        taus = np.empty(rows) if grid is None else None
+        on_grid, first = True, 0
+        while chunk := fh.read(_CHUNK_BYTES):
+            if len(chunk) < _CHUNK_BYTES and not chunk.endswith(b"\n"):
+                chunk += b"\n"  # the last row, without its newline
+            parsed = _parse_rows(chunk)
+            if parsed is None:
+                return None
+            ps, n, used = parsed
+            fh.seek(used - len(chunk), 1)  # back to the first row not parsed
+            ps *= 1e-12
+            if grid is None:
+                taus[first:first + n.size] = ps
+            elif on_grid:
+                on_grid = _on_grid(ps, grid, first)
+            counts[first:first + n.size] = n
+            first += n.size
+    return taus, counts, on_grid
+
+
+def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The delays (ps) and counts of the lines of `text` up to its last
+    newline, and the bytes they take; None if there is no newline or a line
+    is not of the form to_csv writes: `-?d+.d+,d+`, at most 22 digits after
+    the point, the delay's digits as an integer below 2**62 and the count
+    below 2**63 - 1.
+
+    numpy reads each line's delay digits M, with F of them after the point,
+    and its count as integers.  The delay is then the float nearest
+    M / 10**F, as float() rounds it: q = fl(M) / 10**F is that float when
+    fl(M) = M, below 2**53, since IEEE division rounds the exact quotient
+    once (Clinger's fast path).  Above 2**53, q is kept only if the exact
+    residual M - q * 10**F lies strictly within half the gap to q's
+    neighbour on its side (`_residual`, `_is_nearest`); otherwise q takes
+    one correction step, q + R / 10**F, and is checked again.  The rest, as
+    exact ties, go to float() one by one.
+    """
+    b = np.frombuffer(text, np.uint8, count=text.rfind(b"\n") + 1)
+    ends = np.flatnonzero(b == 10)  # newlines
+    commas, points = np.flatnonzero(b == 44), np.flatnonzero(b == 46)
+    rows = ends.size
+    if not rows or commas.size != rows or points.size != rows:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    minus = b[starts] == 45
+    whole, frac, count = points - starts - minus, commas - points - 1, ends - commas - 1
+    if (np.count_nonzero(b == 45) != np.count_nonzero(minus)  # '-' only at a start
+            or np.count_nonzero(b < 44) != rows or np.count_nonzero(b == 47) or b.max() > 57
+            or whole.min() < 1 or frac.min() < 1 or count.min() < 1 or frac.max() > 22):
+        return None
+    values = np.fromstring(text.translate(_COMMA_FOR_NEWLINE, b".-"), np.int64, 2 * rows,
+                           sep=",")
+    m, counts = values[0::2], values[1::2].copy()
+    # np.fromstring reads an integer of 2**63 or more as 2**63 - 1.
+    if m.max() >= 2**62 or counts.max() == 2**63 - 1:
+        return None
+    q = m.astype(np.float64)
+    q /= _POW10[frac]
+    big = np.flatnonzero(m > 2**53)
+    if big.size:
+        q[big], left = _nearest(m[big], frac[big], q[big])
+        for i in big[left].tolist():
+            q[i] = float(text[starts[i] + minus[i]:commas[i]])
+    np.negative(q, out=q, where=minus)
+    return q, counts, b.size
+
+
+def _nearest(m: np.ndarray, k: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q, each value corrected once unless it is the float nearest
+    m / 10**k, and the indices of those still not shown to be nearest."""
+    r = _residual(m, k, q)
+    redo = np.flatnonzero(~_is_nearest(q, k, r))
+    m, k = m[redo], k[redo]
+    q[redo] += r[redo] / _POW10[k]
+    return q, redo[~_is_nearest(q[redo], k, _residual(m, k, q[redo]))]
+
+
+def _residual(m: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m - q * 10**k, exactly, for int64 m in (2**53, 2**62) and q within a
+    few ulp of m / 10**k.
+
+    With m = fl(m) + lo and q * 10**k = p + err (`_two_product`), the
+    residual is ((fl(m) - p) - err) + lo.  fl(m) - p is exact (Sterbenz:
+    the two lie within a factor 2), and each later sum is exact because it
+    is a multiple of G, the lesser of 1 and q's last bit times 2**k, and
+    at most 3 * 5**k <= 3 * 5**22 < 2**53 times G.
+    """
+    hi = m.astype(np.float64)
+    p, err = _two_product(q, k)
+    return ((hi - p) - err) + (m - hi.astype(np.int64))
+
+
+def _is_nearest(q: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whether positive q is the float nearest q + r / 10**k: |r| below half
+    the gap to q's neighbour on r's side, times 10**k (both exact), so a tie
+    is not."""
+    gap = np.where(r >= 0, np.nextafter(q, np.inf) - q, q - np.nextafter(q, 0.0))
+    return 2.0 * np.abs(r) < gap * _POW10[k]
 
 
 def simulate_fringe(
@@ -444,10 +596,10 @@ def accidental_rate(singles_signal: float, singles_idler: float, window: float) 
     For multiplexed acquisition the caller passes channel-summed singles,
     so cross-pair combinations enter the product automatically.
     """
-    if singles_signal < 0 or singles_idler < 0:
-        raise DomainError("singles rates must be non-negative")
-    if window < 0:
-        raise DomainError("window must be non-negative")
+    if not (0 <= singles_signal < math.inf and 0 <= singles_idler < math.inf):
+        raise DomainError("singles rates must be non-negative and finite")
+    if not 0 <= window < math.inf:
+        raise DomainError("window must be non-negative and finite")
     return singles_signal * singles_idler * window
 
 

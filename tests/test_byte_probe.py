@@ -11,6 +11,8 @@ PROBE_FILES = {
     "dense/grid0.csv", "dense/grid1.csv",
     "dense/grid0_taus.npy", "dense/grid0_counts.npy",
     "dense/grid1_taus.npy", "dense/grid1_counts.npy",
+    "dense/grid0_column_taus.npy", "dense/grid0_column_counts.npy",
+    "dense/grid1_column_taus.npy", "dense/grid1_column_counts.npy",
     "envelope.txt", "fringe.txt",
 }
 

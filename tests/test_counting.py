@@ -91,6 +91,16 @@ def test_dataset_refuses_counts_that_are_not_whole_int64(bad):
         FringeDataset(np.array([0.0, 1.0]), [2, bad], 1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda dwell: ScanConfig(0.0, 1e-9, 1e-12, dwell),
+    lambda dwell: FringeDataset(np.array([0.0, 1.0]), np.array([2, 3]), dwell),
+], ids=["scan", "dataset"])
+@pytest.mark.parametrize("dwell", [math.inf, math.nan, 0.0])
+def test_dwell_must_be_positive_and_finite(make, dwell):
+    with pytest.raises(DomainError, match="dwell must be positive and finite"):
+        make(dwell)
+
+
 def test_dataset_accepts_whole_float_counts():
     ds = FringeDataset(np.array([0.0, 1.0]), np.array([2.0, 3.0]), 1.0)
     assert ds.counts.dtype == np.int64 and ds.counts.tolist() == [2, 3]
@@ -399,7 +409,8 @@ def _traced(call):
     return result, peak
 
 
-def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, detector):
+@pytest.mark.parametrize("headers", [True, False], ids=["grid_headers", "column_only"])
+def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, detector, headers):
     """From 100,001 to 800,001 points, the peak of simulate_fringe, to_csv
     and load_dataset above the arrays each needs grows by less than 1 MiB:
     they work one block at a time (a structural check, not a timing).
@@ -414,6 +425,8 @@ def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, detector):
         ds, simulate = _traced(lambda: simulate_fringe(flat_model(0.5), scan, detector,
                                                         8000.0, seed=3))
         assert len(ds) == points
+        if not headers:
+            ds = FringeDataset(ds.taus, ds.counts, ds.dwell)
         path = tmp_path / f"{points}.csv"
         _, write = _traced(lambda: ds.to_csv(path))
         back, load = _traced(lambda: load_dataset(path))
@@ -542,6 +555,112 @@ def test_dwell_header_required(tmp_path, header):
     assert str(path) in str(err.value)
 
 
+def _without_loadtxt(monkeypatch):
+    """Make load_dataset fail if it hands the file to np.loadtxt."""
+    def refuse(*args):
+        raise AssertionError("load_dataset fell back to np.loadtxt")
+    monkeypatch.setattr(freqbin.counting, "_loadtxt_rows", refuse)
+
+
+@st.composite
+def delay_texts(draw):
+    """A delay as to_csv writes it: sign, digits, point; 1 to 19 digits of
+    mantissa below 2**62, up to 22 after the point, leading zeros."""
+    digits = draw(st.integers(1, 19))
+    low = 10 ** (digits - 1) if digits > 1 else 0
+    m = draw(st.integers(low, min(10**digits, 2**62) - 1)
+             | st.integers(max(low, 2**53 - 99), max(low, 2**53 - 99) + 199))
+    frac = draw(st.integers(1, 22))
+    text = str(m).zfill(max(len(str(m)), frac + 1) + draw(st.integers(0, 2)))
+    return "-" * draw(st.booleans()) + text[:-frac] + "." + text[-frac:]
+
+
+@given(st.lists(delay_texts(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_column_delays_equal_float_of_their_text(tmp_path_factory, texts):
+    """Every delay read from the ps column equals float(text) * 1e-12."""
+    by_value = {float(t) * 1e-12: t for t in texts}  # one text per delay
+    values = sorted(by_value)
+    path = tmp_path_factory.mktemp("column") / "column.csv"
+    path.write_text("# dwell_s=1.0\ndelay_ps,counts\n"
+                    + "".join(f"{by_value[v]},{i}\n" for i, v in enumerate(values)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_loadtxt(monkeypatch)
+        ds = load_dataset(path)
+    _assert_same(ds.taus.tobytes(), np.array(values).tobytes())
+
+
+@pytest.mark.parametrize("text", [
+    "9007199254740993.0", "9007199254740992.9", "9007199254740993.1",
+    "4503599627370496.5", "4503599627370496.4", "4503599627370496.6",
+    "2251799813685248.25", "2251799813685248.24", "2251799813685248.26",
+    "2251799813685248.75", "2251799813685248.74", "2251799813685248.76",
+    "0.0", "0.00012345678901234567",
+])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+def test_column_delay_ties_round_as_float(tmp_path, monkeypatch, text, sign):
+    """Exact ties, and 1 in the last digit either side, round half-even."""
+    text = sign + text
+    path = tmp_path / "tie.csv"
+    path.write_text(f"# dwell_s=1.0\ndelay_ps,counts\n{text},7\n")
+    _without_loadtxt(monkeypatch)
+    ds = load_dataset(path)
+    assert ds.taus.tobytes() == np.array([float(text) * 1e-12]).tobytes()
+    assert ds.counts.tolist() == [7]
+
+
+@pytest.mark.parametrize("row", [None, "# pause\n", "1e-05,4000\n"],
+                         ids=["to_csv_rows", "comment_row", "exponent_delay"])
+def test_multi_chunk_file_reads_as_loadtxt(tmp_path, monkeypatch, row):
+    """A 200,001-row headerless file reads as np.loadtxt reads it: by the
+    chunk parser, or whole by np.loadtxt for a line near row 150,000 that
+    is outside to_csv's form.  The delays cross zero there."""
+    taus = -15e-9 + 1e-13 * np.arange(200_001)
+    taus[150_000] = 0.0  # not 2e-21 s, which repr writes in exponent form
+    counts = np.random.default_rng(5).poisson(4000.0, taus.size)
+    path = tmp_path / "dense.csv"
+    FringeDataset(taus, counts, 1.0).to_csv(path)
+    if row is None:
+        _without_loadtxt(monkeypatch)
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        at = 2 + 150_000  # dwell_s and delay_ps lines, then row 150,000
+        lines[at:at + 1] = [lines[at], row] if row.startswith("#") else [row]
+        path.write_text("".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_dataset(path)
+    rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=2,
+                      dtype=[("t", "f8"), ("n", "i8")])
+    _assert_same(ds.taus.tobytes(), (rows["t"] * 1e-12).tobytes())
+    np.testing.assert_array_equal(ds.counts, rows["n"])
+
+
+@pytest.mark.parametrize("row, taus_ps, counts", [
+    ("12345678901234567890.5,3", [12345678901234567890.5], [3]),
+    ("1.5,9223372036854775807", [1.5], [2**63 - 1]),
+    ("1.5,9223372036854775808", None, "9223372036854775808"),
+], ids=["delay_digits_past_2_62", "count_2_63_minus_1", "count_2_63"])
+def test_digits_past_int64_read_as_loadtxt(tmp_path, row, taus_ps, counts):
+    """numpy reads an integer past int64 as 2**63 - 1: such rows go to np.loadtxt."""
+    path = tmp_path / "data.csv"
+    path.write_text(f"# dwell_s=2.0\ndelay_ps,counts\n{row}\n")
+    if taus_ps is None:
+        with pytest.raises(DomainError, match=counts):
+            load_dataset(path)
+        return
+    ds = load_dataset(path)
+    assert ds.taus.tolist() == [t * 1e-12 for t in taus_ps] and ds.counts.tolist() == counts
+
+
+def test_last_row_without_newline_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("# dwell_s=2.0\ndelay_ps,counts\n1.5,10\n2.5,11")
+    _without_loadtxt(monkeypatch)
+    ds = load_dataset(path)
+    assert ds.taus.tolist() == [1.5e-12, 2.5e-12] and ds.counts.tolist() == [10, 11]
+
+
 def test_negative_rate_rejected(detector):
     scan = ScanConfig(0.0, 1e-11, 1e-12, 1.0)
     with pytest.raises(DomainError):
@@ -572,6 +691,17 @@ def test_accidental_rate_formula(s1, s2, window, expected):
 def test_accidental_rate_validation():
     with pytest.raises(DomainError):
         accidental_rate(-1.0, 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 1.0, 1e-9), "singles rates"),
+    ((1.0, math.inf, 1e-9), "singles rates"),
+    ((1.0, 1.0, math.inf), "window"),
+    ((1.0, 1.0, math.nan), "window"),
+], ids=["signal_nan", "idler_inf", "window_inf", "window_nan"])
+def test_accidental_rate_refuses_non_finite(args, name):
+    with pytest.raises(DomainError, match=f"{name} must be non-negative and finite"):
+        accidental_rate(*args)
 
 
 def test_basis_counts_edges():
