@@ -4,8 +4,9 @@
 
 freqbin comes from PYTHONPATH and only its public API is used, so with
 PYTHONPATH at another checkout's src/ this writes that checkout's files:
-csv/ (`write_rows` bytes), dense/ (the dense_scan benchmark's scans, read
-back with and without their grid headers), envelope.txt and fringe.txt (fit reports of several seeds and designs,
+csv/ (`write_rows` bytes), dense/ (the dense_scan benchmark's scans and a
+scan that crosses zero, read back with and without their grid headers),
+envelope.txt and fringe.txt (fit reports of several seeds and designs,
 interleaved, so state one fit left for the next would show).
 """
 
@@ -49,25 +50,32 @@ def write_csv(out):
                 write_rows(fh, taus_ps[-rows:], values[-rows:])
 
 
+def write_scan(out, name, scan, seed, model_rates):
+    """Simulate `scan`, write it as NAME.csv and save what load_dataset reads
+    back: with its grid headers as NAME_*.npy, and with them removed, so the
+    delays come from the ps column, as NAME_column_*.npy."""
+    path = os.path.join(out, f"{name}.csv")
+    simulate(scan, seed, *model_rates).to_csv(path)
+    with open(path) as fh:
+        text = "".join(line for line in fh if not line.startswith("# tau_"))
+    column = os.path.join(out, f"{name}_column.csv")
+    with open(column, "w") as fh:
+        fh.write(text)
+    for stem, source in ((name, path), (f"{name}_column", column)):
+        back = freqbin.load_dataset(source)
+        np.save(os.path.join(out, f"{stem}_taus.npy"), back.taus)
+        np.save(os.path.join(out, f"{stem}_counts.npy"), back.counts)
+    os.remove(column)
+
+
 def write_dense(out):
     dense, tau0 = case(range(2, 16)), CFG.snapped_tau0
     for i, dwell in enumerate((0.2, 30.0)):
         scan = freqbin.ScanConfig(tau0 - 10e-9, tau0 + 10e-9, CFG.fine_step, dwell)
-        path = os.path.join(out, f"grid{i}.csv")
-        simulate(scan, i, *dense).to_csv(path)
-        back = freqbin.load_dataset(path)
-        np.save(os.path.join(out, f"grid{i}_taus.npy"), back.taus)
-        np.save(os.path.join(out, f"grid{i}_counts.npy"), back.counts)
-        # Without the grid headers the delays come from the ps column.
-        with open(path) as fh:
-            text = "".join(line for line in fh if not line.startswith("# tau_"))
-        column = os.path.join(out, f"grid{i}_column.csv")
-        with open(column, "w") as fh:
-            fh.write(text)
-        back = freqbin.load_dataset(column)
-        os.remove(column)
-        np.save(os.path.join(out, f"grid{i}_column_taus.npy"), back.taus)
-        np.save(os.path.join(out, f"grid{i}_column_counts.npy"), back.counts)
+        write_scan(out, f"grid{i}", scan, i, dense)
+    # Crosses zero: to_csv writes one delay, 1.29e-14 ps, by repr in exponent
+    # form, so the file is read whole by the np.loadtxt branch.
+    write_scan(out, "zero", freqbin.ScanConfig(-80e-12, 80e-12, 0.1e-12, 60.0), 2, dense)
 
 
 def write_envelope(path):

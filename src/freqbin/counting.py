@@ -20,9 +20,9 @@ decimal digits, from which repr's choice of 15, 16 or 17 digits is made.
 It hands the few values outside that method to repr itself; the bytes are
 those of the per-row comprehension, which writes shorter blocks.
 `load_dataset` runs the same product in reverse: numpy reads each row's
-digits as integers, and an exact residual shows which delays their float
-quotient already rounds as float() does.  A file with a row outside the
-form to_csv writes is read by np.loadtxt instead.
+digits as integers, and one check-correct pass on their exact residual
+rounds each delay as float() does (see `_parse_rows`).  A file with a row
+outside the form to_csv writes is read by np.loadtxt instead.
 """
 
 from __future__ import annotations
@@ -179,7 +179,16 @@ class FringeDataset:
         """Write `# dwell_s=` and one `# key=value` line per metadata entry
         (sorted by key), a `delay_ps,counts` line, then one row per point:
         the delay in ps as its shortest round-trip repr, and the count.  The
-        delays are scaled to ps one write_rows block at a time."""
+        delays are scaled to ps one write_rows block at a time.
+
+        An entry that would not read back as written raises DomainError
+        before the file is opened: a key that is empty, `dwell_s` or holds
+        `=`, or a key or value with a line break or surrounding whitespace."""
+        for key, value in self.metadata.items():
+            texts = str(key), str(value)
+            if (texts[0] in ("", "dwell_s") or "=" in texts[0]
+                    or any(t != t.strip() or "\n" in t or "\r" in t for t in texts)):
+                raise DomainError(f"metadata key {texts[0]!r} would not read back from the CSV")
         with open(path, "w") as fh:
             fh.write(f"# dwell_s={self.dwell!r}\n")
             for key in sorted(self.metadata):
@@ -471,14 +480,18 @@ def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     below 2**63 - 1.
 
     numpy reads each line's delay digits M, with F of them after the point,
-    and its count as integers.  The delay is then the float nearest
-    M / 10**F, as float() rounds it: q = fl(M) / 10**F is that float when
-    fl(M) = M, below 2**53, since IEEE division rounds the exact quotient
-    once (Clinger's fast path).  Above 2**53, q is kept only if the exact
-    residual M - q * 10**F lies strictly within half the gap to q's
-    neighbour on its side (`_residual`, `_is_nearest`); otherwise q takes
-    one correction step, q + R / 10**F, and is checked again.  The rest, as
-    exact ties, go to float() one by one.
+    and its count as integers.  The delay is the float nearest M / 10**F, as
+    float() rounds it.  Below 2**53, fl(M) = M and q = fl(M) / 10**F is that
+    float: IEEE division rounds the exact quotient once (Clinger's fast
+    path).  Above it, q is checked, corrected once to q + R / 10**F, and
+    checked again, R being the residual M - q * 10**F.  With q * 10**F =
+    p + err (`_two_product`), R = ((fl(M) - p) - err) + (M - fl(M)) exactly:
+    fl(M) - p is exact (Sterbenz: the two lie within a factor 2), and each
+    later sum is a multiple of G, the lesser of 1 and q's last bit times
+    2**F, and at most 3 * 5**F <= 3 * 5**22 < 2**53 times G.  q is nearest
+    where 2|R| is below the gap to q's neighbour on R's side, times 10**F
+    (exact), so a tie is not; the rows left undecided, the exact ties, go
+    to float() one by one.
     """
     b = np.frombuffer(text, np.uint8, count=text.rfind(b"\n") + 1)
     ends = np.flatnonzero(b == 10)  # newlines
@@ -501,46 +514,20 @@ def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
         return None
     q = m.astype(np.float64)
     q /= _POW10[frac]
-    big = np.flatnonzero(m > 2**53)
-    if big.size:
-        q[big], left = _nearest(m[big], frac[big], q[big])
-        for i in big[left].tolist():
-            q[i] = float(text[starts[i] + minus[i]:commas[i]])
+    left = np.flatnonzero(m > 2**53)
+    for _ in range(2):  # check and correct; float() overwrites a second correction
+        mi, k, qi = m[left], frac[left], q[left]
+        hi = mi.astype(np.float64)
+        p, err = _two_product(qi, k)
+        r = ((hi - p) - err) + (mi - hi.astype(np.int64))
+        gap = np.where(r >= 0, np.nextafter(qi, np.inf) - qi, qi - np.nextafter(qi, 0.0))
+        off = 2.0 * np.abs(r) >= gap * _POW10[k]
+        left = left[off]
+        q[left] += r[off] / _POW10[k[off]]
+    for i in left.tolist():
+        q[i] = float(text[starts[i] + minus[i]:commas[i]])
     np.negative(q, out=q, where=minus)
     return q, counts, b.size
-
-
-def _nearest(m: np.ndarray, k: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q, each value corrected once unless it is the float nearest
-    m / 10**k, and the indices of those still not shown to be nearest."""
-    r = _residual(m, k, q)
-    redo = np.flatnonzero(~_is_nearest(q, k, r))
-    m, k = m[redo], k[redo]
-    q[redo] += r[redo] / _POW10[k]
-    return q, redo[~_is_nearest(q[redo], k, _residual(m, k, q[redo]))]
-
-
-def _residual(m: np.ndarray, k: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """m - q * 10**k, exactly, for int64 m in (2**53, 2**62) and q within a
-    few ulp of m / 10**k.
-
-    With m = fl(m) + lo and q * 10**k = p + err (`_two_product`), the
-    residual is ((fl(m) - p) - err) + lo.  fl(m) - p is exact (Sterbenz:
-    the two lie within a factor 2), and each later sum is exact because it
-    is a multiple of G, the lesser of 1 and q's last bit times 2**k, and
-    at most 3 * 5**k <= 3 * 5**22 < 2**53 times G.
-    """
-    hi = m.astype(np.float64)
-    p, err = _two_product(q, k)
-    return ((hi - p) - err) + (m - hi.astype(np.int64))
-
-
-def _is_nearest(q: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Whether positive q is the float nearest q + r / 10**k: |r| below half
-    the gap to q's neighbour on r's side, times 10**k (both exact), so a tie
-    is not."""
-    gap = np.where(r >= 0, np.nextafter(q, np.inf) - q, q - np.nextafter(q, 0.0))
-    return 2.0 * np.abs(r) < gap * _POW10[k]
 
 
 def simulate_fringe(

@@ -2,12 +2,13 @@
 
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import freqbin.counting
 from freqbin.comb import pair_for_index, transmission
@@ -197,6 +198,39 @@ def test_csv_roundtrip(tmp_path, detector):
     np.testing.assert_array_equal(back.counts, ds.counts)
     assert back.dwell == ds.dwell
     assert back.metadata["detunings_hz"] == ds.metadata["detunings_hz"]
+
+
+@pytest.mark.parametrize("metadata, key", [
+    ({"dwell_s": "5"}, "dwell_s"),
+    ({"": "v"}, ""),
+    ({"a=b": "c"}, "a=b"),
+    ({"a\nb": "c"}, "a\nb"),
+    ({"a\rb": "c"}, "a\rb"),
+    ({" k": "v"}, " k"),
+    ({"k ": "v"}, "k "),
+    ({"note": "x\ny"}, "note"),
+    ({"note": "x\r\ny"}, "note"),
+    ({"k": " v"}, "k"),
+    ({"k": "v\t"}, "k"),
+], ids=["dwell_s_key", "empty_key", "equals_in_key", "newline_in_key", "return_in_key",
+        "leading_space_key", "trailing_space_key", "newline_in_value", "crlf_in_value",
+        "leading_space_value", "trailing_tab_value"])
+def test_to_csv_refuses_metadata_that_does_not_read_back(tmp_path, metadata, key):
+    """Each of these entries would come back changed, shadow dwell_s or
+    break the file, so to_csv raises, naming the key, and writes nothing."""
+    path = tmp_path / "data.csv"
+    ds = FringeDataset(np.array([0.0, 1e-12]), np.array([3, 4]), 1.0, metadata)
+    with pytest.raises(DomainError, match=re.escape(repr(key))):
+        ds.to_csv(path)
+    assert not path.exists()
+
+
+def test_to_csv_metadata_reads_back_as_written(tmp_path):
+    metadata = {"empty": "", "expr": "b=c", "#": "x", "seed": 7, "inner": "a b\tc"}
+    path = tmp_path / "data.csv"
+    FringeDataset(np.array([0.0, 1e-12]), np.array([3, 4]), 1.0, metadata).to_csv(path)
+    back = load_dataset(path)
+    assert back.metadata == {k: str(v) for k, v in metadata.items()} and back.dwell == 1.0
 
 
 def test_stock_multiplexed_scan_reloads_bitwise(tmp_path, detector):
@@ -576,9 +610,13 @@ def delay_texts(draw):
 
 
 @given(st.lists(delay_texts(), min_size=1, max_size=40))
+@example(texts=["0.0", "-0.0"])
+@example(texts=["-0.0", "0.0"])
 @settings(max_examples=300, deadline=None)
 def test_column_delays_equal_float_of_their_text(tmp_path_factory, texts):
-    """Every delay read from the ps column equals float(text) * 1e-12."""
+    """Every delay read from the ps column equals float(text) * 1e-12.
+    0.0 and -0.0 share one delay, so the expected sign is that of the text
+    written, not of the key."""
     by_value = {float(t) * 1e-12: t for t in texts}  # one text per delay
     values = sorted(by_value)
     path = tmp_path_factory.mktemp("column") / "column.csv"
@@ -587,7 +625,8 @@ def test_column_delays_equal_float_of_their_text(tmp_path_factory, texts):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _without_loadtxt(monkeypatch)
         ds = load_dataset(path)
-    _assert_same(ds.taus.tobytes(), np.array(values).tobytes())
+    expected = np.array([float(by_value[v]) * 1e-12 for v in values])
+    _assert_same(ds.taus.tobytes(), expected.tobytes())
 
 
 @pytest.mark.parametrize("text", [
@@ -607,6 +646,35 @@ def test_column_delay_ties_round_as_float(tmp_path, monkeypatch, text, sign):
     ds = load_dataset(path)
     assert ds.taus.tobytes() == np.array([float(text) * 1e-12]).tobytes()
     assert ds.counts.tolist() == [7]
+
+
+def test_one_chunk_mixes_plain_corrected_and_tied_delays(tmp_path, monkeypatch):
+    """Plain rows, rows whose quotient fl(M) / 10**F is 1 ulp off (the
+    check-correct pass mends them; the first is a delay of the 30 s dense
+    grid) and exact ties read back in one chunk as float(text) * 1e-12, and
+    only the ties reach float()."""
+    corrected = ["-9702.010471574271", "-3763.3709597902907", "236.43249400513378"]
+    for text in corrected:
+        digits, frac = text.lstrip("-").replace(".", ""), len(text.partition(".")[2])
+        assert float(int(digits)) / 10.0**frac != abs(float(text))
+    texts = ["-4503599627370496.5", *corrected[:2], "-1.5", "0.0", "0.1", corrected[2],
+             "1234.5678", "9007199254740993.0"]
+    path = tmp_path / "mixed.csv"
+    path.write_text("# dwell_s=1.0\ndelay_ps,counts\n"
+                    + "".join(f"{t},{i}\n" for i, t in enumerate(texts)))
+    parsed = []
+
+    def recording_float(x):
+        if isinstance(x, bytes):
+            parsed.append(x)
+        return float(x)
+
+    _without_loadtxt(monkeypatch)
+    monkeypatch.setattr(freqbin.counting, "float", recording_float, raising=False)
+    ds = load_dataset(path)
+    assert ds.taus.tobytes() == np.array([float(t) * 1e-12 for t in texts]).tobytes()
+    assert ds.counts.tolist() == list(range(len(texts)))
+    assert sorted(parsed) == [b"4503599627370496.5", b"9007199254740993.0"]
 
 
 @pytest.mark.parametrize("row", [None, "# pause\n", "1e-05,4000\n"],
