@@ -4,12 +4,15 @@
 
 freqbin comes from PYTHONPATH and only its public API is used, so with
 PYTHONPATH at another checkout's src/ this writes that checkout's files:
-csv/ (`write_rows` bytes), dense/ (the dense_scan benchmark's scans and a
-scan that crosses zero, read back with and without their grid headers),
-envelope.txt and fringe.txt (fit reports of several seeds and designs,
-interleaved, so state one fit left for the next would show).
+config.txt (the config classes' fields, and the repr of the stock config
+and of one that overrides every key), csv/ (`write_rows` bytes), dense/
+(the dense_scan benchmark's scans and a scan that crosses zero, read back
+with and without their grid headers), envelope.txt and fringe.txt (fit
+reports of several seeds and designs, interleaved, so state one fit left
+for the next would show).
 """
 
+import dataclasses
 import math
 import os
 import sys
@@ -17,7 +20,7 @@ import sys
 import numpy as np
 
 import freqbin
-from freqbin.config import load_config
+from freqbin.config import ScenarioConfig, TomographyInputs, load_config
 from freqbin.counting import write_rows
 
 CFG = load_config(None)
@@ -37,6 +40,68 @@ def case(indices, phi=CFG.theta + CFG.phi_instr):
 
 def simulate(scan, seed, model, rate, accidental):
     return freqbin.simulate_fringe(model, scan, CFG.detector, rate, seed, accidental=accidental)
+
+
+# Every key of the config schema, each away from its default and inside its bound.
+EVERY_KEY = """\
+[resonator]
+pump_thz = 194.0
+fsr_ghz = 100.0
+fwhm_mhz = 200.0
+extinction = 0.8
+[detector]
+efficiency_signal = 0.6
+efficiency_idler = 0.4
+dark_rate_hz = 50.0
+coincidence_window_ns = 0.5
+[source]
+pair_rate_hz = 80.0
+singles_signal_hz = 12000.0
+singles_idler_hz = 9000.0
+[state]
+visibility = 0.9
+tau0_ns = 0.25
+theta_deg = 90.0
+phi_instr_rad = 0.25
+[scan]
+coarse_step_ps = 4.0
+fine_step_ps = 0.25
+span_ns = 2.0
+fine_span_ps = 8.0
+fine_offset_ns = 1.0
+multi_span_ps = 32.0
+dwell_single_s = 30.0
+dwell_multi_s = 15.0
+[wss]
+channel_width_ghz = 25.0
+scan_step_ghz = 50.0
+scan_line_flux_hz = 1500.0
+scan_dwell_s = 2.0
+scan_band_thz = 193.25,193.75
+[tomography]
+balance = 0.65
+sigma_balance = 0.01
+visibility = 0.75
+sigma_visibility = 0.02
+phase_rad = 0.1
+sigma_phase = 0.05
+theta_target_deg = 45.0
+samples = 5000
+total_rate_hz = 100.0
+[run]
+seed = 7
+"""
+
+
+def write_config(path):
+    ini = f"{path}.ini"
+    with open(ini, "w") as fh:
+        fh.write(EVERY_KEY)
+    with open(path, "w") as fh:
+        for cls in (ScenarioConfig, TomographyInputs):
+            fh.write(f"{cls.__name__}: {' '.join(f.name for f in dataclasses.fields(cls))}\n")
+        fh.write(f"stock: {load_config(None)!r}\nevery key: {load_config(ini)!r}\n")
+    os.remove(ini)
 
 
 def write_csv(out):
@@ -119,6 +184,7 @@ if __name__ == "__main__":
     print("freqbin from", freqbin.__file__)
     for sub in ("csv", "dense"):
         os.makedirs(os.path.join(out, sub), exist_ok=True)
+    write_config(os.path.join(out, "config.txt"))
     write_csv(os.path.join(out, "csv"))
     write_dense(os.path.join(out, "dense"))
     write_envelope(os.path.join(out, "envelope.txt"))

@@ -2,18 +2,19 @@
 
 Every key has a built-in default, so an empty (or absent) file is a valid
 configuration; file values override defaults section by section.  Each key
-is declared once, as a row of `_KEYS`: its default text, the field it fills,
-the exact conversion to SI units and the bound the converted value must
-meet.  Each delay window the scenarios scan is declared once, as a row of
-`_SCANS`, and is built and checked when the config loads.  Phases are
-accepted in degrees where the experimental convention uses them.
+is declared once, as a row of `_KEYS`: its default text, the dataclass field
+it fills (the fields are made from these rows), the exact conversion to SI
+units and the bound the converted value must meet.  Each delay window the
+scenarios scan is declared once, as a row of `_SCANS`, and is built and
+checked when the config loads.  Phases are accepted in degrees where the
+experimental convention uses them.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -42,8 +43,9 @@ _ps = lambda x: x * 1e-12
 
 # (section, key, default text, field, conversion, bound).  Resonator, detector
 # and tomography rows fill ResonatorModel, DetectorModel and TomographyInputs;
-# the rest fill ScenarioConfig.  A conversion of `int` parses the text as an
-# integer; every other conversion receives the text parsed as a float.
+# the rest fill ScenarioConfig, whose fields follow the rows (a nested section
+# is one field at its first row; `raw` is last).  A conversion of `int` parses
+# the text as an integer; every other receives the text parsed as a float.
 # `scan_band_thz` holds two comma-separated values, each converted and bounded.
 _KEYS = (
     ("resonator", "pump_thz", "193.5", "pump_frequency", thz, _POSITIVE),
@@ -111,50 +113,8 @@ _SCANS = {
 }
 
 
-@dataclass(frozen=True)
-class TomographyInputs:
-    """Measured (p, V, phi) summary feeding the density-matrix scenario."""
-
-    balance: float
-    sigma_balance: float
-    visibility: float
-    sigma_visibility: float
-    phase: float
-    sigma_phase: float
-    theta_target: float
-    samples: int
-    total_rate: float
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Resolved scenario parameters (SI units) plus the raw echo."""
-
-    resonator: ResonatorModel
-    detector: DetectorModel
-    pair_rate: float
-    singles_signal: float
-    singles_idler: float
-    visibility: float
-    tau0: float
-    theta: float
-    phi_instr: float
-    coarse_step: float
-    fine_step: float
-    span: float
-    fine_span: float
-    fine_offset: float
-    multi_span: float
-    dwell_single: float
-    dwell_multi: float
-    channel_width: int
-    scan_step: int
-    scan_line_flux: float
-    scan_dwell: float
-    scan_band: tuple[int, int]
-    tomography: TomographyInputs
-    seed: int
-    raw: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+class _Scenario:
+    """ScenarioConfig's derived values; its fields come from `_KEYS`."""
 
     @property
     def snapped_tau0(self) -> float:
@@ -188,6 +148,21 @@ class ScenarioConfig:
         if len(range(start, stop, step)) > MAX_SCAN_POINTS:
             raise ConfigurationError(f"{keys}: the sweep would exceed {MAX_SCAN_POINTS:,} points")
         return np.arange(start, stop, step, dtype=np.float64)
+
+
+def _frozen(name, fields, doc, bases=()):
+    """Frozen dataclass of `fields`, placed in this module so it pickles."""
+    return make_dataclass(name, fields, bases=bases, frozen=True,
+                          namespace={"__doc__": doc, "__module__": __name__})
+
+
+TomographyInputs = _frozen(
+    "TomographyInputs", [row[3] for row in _KEYS if row[0] == "tomography"],
+    "Measured (p, V, phi) summary feeding the density-matrix scenario.")
+ScenarioConfig = _frozen(
+    "ScenarioConfig", [*dict.fromkeys(section if section in ("resonator", "detector", "tomography")
+                                      else field for section, _, _, field, _, _ in _KEYS), "raw"],
+    "Resolved scenario parameters (SI units) plus the raw echo.", (_Scenario,))
 
 
 def load_config(path=None) -> ScenarioConfig:

@@ -177,22 +177,24 @@ class FringeDataset:
 
     def to_csv(self, path) -> None:
         """Write `# dwell_s=` and one `# key=value` line per metadata entry
-        (sorted by key), a `delay_ps,counts` line, then one row per point:
-        the delay in ps as its shortest round-trip repr, and the count.  The
-        delays are scaled to ps one write_rows block at a time.
+        (sorted by the key's text), a `delay_ps,counts` line, then one row
+        per point: the delay in ps as its shortest round-trip repr, and the
+        count.  The delays are scaled to ps one write_rows block at a time.
 
         An entry that would not read back as written raises DomainError
-        before the file is opened: a key that is empty, `dwell_s` or holds
-        `=`, or a key or value with a line break or surrounding whitespace."""
+        before the file is opened: a key that is empty, `dwell_s`, holds `=`
+        or has the text of an earlier key, or a key or value with a line
+        break or surrounding whitespace."""
+        lines = {}
         for key, value in self.metadata.items():
             texts = str(key), str(value)
-            if (texts[0] in ("", "dwell_s") or "=" in texts[0]
+            if (texts[0] in ("", "dwell_s") or texts[0] in lines or "=" in texts[0]
                     or any(t != t.strip() or "\n" in t or "\r" in t for t in texts)):
                 raise DomainError(f"metadata key {texts[0]!r} would not read back from the CSV")
+            lines[texts[0]] = f"# {texts[0]}={texts[1]}\n"
         with open(path, "w") as fh:
             fh.write(f"# dwell_s={self.dwell!r}\n")
-            for key in sorted(self.metadata):
-                fh.write(f"# {key}={self.metadata[key]}\n")
+            fh.writelines(lines[key] for key in sorted(lines))
             fh.write("delay_ps,counts\n")
             for i in range(0, len(self), _BLOCK):
                 write_rows(fh, self.taus[i:i + _BLOCK] * 1e12, self.counts[i:i + _BLOCK])

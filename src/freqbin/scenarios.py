@@ -45,8 +45,6 @@ from .wss import route_lines, select_pairs, singles_spectrum_scan
 
 __all__ = ["run_scenario", "SCENARIOS"]
 
-SCENARIOS = ("spectrum", "fig2", "fig3", "fig4", "fig5")
-
 # fig4's multiplexed fringe: pairs 2-5 in the multi window.
 _FIG4_MULTI = range(2, 6)
 
@@ -108,14 +106,7 @@ def run_scenario(
         fh.write(_format(manifest))
         for section, items in cfg.raw:
             fh.write(f"[{section}]\n" + _format(items))
-    runner = {
-        "spectrum": _run_spectrum,
-        "fig2": _run_fig2,
-        "fig3": _run_fig3,
-        "fig4": _run_fig4,
-        "fig5": _run_fig5,
-    }[name]
-    summary = _format([("scenario", name), *runner(cfg, out_dir, seed, **kwargs)])
+    summary = _format([("scenario", name), *_RUNNERS[name](cfg, out_dir, seed, **kwargs)])
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary)
     return summary
@@ -378,3 +369,8 @@ def _run_fig5(cfg, out_dir, seed):
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(_format(rows))
     return rows
+
+
+_RUNNERS = {"spectrum": _run_spectrum, "fig2": _run_fig2, "fig3": _run_fig3,
+            "fig4": _run_fig4, "fig5": _run_fig5}
+SCENARIOS = tuple(_RUNNERS)

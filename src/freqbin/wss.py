@@ -169,18 +169,13 @@ def singles_spectrum_scan(
         raise DomainError("width and dwell must be positive")
     if line_flux < 0 or dark_rate < 0:
         raise DomainError("rates must be non-negative")
-    points = int((hi - int(lo)) // int(step)) + 1
+    centers = range(int(lo), math.floor(hi) + 1, int(step))
+    points = -((centers.start - centers.stop) // centers.step)  # len(), past sys.maxsize too
     if points > MAX_SCAN_POINTS:
         raise DomainError(f"the scan would take {points:,} centers, above {MAX_SCAN_POINTS:,}")
 
     margin = _CAPTURE_CUTOFF_LINEWIDTHS * model.fwhm + width
     lines = resonance_lines(model, (max(lo - margin, 1), hi + margin))
-
-    centers = []
-    c = int(lo)
-    while c <= hi:
-        centers.append(c)
-        c += int(step)
 
     rng = CounterRng(seed, STREAM_SCAN)
     means = []

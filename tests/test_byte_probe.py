@@ -15,7 +15,7 @@ PROBE_FILES = {
     "dense/grid1_column_taus.npy", "dense/grid1_column_counts.npy",
     "dense/zero.csv", "dense/zero_taus.npy", "dense/zero_counts.npy",
     "dense/zero_column_taus.npy", "dense/zero_column_counts.npy",
-    "envelope.txt", "fringe.txt",
+    "config.txt", "envelope.txt", "fringe.txt",
 }
 
 

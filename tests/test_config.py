@@ -1,13 +1,17 @@
 """Configuration loading, validation, the README defaults and passband strings."""
 
 import configparser
+import dataclasses
 import math
+import operator
+import pickle
 from pathlib import Path
 
 import pytest
 
 from freqbin.comb import ghz
-from freqbin.config import DEFAULTS, format_passbands, load_config
+from freqbin.config import (_KEYS, DEFAULTS, ScenarioConfig, TomographyInputs, format_passbands,
+                            load_config)
 from freqbin.counting import ScanConfig
 from freqbin.errors import ConfigurationError
 from freqbin.hom import revival_period
@@ -161,6 +165,95 @@ def test_stock_windows_equal_inline_grids(name):
     window = cfg.delay_scan(name)
     assert window == inline
     assert window.grid().tobytes() == inline.grid().tobytes()
+
+
+class TestGeneratedClasses:
+    """ScenarioConfig and TomographyInputs are built from the rows of `_KEYS`."""
+
+    # (section, key, text, attribute, converted value): every key, none at
+    # its default, no two converted values equal, so two rows that swapped
+    # their fields would put a value on the wrong attribute.
+    EVERY_KEY = [
+        ("resonator", "pump_thz", "194.0", "resonator.pump_frequency", 194_000_000_000_000),
+        ("resonator", "fsr_ghz", "100.0", "resonator.fsr", 100_000_000_000),
+        ("resonator", "fwhm_mhz", "200.0", "resonator.fwhm", 200_000_000),
+        ("resonator", "extinction", "0.8", "resonator.extinction", 0.8),
+        ("detector", "efficiency_signal", "0.6", "detector.efficiency_signal", 0.6),
+        ("detector", "efficiency_idler", "0.4", "detector.efficiency_idler", 0.4),
+        ("detector", "dark_rate_hz", "50.0", "detector.dark_rate", 50.0),
+        ("detector", "coincidence_window_ns", "0.5", "detector.coincidence_window", 5e-10),
+        ("source", "pair_rate_hz", "80.0", "pair_rate", 80.0),
+        ("source", "singles_signal_hz", "12000.0", "singles_signal", 12000.0),
+        ("source", "singles_idler_hz", "9000.0", "singles_idler", 9000.0),
+        ("state", "visibility", "0.9", "visibility", 0.9),
+        ("state", "tau0_ns", "0.25", "tau0", 2.5e-10),
+        ("state", "theta_deg", "90.0", "theta", math.pi / 2),
+        ("state", "phi_instr_rad", "0.25", "phi_instr", 0.25),
+        ("scan", "coarse_step_ps", "4.0", "coarse_step", 4e-12),
+        ("scan", "fine_step_ps", "0.25", "fine_step", 2.5e-13),
+        ("scan", "span_ns", "2.0", "span", 2e-9),
+        ("scan", "fine_span_ps", "8.0", "fine_span", 8e-12),
+        ("scan", "fine_offset_ns", "1.0", "fine_offset", 1e-9),
+        ("scan", "multi_span_ps", "32.0", "multi_span", 32e-12),
+        ("scan", "dwell_single_s", "30.0", "dwell_single", 30.0),
+        ("scan", "dwell_multi_s", "15.0", "dwell_multi", 15.0),
+        ("wss", "channel_width_ghz", "25.0", "channel_width", 25_000_000_000),
+        ("wss", "scan_step_ghz", "50.0", "scan_step", 50_000_000_000),
+        ("wss", "scan_line_flux_hz", "1500.0", "scan_line_flux", 1500.0),
+        ("wss", "scan_dwell_s", "2.0", "scan_dwell", 2.0),
+        ("wss", "scan_band_thz", "193.25,193.75", "scan_band",
+         (193_250_000_000_000, 193_750_000_000_000)),
+        ("tomography", "balance", "0.65", "tomography.balance", 0.65),
+        ("tomography", "sigma_balance", "0.01", "tomography.sigma_balance", 0.01),
+        ("tomography", "visibility", "0.75", "tomography.visibility", 0.75),
+        ("tomography", "sigma_visibility", "0.02", "tomography.sigma_visibility", 0.02),
+        ("tomography", "phase_rad", "0.1", "tomography.phase", 0.1),
+        ("tomography", "sigma_phase", "0.05", "tomography.sigma_phase", 0.05),
+        ("tomography", "theta_target_deg", "45.0", "tomography.theta_target", math.pi / 4),
+        ("tomography", "samples", "5000", "tomography.samples", 5000),
+        ("tomography", "total_rate_hz", "100.0", "tomography.total_rate", 100.0),
+        ("run", "seed", "7", "seed", 7),
+    ]
+
+    def test_fields_follow_the_rows_of_keys(self):
+        expected = []
+        for section, _, _, field, _, _ in _KEYS:
+            name = section if section in ("resonator", "detector", "tomography") else field
+            if name not in expected:
+                expected.append(name)
+        names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert names == expected + ["raw"]
+        assert [f.name for f in dataclasses.fields(TomographyInputs)] == [
+            field for section, _, _, field, _, _ in _KEYS if section == "tomography"]
+
+    def test_frozen_and_in_the_config_module(self):
+        cfg = load_config()
+        for instance in (cfg, cfg.tomography):
+            assert type(instance).__module__ == "freqbin.config"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, dataclasses.fields(instance)[0].name, None)
+
+    def test_loads_compare_hash_and_pickle_equal(self):
+        first, second = load_config(), load_config()
+        assert first is not second and first == second and hash(first) == hash(second)
+        back = pickle.loads(pickle.dumps(first))
+        assert type(back) is ScenarioConfig and back == first and hash(back) == hash(first)
+        assert repr(back) == repr(first)
+
+    def test_every_key_fills_its_own_attribute(self, tmp_path):
+        assert [row[:2] for row in self.EVERY_KEY] == [row[:2] for row in _KEYS]
+        assert all(text != DEFAULTS[s][k] for s, k, text, _, _ in self.EVERY_KEY)
+        values = [value for *_, value in self.EVERY_KEY]
+        assert len({repr(v) for v in values}) == len(values)
+        sections = {}
+        for section, key, text, _, _ in self.EVERY_KEY:
+            sections.setdefault(section, []).append(f"{key} = {text}\n")
+        path = tmp_path / "every.ini"
+        path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+        cfg = load_config(path)
+        for section, key, _, attribute, value in self.EVERY_KEY:
+            got = operator.attrgetter(attribute)(cfg)
+            assert got == value and type(got) is type(value), f"[{section}] {key}"
 
 
 class TestPassbandStrings:

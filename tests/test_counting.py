@@ -212,9 +212,10 @@ def test_csv_roundtrip(tmp_path, detector):
     ({"note": "x\r\ny"}, "note"),
     ({"k": " v"}, "k"),
     ({"k": "v\t"}, "k"),
+    ({1: "a", "1": "b"}, "1"),
 ], ids=["dwell_s_key", "empty_key", "equals_in_key", "newline_in_key", "return_in_key",
         "leading_space_key", "trailing_space_key", "newline_in_value", "crlf_in_value",
-        "leading_space_value", "trailing_tab_value"])
+        "leading_space_value", "trailing_tab_value", "repeated_key_text"])
 def test_to_csv_refuses_metadata_that_does_not_read_back(tmp_path, metadata, key):
     """Each of these entries would come back changed, shadow dwell_s or
     break the file, so to_csv raises, naming the key, and writes nothing."""
@@ -226,11 +227,11 @@ def test_to_csv_refuses_metadata_that_does_not_read_back(tmp_path, metadata, key
 
 
 def test_to_csv_metadata_reads_back_as_written(tmp_path):
-    metadata = {"empty": "", "expr": "b=c", "#": "x", "seed": 7, "inner": "a b\tc"}
+    metadata = {"empty": "", "expr": "b=c", "#": "x", "seed": 7, "inner": "a b\tc", 1: "a"}
     path = tmp_path / "data.csv"
     FringeDataset(np.array([0.0, 1e-12]), np.array([3, 4]), 1.0, metadata).to_csv(path)
     back = load_dataset(path)
-    assert back.metadata == {k: str(v) for k, v in metadata.items()} and back.dwell == 1.0
+    assert back.metadata == {str(k): str(v) for k, v in metadata.items()} and back.dwell == 1.0
 
 
 def test_stock_multiplexed_scan_reloads_bitwise(tmp_path, detector):

@@ -231,6 +231,8 @@ def test_scan_refuses_a_sub_hertz_step_or_too_many_centers(model, monkeypatch):
             singles_spectrum_scan(model, (lo, lo + ghz(100)), bad, *rest)
     with pytest.raises(DomainError, match="1,000,000,000,001 centers"):
         singles_spectrum_scan(model, (thz(193.0), thz(194.0)), 1, *rest)
+    with pytest.raises(DomainError, match=f" {2**1000:,} centers"):  # past sys.maxsize
+        singles_spectrum_scan(model, (1.0, 2.0**1000), 1, *rest)
     # lo + k step for k = 0 .. MAX_SCAN_POINTS: one center above the bound
     with pytest.raises(DomainError, match=f"{MAX_SCAN_POINTS + 1:,} centers"):
         singles_spectrum_scan(model, (lo, lo + MAX_SCAN_POINTS * step), step, *rest)
