@@ -10,8 +10,10 @@ working memory does not grow with its length.
 
 A dataset's CSV holds `# key=value` header lines, a `delay_ps,counts` line
 and one row per point.  A simulated dataset's headers include the grid's
-`tau_start_s` and `tau_step_s`, from which `load_dataset` rebuilds the
-delays bit for bit; the picosecond column alone can come back 1 ulp off.
+`tau_start_s` and `tau_step_s`: `load_dataset` reads the picosecond column,
+which alone can come back 1 ulp off, checks it against that grid and
+writes the grid in its place, bit for bit (`_grid_block`), and `to_csv`
+refuses grid headers that this check would refuse.
 Each row of every CSV the package writes, the transmission sweep's
 included, holds the repr of its values, so every file reloads bit for bit.
 `write_rows` writes these rows.  It formats every block of at least 1,024
@@ -39,8 +41,9 @@ from .rng import STREAM_BASIS, STREAM_FRINGE, CounterRng
 # Most points a scan grid holds, so a tiny step is an error, not a huge allocation.
 MAX_SCAN_POINTS = 1_000_000
 # Points per block: the means and draws of a simulation, the rows of a
-# write and the header-grid check of a load.  One block at a time keeps a
-# large scan from holding its temporaries or every row's text in memory.
+# write and the header-grid check of a write or a load.  One block at a
+# time keeps a large scan from holding its temporaries or every row's text
+# in memory.
 _BLOCK = 1 << 14
 # Fewest rows numpy formats; shorter blocks go through the per-row
 # comprehension.  Comprehension against kernel with an int / a float second
@@ -184,17 +187,28 @@ class FringeDataset:
         An entry that would not read back as written raises DomainError
         before the file is opened: a key that is empty, `dwell_s`, holds `=`
         or has the text of an earlier key, or a key or value with a line
-        break or surrounding whitespace."""
-        lines = {}
+        break or surrounding whitespace.  So do `tau_start_s` and
+        `tau_step_s` entries that load_dataset would refuse: a value that
+        does not read as a float, or delays whose read-back lies more than
+        1 ulp off their grid, checked one block of _BLOCK at a time."""
+        values = {}
         for key, value in self.metadata.items():
             texts = str(key), str(value)
-            if (texts[0] in ("", "dwell_s") or texts[0] in lines or "=" in texts[0]
+            if (texts[0] in ("", "dwell_s") or texts[0] in values or "=" in texts[0]
                     or any(t != t.strip() or "\n" in t or "\r" in t for t in texts)):
                 raise DomainError(f"metadata key {texts[0]!r} would not read back from the CSV")
-            lines[texts[0]] = f"# {texts[0]}={texts[1]}\n"
+            values[texts[0]] = texts[1]
+        if "tau_start_s" in values and "tau_step_s" in values:
+            try:
+                grid = float(values["tau_start_s"]), float(values["tau_step_s"])
+                for i in range(0, len(self), _BLOCK):
+                    _grid_block(self.taus[i:i + _BLOCK] * 1e12 * 1e-12, grid, i)
+            except ValueError:
+                raise DomainError("metadata keys 'tau_start_s' and 'tau_step_s' would not "
+                                  "read back as the grid of the delays") from None
         with open(path, "w") as fh:
             fh.write(f"# dwell_s={self.dwell!r}\n")
-            fh.writelines(lines[key] for key in sorted(lines))
+            fh.writelines(f"# {key}={values[key]}\n" for key in sorted(values))
             fh.write("delay_ps,counts\n")
             for i in range(0, len(self), _BLOCK):
                 write_rows(fh, self.taus[i:i + _BLOCK] * 1e12, self.counts[i:i + _BLOCK])
@@ -287,9 +301,17 @@ def _float_chars(x: np.ndarray) -> np.ndarray:
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """repr's digits of each float64 as a 17-digit int64 m (trailing zeros
-    padded) and its decimal exponent e, so |x| reads back from
-    m * 10**(e - 16); and `_exact_digits`' mask of the values left to repr,
-    which also covers those repr writes in exponent form.
+    padded) and its decimal exponent e = floor(log10 |x|), so |x| reads
+    back from m * 10**(e - 16); and a mask of the values left to repr: 0.0,
+    non-finite values and |x| outside [1e-3, 1e15), which repr writes in
+    exponent form or which lie past the exact powers of ten.  Masked
+    values get e = 0 and the digits of 1.0.
+
+    |x| * 10**(16 - e) is n + phi exactly, n an int64 in [1e16, 1e17) and
+    phi a float64 in [0, 1): Dekker's product of |x| and the float
+    10**(16 - e), exact up to 10**22.  In this band its error term is a
+    multiple of ulp(x) * 2**(16 - e), at least 2**-43, so phi = err -
+    floor(err) is exact.
 
     repr writes the shortest decimal that reads back as x and, of those,
     the nearest (Gay's dtoa, mode 0): the correctly rounded 15-, 16- or
@@ -299,35 +321,6 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     the next power of ten.  A power of two here is a decimal of at most 15
     digits, so its narrower interval below does not matter.
     """
-    n, phi, e, slow = _exact_digits(x)
-
-    def rounded(unit):
-        """n + phi rounded half-even to a multiple of unit; its distance.
-        t is exact: the remainder is below 100 and phi's lowest bit is at
-        least 2**-43 (see `_exact_digits`)."""
-        q = n // unit
-        t = (n - q * unit) + phi
-        q += (t > unit / 2) | ((t == unit / 2) & ((q & 1) == 1))
-        return q * unit, np.abs((q * unit - n) - phi)
-
-    half = 0.5 * np.spacing(np.where(slow, 1.0, np.abs(x))) * _POW10[16 - e]
-    m15, d15 = rounded(100)
-    m16, d16 = rounded(10)
-    m = np.where(d15 < half, m15, np.where(d16 < half, m16, rounded(1)[0]))
-    return m, e, slow
-
-
-def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """|x| * 10**(16 - e) as n + phi exactly, n an int64 in [1e16, 1e17) and
-    phi a float64 in [0, 1), with e = floor(log10 |x|); and a mask of the
-    values left to repr: 0.0, non-finite values and |x| outside
-    [1e-3, 1e15), which repr writes in exponent form or which lie past the
-    exact powers of ten.  Masked values get e = 0 and the digits of 1.0.
-
-    n + phi is Dekker's product of |x| and the float 10**(16 - e), exact up
-    to 10**22.  In this band its error term is a multiple of
-    ulp(x) * 2**(16 - e), at least 2**-43, so phi = err - floor(err) is exact.
-    """
     # Exact: the float nearest 10**k is at or above it for k >= -3.
     bounds = np.array([float(f"1e{k}") for k in range(-3, 16)])
     a = np.abs(x)
@@ -335,10 +328,25 @@ def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     slow = (e < -3) | (e > 14)
     a[slow] = 1.0  # keeps the products finite: n = 10**16, e = 0
     e[slow] = 0
-
+    half = 0.5 * np.spacing(a) * _POW10[16 - e]  # a is |x|, or 1.0 where slow
     p, err = _two_product(a, 16 - e)
     whole = np.floor(err)
-    return p.astype(np.int64) + whole.astype(np.int64), err - whole, e, slow
+    n, phi = p.astype(np.int64) + whole.astype(np.int64), err - whole
+    del a, p, err, whole  # one block's scratch: free before the rounding
+
+    def rounded(unit):
+        """n + phi rounded half-even to a multiple of unit; its distance.
+        t is exact: the remainder is below 100 and phi's lowest bit is at
+        least 2**-43."""
+        q = n // unit
+        t = (n - q * unit) + phi
+        q += (t > unit / 2) | ((t == unit / 2) & ((q & 1) == 1))
+        return q * unit, np.abs((q * unit - n) - phi)
+
+    m15, d15 = rounded(100)
+    m16, d16 = rounded(10)
+    m = np.where(d15 < half, m15, np.where(d16 < half, m16, rounded(1)[0]))
+    return m, e, slow
 
 
 def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,41 +373,33 @@ def load_dataset(path) -> FringeDataset:
 
     `#` lines before the rows are `key=value` headers, of which `dwell_s`
     is required; blank lines, a `delay_ps` line and `#` comments are
-    skipped.  With `tau_start_s` and `tau_step_s` headers the delays are
-    that grid, exactly as ScanConfig.grid builds it; otherwise they are the
-    ps column times 1e-12.  A malformed row, a missing or bad header, or a
-    delay column more than 1 ulp off its header grid raises DomainError
-    naming the file.
+    skipped.  The delays are the ps column times 1e-12; with `tau_start_s`
+    and `tau_step_s` headers they are then overwritten, one block of _BLOCK
+    at a time, by that grid, exactly as ScanConfig.grid builds it
+    (`_grid_block`).  A malformed row, a missing or bad header, or a delay
+    column more than 1 ulp off its header grid raises DomainError naming
+    the file.
 
     The rows are counted, then parsed one chunk of about _BLOCK rows at a
     time by `_parse_rows`, which takes the rows to_csv writes and gives
-    each delay as float() would, into the counts array and, without grid
-    headers, the delays array; with them, each chunk's delays are checked
-    against the grid and dropped.  So apart from one chunk's scratch, the
-    load holds the 16 bytes per point it returns.  A file with any row
-    outside that form is read whole by np.loadtxt into one record array:
-    the same arrays or the same error.
+    each delay as float() would, into the delays and counts arrays.  So
+    apart from one chunk's scratch, the load holds the 16 bytes per point
+    it returns.  A file with any row outside that form is read whole by
+    np.loadtxt into one record array: the same arrays or the same error.
     """
     try:
         metadata, skip = _read_headers(path)
-        try:
-            grid = float(metadata["tau_start_s"]), float(metadata["tau_step_s"])
-        except (KeyError, ValueError):
-            grid = None  # no grid; a bad header is refused below, after dwell_s
         if skip is None:  # No rows: skip np.loadtxt, which warns on empty input.
-            taus, counts, on_grid = np.zeros(0), np.zeros(0, np.int64), True
+            taus, counts = np.zeros(0), np.zeros(0, np.int64)
         else:
-            taus, counts, on_grid = (_read_rows(path, skip, grid)
-                                     or _loadtxt_rows(path, skip, grid))
+            taus, counts = _read_rows(path, skip) or _loadtxt_rows(path, skip)
         if "dwell_s" not in metadata:
             raise DomainError("missing '# dwell_s=' header")
         dwell = float(metadata.pop("dwell_s"))
         if "tau_start_s" in metadata and "tau_step_s" in metadata:
-            start, step = float(metadata["tau_start_s"]), float(metadata["tau_step_s"])
-            if not on_grid:
-                raise DomainError("delays disagree with the tau_start_s and "
-                                  "tau_step_s headers by more than 1 ulp")
-            taus = _delay_grid(start, step, 0, counts.size)
+            grid = float(metadata["tau_start_s"]), float(metadata["tau_step_s"])
+            for i in range(0, taus.size, _BLOCK):
+                taus[i:i + _BLOCK] = _grid_block(taus[i:i + _BLOCK], grid, i)
         return FringeDataset(taus, counts, dwell, metadata)
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from None
@@ -421,25 +421,24 @@ def _read_headers(path) -> tuple[dict, int | None]:
     return metadata, None
 
 
-def _on_grid(taus: np.ndarray, grid: tuple[float, float], first: int) -> bool:
-    """Whether rows first, first + 1, ... lie within 1 ulp of the header grid."""
+def _grid_block(taus: np.ndarray, grid: tuple[float, float], first: int) -> np.ndarray:
+    """The header grid's delays first, first + 1, ..., one per entry of
+    `taus`; DomainError if any of `taus` lies more than 1 ulp off them."""
     expected = _delay_grid(*grid, first, first + taus.size)
-    return bool(np.all(np.abs(taus - expected) <= np.spacing(np.abs(expected))))
+    if not np.all(np.abs(taus - expected) <= np.spacing(np.abs(expected))):
+        raise DomainError("delays disagree with the tau_start_s and "
+                          "tau_step_s headers by more than 1 ulp")
+    return expected
 
 
-def _loadtxt_rows(path, skip: int, grid) -> tuple[np.ndarray | None, np.ndarray, bool]:
-    """The rows below line `skip` as np.loadtxt parses them into one record
-    array: the delays (None with a grid), the counts, and whether the
-    delays lie on the grid, checked one block of _BLOCK rows at a time."""
+def _loadtxt_rows(path, skip: int) -> tuple[np.ndarray, np.ndarray]:
+    """The delays (the ps column times 1e-12) and counts of the rows below
+    line `skip`, as np.loadtxt parses them into one record array."""
     rows = np.loadtxt(path, delimiter=",", comments="#", dtype=_ROW, ndmin=1, skiprows=skip)
-    counts = rows["n"].copy()
-    if grid is None:
-        return rows["t"] * 1e-12, counts, True
-    return None, counts, all(_on_grid(rows["t"][i:i + _BLOCK] * 1e-12, grid, i)
-                             for i in range(0, rows.size, _BLOCK))
+    return rows["t"] * 1e-12, rows["n"].copy()
 
 
-def _read_rows(path, skip: int, grid) -> tuple[np.ndarray | None, np.ndarray, bool] | None:
+def _read_rows(path, skip: int) -> tuple[np.ndarray, np.ndarray] | None:
     """What _loadtxt_rows returns, or None if a line below line `skip` is
     outside `_parse_rows`' form.  The rows are counted first, then parsed
     one chunk at a time into arrays of that length."""
@@ -453,9 +452,8 @@ def _read_rows(path, skip: int, grid) -> tuple[np.ndarray | None, np.ndarray, bo
             last = chunk[-1:]
         rows += last != b"\n"
         fh.seek(body)
-        counts = np.empty(rows, np.int64)
-        taus = np.empty(rows) if grid is None else None
-        on_grid, first = True, 0
+        taus, counts = np.empty(rows), np.empty(rows, np.int64)
+        first = 0
         while chunk := fh.read(_CHUNK_BYTES):
             if len(chunk) < _CHUNK_BYTES and not chunk.endswith(b"\n"):
                 chunk += b"\n"  # the last row, without its newline
@@ -464,14 +462,10 @@ def _read_rows(path, skip: int, grid) -> tuple[np.ndarray | None, np.ndarray, bo
                 return None
             ps, n, used = parsed
             fh.seek(used - len(chunk), 1)  # back to the first row not parsed
-            ps *= 1e-12
-            if grid is None:
-                taus[first:first + n.size] = ps
-            elif on_grid:
-                on_grid = _on_grid(ps, grid, first)
+            np.multiply(ps, 1e-12, out=taus[first:first + n.size])
             counts[first:first + n.size] = n
             first += n.size
-    return taus, counts, on_grid
+    return taus, counts
 
 
 def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:

@@ -229,10 +229,9 @@ def _run_scans(cfg, out_dir, seed, scans):
         ds = _sim(cfg, scan.model, delays, (seed + scan.seed_offset) % 2**64)
         ds.to_csv(os.path.join(out_dir, f"{scan.stem}.csv"))
         if scan.curve is not None:
-            taus = delays.grid()
             with open(os.path.join(out_dir, scan.curve), "w") as fh:
                 fh.write("delay_ps,probability\n")
-                write_rows(fh, taus * 1e12, hom_multi(scan.model, taus))
+                write_rows(fh, ds.taus * 1e12, hom_multi(scan.model, ds.taus))
         if scan.fit == "envelope":
             res, report = fit_envelope(ds), "envelope_fit.txt"
         else:

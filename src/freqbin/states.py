@@ -30,6 +30,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _PHYSICALITY_TOL = 1e-12
+# A phase gate's largest off-diagonal magnitude, and its phase's snap to 0 below 2*pi.
+_PHASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,21 +72,21 @@ def compose_waveplates(stack: WaveplateStack) -> np.ndarray:
     return u
 
 
-def phase_from_stack(stack: WaveplateStack, tol: float = 1e-9) -> float:
+def phase_from_stack(stack: WaveplateStack) -> float:
     """Extract theta from a stack acting as a pure relative-phase gate.
 
-    The composed matrix must be diagonal up to global phase within tol;
-    returns arg(U11/U00) in [0, 2*pi).
+    The composed matrix must be diagonal up to global phase within
+    _PHASE_TOL; returns arg(U11/U00) in [0, 2*pi).
     """
     u = compose_waveplates(stack)
     off = max(abs(u[0, 1]), abs(u[1, 0]))
-    if off > tol:
+    if off > _PHASE_TOL:
         raise PhaseGateError(
             f"stack is not a pure phase gate (off-diagonal magnitude {off:.3e})"
         )
     theta = float(np.angle(u[1, 1] / u[0, 0])) % TWO_PI
-    # Snap values within tol of 2*pi back to 0 for a stable principal range.
-    if TWO_PI - theta < tol:
+    # Snap values within _PHASE_TOL of 2*pi back to 0 for a stable principal range.
+    if TWO_PI - theta < _PHASE_TOL:
         theta = 0.0
     return theta
 

@@ -213,12 +213,16 @@ def test_csv_roundtrip(tmp_path, detector):
     ({"k": " v"}, "k"),
     ({"k": "v\t"}, "k"),
     ({1: "a", "1": "b"}, "1"),
+    ({"tau_start_s": "0 ps", "tau_step_s": "1e-12"}, "tau_start_s"),
+    ({"tau_start_s": "5e-12", "tau_step_s": "1e-12"}, "tau_start_s"),
 ], ids=["dwell_s_key", "empty_key", "equals_in_key", "newline_in_key", "return_in_key",
         "leading_space_key", "trailing_space_key", "newline_in_value", "crlf_in_value",
-        "leading_space_value", "trailing_tab_value", "repeated_key_text"])
+        "leading_space_value", "trailing_tab_value", "repeated_key_text",
+        "grid_header_not_a_float", "delays_off_header_grid"])
 def test_to_csv_refuses_metadata_that_does_not_read_back(tmp_path, metadata, key):
-    """Each of these entries would come back changed, shadow dwell_s or
-    break the file, so to_csv raises, naming the key, and writes nothing."""
+    """Each of these entries would come back changed, shadow dwell_s, break
+    the file or be refused by load_dataset, so to_csv raises, naming the
+    key, and writes nothing."""
     path = tmp_path / "data.csv"
     ds = FringeDataset(np.array([0.0, 1e-12]), np.array([3, 4]), 1.0, metadata)
     with pytest.raises(DomainError, match=re.escape(repr(key))):
@@ -505,17 +509,33 @@ def test_blocked_counts_equal_one_shot_draws(detector, points):
     np.testing.assert_array_equal(ds.counts, expected)
 
 
-@pytest.mark.parametrize("row", [0, _BLOCK - 1, _BLOCK, -1],
-                         ids=["first", "block_end", "block_start", "last"])
-def test_header_grid_checked_in_every_block(tmp_path, detector, row):
-    """A delay 2 ulp off its header grid is refused wherever it lies."""
+@pytest.mark.parametrize("row, pause", [(row, pause) for pause in (False, True)
+                                        for row in (0, _BLOCK - 1, _BLOCK, -1)],
+                         ids=[f"{at}{suffix}" for suffix in ("", "_loadtxt")
+                              for at in ("first", "block_end", "block_start", "last")])
+def test_header_grid_checked_in_every_block(tmp_path, monkeypatch, detector, row, pause):
+    """A delay 2 ulp off its header grid is refused wherever it lies, by
+    either reader: a `# pause` line after the first row sends the file to
+    np.loadtxt.  The clean file reloads to the grid bit for bit."""
+    if not pause:
+        _without_loadtxt(monkeypatch)
     scan = ScanConfig(-1e-9, -1e-9 + 2 * _BLOCK * 1e-13, 1e-13, 1.0)
     ds = simulate_fringe(flat_model(0.5), scan, detector, 100.0, seed=6)
+    path = tmp_path / "fringe.csv"
+    ds.to_csv(path)
+    head, sep, body = path.read_text().partition("delay_ps,counts\n")
+    rows = body.splitlines(keepends=True)
+
+    def write():
+        path.write_text(head + sep + "".join(rows[:1] + ["# pause\n"] * pause + rows[1:]))
+
+    write()
+    _assert_same(load_dataset(path).taus.tobytes(), scan.grid().tobytes())
     taus = ds.taus.copy()
     taus[row] = np.nextafter(np.nextafter(taus[row], np.inf), np.inf)
     assert float(repr(float(taus[row] * 1e12))) * 1e-12 == taus[row]
-    path = tmp_path / "fringe.csv"
-    FringeDataset(taus, ds.counts, ds.dwell, ds.metadata).to_csv(path)
+    rows[row] = f"{float(taus[row] * 1e12)!r},{ds.counts[row]}\n"
+    write()
     with pytest.raises(DomainError, match="fringe.csv.*1 ulp"):
         load_dataset(path)
 
