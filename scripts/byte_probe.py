@@ -7,9 +7,10 @@ PYTHONPATH at another checkout's src/ this writes that checkout's files:
 config.txt (the config classes' fields, and the repr of the stock config
 and of one that overrides every key), csv/ (`write_rows` bytes), dense/
 (the dense_scan benchmark's scans and a scan that crosses zero, read back
-with and without their grid headers), envelope.txt and fringe.txt (fit
-reports of several seeds and designs, interleaved, so state one fit left
-for the next would show).
+with and without their grid headers; one of them, headerless, also with
+CRLF line ends and with a comment and a blank line mid-file), envelope.txt
+and fringe.txt (fit reports of several seeds and designs, interleaved, so
+state one fit left for the next would show).
 """
 
 import dataclasses
@@ -115,31 +116,44 @@ def write_csv(out):
                 write_rows(fh, taus_ps[-rows:], values[-rows:])
 
 
-def write_scan(out, name, scan, seed, model_rates):
+def write_scan(out, name, scan, seed, model_rates, layouts=False):
     """Simulate `scan`, write it as NAME.csv and save what load_dataset reads
     back: with its grid headers as NAME_*.npy, and with them removed, so the
-    delays come from the ps column, as NAME_column_*.npy."""
+    delays come from the ps column, as NAME_column_*.npy.  With `layouts`,
+    that headerless file is also read with CRLF line ends (NAME_crlf_*.npy)
+    and with a `# pause` line and a blank line mid-file (NAME_pause_*.npy)."""
     path = os.path.join(out, f"{name}.csv")
     simulate(scan, seed, *model_rates).to_csv(path)
     with open(path) as fh:
-        text = "".join(line for line in fh if not line.startswith("# tau_"))
-    column = os.path.join(out, f"{name}_column.csv")
-    with open(column, "w") as fh:
-        fh.write(text)
-    for stem, source in ((name, path), (f"{name}_column", column)):
-        back = freqbin.load_dataset(source)
-        np.save(os.path.join(out, f"{stem}_taus.npy"), back.taus)
-        np.save(os.path.join(out, f"{stem}_counts.npy"), back.counts)
-    os.remove(column)
+        lines = [line for line in fh if not line.startswith("# tau_")]
+    texts = {f"{name}_column": "".join(lines)}
+    if layouts:
+        middle = len(lines) // 2
+        texts[f"{name}_crlf"] = "".join(lines).replace("\n", "\r\n")
+        texts[f"{name}_pause"] = "".join(lines[:middle] + ["# pause\n", "\n"] + lines[middle:])
+    save_load(out, name, path)
+    for stem, text in texts.items():
+        source = os.path.join(out, f"{stem}.csv")
+        with open(source, "w", newline="") as fh:
+            fh.write(text)
+        save_load(out, stem, source)
+        os.remove(source)
+
+
+def save_load(out, stem, path):
+    """Save what load_dataset reads from `path` as STEM_taus.npy and STEM_counts.npy."""
+    back = freqbin.load_dataset(path)
+    np.save(os.path.join(out, f"{stem}_taus.npy"), back.taus)
+    np.save(os.path.join(out, f"{stem}_counts.npy"), back.counts)
 
 
 def write_dense(out):
     dense, tau0 = case(range(2, 16)), CFG.snapped_tau0
     for i, dwell in enumerate((0.2, 30.0)):
         scan = freqbin.ScanConfig(tau0 - 10e-9, tau0 + 10e-9, CFG.fine_step, dwell)
-        write_scan(out, f"grid{i}", scan, i, dense)
+        write_scan(out, f"grid{i}", scan, i, dense, layouts=i == 1)
     # Crosses zero: to_csv writes one delay, 1.29e-14 ps, by repr in exponent
-    # form, so the file is read whole by the np.loadtxt branch.
+    # form, so the reader's per-line pass reads the chunk holding it.
     write_scan(out, "zero", freqbin.ScanConfig(-80e-12, 80e-12, 0.1e-12, 60.0), 2, dense)
 
 

@@ -166,14 +166,14 @@ ScenarioConfig = _frozen(
 
 
 def load_config(path=None) -> ScenarioConfig:
-    """Parse an INI file over the defaults; None loads pure defaults."""
+    """Parse a UTF-8 INI file over the defaults; None loads pure defaults."""
     merged = {s: dict(kv) for s, kv in DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh, source=str(path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigurationError(f"malformed config: {exc}") from exc

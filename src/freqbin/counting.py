@@ -21,10 +21,11 @@ rows with numpy, exactly: Dekker's product gives each value's exact
 decimal digits, from which repr's choice of 15, 16 or 17 digits is made.
 It hands the few values outside that method to repr itself; the bytes are
 those of the per-row comprehension, which writes shorter blocks.
-`load_dataset` runs the same product in reverse: numpy reads each row's
-digits as integers, and one check-correct pass on their exact residual
-rounds each delay as float() does (see `_parse_rows`).  A file with a row
-outside the form to_csv writes is read by np.loadtxt instead.
+`load_dataset` runs the same product in reverse, one chunk of the file at
+a time: numpy reads each row's digits as integers, and one check-correct
+pass on their exact residual rounds each delay as float() does (see
+`_parse_rows`).  A chunk with a line outside the form to_csv writes is
+read line by line with float() and int() instead (`_parse_lines`).
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ _BLOCK = 1 << 14
 # 378 / 658 us.  On fig2's coarse grid (0.0, 2.0, ...: short reprs),
 # 1,201 rows take 408 / 946 against 436 / 701 us.
 _KERNEL_ROWS = 1024
-# One CSV row as np.loadtxt parses it: the delay in ps and an exact count.
-_ROW = np.dtype([("t", "f8"), ("n", "i8")])
-# Bytes load_dataset parses at a time: about _BLOCK rows of to_csv's 20-30.
+# Bytes load_dataset parses at a time, plus the rest of the last line:
+# about _BLOCK rows of to_csv's 20-30.
 _CHUNK_BYTES = 32 * _BLOCK
 # Maps each newline to the comma np.fromstring reads between values.
 _COMMA_FOR_NEWLINE = bytes.maketrans(b"\n", b",")
@@ -179,10 +179,11 @@ class FringeDataset:
         return int(self.taus.size)
 
     def to_csv(self, path) -> None:
-        """Write `# dwell_s=` and one `# key=value` line per metadata entry
-        (sorted by the key's text), a `delay_ps,counts` line, then one row
-        per point: the delay in ps as its shortest round-trip repr, and the
-        count.  The delays are scaled to ps one write_rows block at a time.
+        """Write, as UTF-8, `# dwell_s=` and one `# key=value` line per
+        metadata entry (sorted by the key's text), a `delay_ps,counts` line,
+        then one row per point: the delay in ps as its shortest round-trip
+        repr, and the count.  The delays are scaled to ps one write_rows
+        block at a time.
 
         An entry that would not read back as written raises DomainError
         before the file is opened: a key that is empty, `dwell_s`, holds `=`
@@ -206,7 +207,7 @@ class FringeDataset:
             except ValueError:
                 raise DomainError("metadata keys 'tau_start_s' and 'tau_step_s' would not "
                                   "read back as the grid of the delays") from None
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# dwell_s={self.dwell!r}\n")
             fh.writelines(f"# {key}={values[key]}\n" for key in sorted(values))
             fh.write("delay_ps,counts\n")
@@ -371,28 +372,53 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 def load_dataset(path) -> FringeDataset:
     """Read a dataset CSV produced by FringeDataset.to_csv (or compatible).
 
-    `#` lines before the rows are `key=value` headers, of which `dwell_s`
-    is required; blank lines, a `delay_ps` line and `#` comments are
-    skipped.  The delays are the ps column times 1e-12; with `tau_start_s`
-    and `tau_step_s` headers they are then overwritten, one block of _BLOCK
-    at a time, by that grid, exactly as ScanConfig.grid builds it
-    (`_grid_block`).  A malformed row, a missing or bad header, or a delay
-    column more than 1 ulp off its header grid raises DomainError naming
-    the file.
+    `#` lines before the rows are `key=value` headers, read as UTF-8, of
+    which `dwell_s` is required; blank lines, a `delay_ps` line and `#`
+    comments are skipped.  The delays are the ps column times 1e-12; with
+    `tau_start_s` and `tau_step_s` headers they are then overwritten, one
+    block of _BLOCK at a time, by that grid, exactly as ScanConfig.grid
+    builds it (`_grid_block`).  A malformed row, a missing or bad header,
+    or a delay column more than 1 ulp off its header grid raises
+    DomainError naming the file (and a bad row's line number and text).
 
-    The rows are counted, then parsed one chunk of about _BLOCK rows at a
-    time by `_parse_rows`, which takes the rows to_csv writes and gives
-    each delay as float() would, into the delays and counts arrays.  So
-    apart from one chunk's scratch, the load holds the 16 bytes per point
-    it returns.  A file with any row outside that form is read whole by
-    np.loadtxt into one record array: the same arrays or the same error.
+    The file is opened once.  The lines below the headers are counted, then
+    parsed one chunk of _CHUNK_BYTES, run on to a newline, at a time, CRLF
+    as LF, by `_parse_rows` or else `_parse_lines`: the load holds one
+    chunk's scratch and the 16 bytes a point it returns, whose slack from
+    lines without a row is cut off in place (the arrays own their memory).
     """
     try:
-        metadata, skip = _read_headers(path)
-        if skip is None:  # No rows: skip np.loadtxt, which warns on empty input.
-            taus, counts = np.zeros(0), np.zeros(0, np.int64)
-        else:
-            taus, counts = _read_rows(path, skip) or _loadtxt_rows(path, skip)
+        metadata, line = {}, 0
+        with open(path, "rb") as fh:
+            for raw in iter(fh.readline, b""):
+                text = raw.decode("utf-8").strip()
+                if text.startswith("#"):
+                    key, sep, value = text[1:].partition("=")
+                    if sep:
+                        metadata[key.strip()] = value.strip()
+                elif text and not text.startswith("delay_ps"):
+                    fh.seek(-len(raw), 1)  # back to the first row
+                    break
+                line += 1
+            body, rows = fh.tell(), 1  # 1: a last row without its newline
+            while chunk := fh.read(_CHUNK_BYTES):
+                rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+            fh.seek(body)
+            taus, counts, first = np.empty(rows), np.empty(rows, np.int64), 0
+            while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
+                if not chunk.endswith(b"\n"):
+                    chunk += b"\n"
+                if b"\r" in chunk:
+                    chunk = chunk.replace(b"\r\n", b"\n")
+                parsed = _parse_rows(chunk)
+                ps, n = parsed or _parse_lines(chunk, line)
+                np.multiply(ps, 1e-12, out=taus[first:first + n.size])
+                counts[first:first + n.size] = n
+                first += n.size
+                line += n.size if parsed else chunk.count(b"\n")
+        # No view of them is left; a debugger's frame locals would fail refcheck.
+        taus.resize(first, refcheck=False)
+        counts.resize(first, refcheck=False)
         if "dwell_s" not in metadata:
             raise DomainError("missing '# dwell_s=' header")
         dwell = float(metadata.pop("dwell_s"))
@@ -405,22 +431,6 @@ def load_dataset(path) -> FringeDataset:
         raise DomainError(f"{path}: {exc}") from None
 
 
-def _read_headers(path) -> tuple[dict, int | None]:
-    """The `# key=value` headers above the first row, and the number of
-    lines before it (None if there is no row)."""
-    metadata = {}
-    with open(path) as fh:
-        for skip, line in enumerate(fh):
-            text = line.strip()
-            if text.startswith("#"):
-                key, sep, value = text[1:].partition("=")
-                if sep:
-                    metadata[key.strip()] = value.strip()
-            elif text and not text.startswith("delay_ps"):
-                return metadata, skip
-    return metadata, None
-
-
 def _grid_block(taus: np.ndarray, grid: tuple[float, float], first: int) -> np.ndarray:
     """The header grid's delays first, first + 1, ..., one per entry of
     `taus`; DomainError if any of `taus` lies more than 1 ulp off them."""
@@ -431,49 +441,11 @@ def _grid_block(taus: np.ndarray, grid: tuple[float, float], first: int) -> np.n
     return expected
 
 
-def _loadtxt_rows(path, skip: int) -> tuple[np.ndarray, np.ndarray]:
-    """The delays (the ps column times 1e-12) and counts of the rows below
-    line `skip`, as np.loadtxt parses them into one record array."""
-    rows = np.loadtxt(path, delimiter=",", comments="#", dtype=_ROW, ndmin=1, skiprows=skip)
-    return rows["t"] * 1e-12, rows["n"].copy()
-
-
-def _read_rows(path, skip: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """What _loadtxt_rows returns, or None if a line below line `skip` is
-    outside `_parse_rows`' form.  The rows are counted first, then parsed
-    one chunk at a time into arrays of that length."""
-    with open(path, "rb") as fh:
-        if any(b"\r" in fh.readline() for _ in range(skip)):
-            return None  # the header scan split these lines at \r as well
-        body = fh.tell()
-        rows, last = 0, b"\n"
-        while chunk := fh.read(_CHUNK_BYTES):
-            rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
-            last = chunk[-1:]
-        rows += last != b"\n"
-        fh.seek(body)
-        taus, counts = np.empty(rows), np.empty(rows, np.int64)
-        first = 0
-        while chunk := fh.read(_CHUNK_BYTES):
-            if len(chunk) < _CHUNK_BYTES and not chunk.endswith(b"\n"):
-                chunk += b"\n"  # the last row, without its newline
-            parsed = _parse_rows(chunk)
-            if parsed is None:
-                return None
-            ps, n, used = parsed
-            fh.seek(used - len(chunk), 1)  # back to the first row not parsed
-            np.multiply(ps, 1e-12, out=taus[first:first + n.size])
-            counts[first:first + n.size] = n
-            first += n.size
-    return taus, counts
-
-
-def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The delays (ps) and counts of the lines of `text` up to its last
-    newline, and the bytes they take; None if there is no newline or a line
-    is not of the form to_csv writes: `-?d+.d+,d+`, at most 22 digits after
-    the point, the delay's digits as an integer below 2**62 and the count
-    below 2**63 - 1.
+def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The delays (ps) and counts of the lines of `text`, each ending in a
+    newline; None, for `_parse_lines` to read, if a line is not of the form
+    to_csv writes: `-?d+.d+,d+`, at most 22 digits after the point, the
+    delay's digits as an integer below 2**62 and the count below 2**63 - 1.
 
     numpy reads each line's delay digits M, with F of them after the point,
     and its count as integers.  The delay is the float nearest M / 10**F, as
@@ -489,7 +461,7 @@ def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     (exact), so a tie is not; the rows left undecided, the exact ties, go
     to float() one by one.
     """
-    b = np.frombuffer(text, np.uint8, count=text.rfind(b"\n") + 1)
+    b = np.frombuffer(text, np.uint8)
     ends = np.flatnonzero(b == 10)  # newlines
     commas, points = np.flatnonzero(b == 44), np.flatnonzero(b == 46)
     rows = ends.size
@@ -523,7 +495,34 @@ def _parse_rows(text: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     for i in left.tolist():
         q[i] = float(text[starts[i] + minus[i]:commas[i]])
     np.negative(q, out=q, where=minus)
-    return q, counts, b.size
+    return q, counts
+
+
+def _parse_lines(text: bytes, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """The delays (ps) and counts of the lines of `text`, each ending in a
+    newline, read one by one: `#` comments and blank lines are skipped, and
+    each other line must hold two fields, read by float() and int(), with no
+    `_` digit separators and the count inside int64.  A ValueError names the
+    bad line's number in the file (`line` lines lie above `text`) and text."""
+    ps, counts = [], []
+    for number, raw in enumerate(text.split(b"\n")[:-1], line + 1):
+        data = raw.partition(b"#")[0]
+        if not data.strip():
+            continue
+        fields = data.split(b",")
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"2 fields expected, {len(fields)} were found")
+            delay, count = float(fields[0]), int(fields[1])
+            if b"_" in data:
+                raise ValueError("'_' digit separators are not read")
+            if not -2**63 <= count < 2**63:
+                raise ValueError("the count lies outside int64")
+        except ValueError as exc:
+            raise ValueError(f"line {number} {raw.decode(errors='replace')!r}: {exc}") from None
+        ps.append(delay)
+        counts.append(count)
+    return np.array(ps, np.float64), np.array(counts, np.int64)
 
 
 def simulate_fringe(
@@ -592,10 +591,10 @@ def computational_basis_counts(
     """Poisson counts (n_si, n_is) with means total*p and total*(1-p)."""
     if not 0.0 <= p <= 1.0:
         raise DomainError("balance p must lie in [0, 1]")
-    if total_rate < 0:
-        raise DomainError("total_rate must be non-negative")
-    if dwell < 0:
-        raise DomainError("dwell must be non-negative")
+    if not 0 <= total_rate < math.inf:
+        raise DomainError("total_rate must be non-negative and finite")
+    if not 0 <= dwell < math.inf:
+        raise DomainError("dwell must be non-negative and finite")
     rng = CounterRng(seed, STREAM_BASIS)
     means = [total_rate * dwell * p, total_rate * dwell * (1.0 - p)]
     draws = rng.poisson(means, counter=[0, 1])

@@ -342,6 +342,12 @@ def _run_fig4(cfg, out_dir, seed, phase_deg):
 
 def _run_fig5(cfg, out_dir, seed):
     t = cfg.tomography
+    n1, n2 = computational_basis_counts(t.balance, t.total_rate,
+                                        cfg.dwell_single, seed)
+    if not n1 + n2:
+        raise ConfigurationError("fig5 drew no computational-basis counts: raise "
+                                 "[tomography] total_rate_hz or [scan] dwell_single_s")
+    p_hat, sigma_p = estimate_balance(n1, math.sqrt(n1), n2, math.sqrt(n2))
     recon = reconstruct(
         t.balance, t.sigma_balance,
         t.visibility, t.sigma_visibility,
@@ -351,10 +357,6 @@ def _run_fig5(cfg, out_dir, seed):
     with open(os.path.join(out_dir, "density.txt"), "w") as fh:
         fh.write(density_report(recon.rho))
 
-    n1, n2 = computational_basis_counts(t.balance, t.total_rate,
-                                        cfg.dwell_single, seed)
-    p_hat, sigma_p = estimate_balance(n1, math.sqrt(n1) if n1 else 0.0,
-                                      n2, math.sqrt(n2) if n2 else 0.0)
     rows = [
         ("fidelity", recon.fidelity, recon.sigma_fidelity),
         ("theta_target", recon.theta_target),

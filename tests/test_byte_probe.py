@@ -13,6 +13,8 @@ PROBE_FILES = {
     "dense/grid1_taus.npy", "dense/grid1_counts.npy",
     "dense/grid0_column_taus.npy", "dense/grid0_column_counts.npy",
     "dense/grid1_column_taus.npy", "dense/grid1_column_counts.npy",
+    "dense/grid1_crlf_taus.npy", "dense/grid1_crlf_counts.npy",
+    "dense/grid1_pause_taus.npy", "dense/grid1_pause_counts.npy",
     "dense/zero.csv", "dense/zero_taus.npy", "dense/zero_counts.npy",
     "dense/zero_column_taus.npy", "dense/zero_column_counts.npy",
     "config.txt", "envelope.txt", "fringe.txt",

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import os
 import re
 import runpy
 import subprocess
@@ -231,6 +232,28 @@ def test_summary_lines_are_key_value_sigma(reproduce_all_trees):
         fig5 / "report.txt").read_text()
 
 
+def test_csv_and_ini_are_utf8_under_the_c_locale(tmp_path):
+    """Under an ASCII locale a CSV whose metadata is not ASCII round-trips,
+    and an INI with a non-ASCII comment runs: both are UTF-8 text."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    csv = tmp_path / "d.csv"
+    script = ("import sys; from freqbin import FringeDataset, load_dataset; "
+              "note = {'note': '\\u00b5s'}; "
+              "FringeDataset([0.0, 1e-12], [3, 4], 1.0, note).to_csv(sys.argv[1]); "
+              "assert load_dataset(sys.argv[1]).metadata == note")
+    done = subprocess.run([sys.executable, "-c", script, str(csv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "# note=\u00b5s\n".encode() in csv.read_bytes()
+    ini = tmp_path / "c.ini"
+    ini.write_bytes("[scan]\n# dwell in \u00b5s\ndwell_single_s = 30.0\n".encode())
+    done = subprocess.run([sys.executable, "-m", "freqbin", "fig5", "--config", str(ini),
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestMain:
     def test_fig5_writes_expected_files(self, tmp_path):
         out = tmp_path / "run"
@@ -254,6 +277,25 @@ class TestMain:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[scan]\n# \xff\ndwell_single_s = 30.0\n")
+        code = main(["fig5", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot read config {bad}: 'utf-8' codec")
+        assert "Traceback" not in err
+
+    def test_fig5_without_basis_counts_exits_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[tomography]\ntotal_rate_hz = 0\n")
+        out = tmp_path / "o"
+        code = main(["fig5", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "[tomography] total_rate_hz" in err and "[scan] dwell_single_s" in err
+        assert not (out / "density.txt").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = main([

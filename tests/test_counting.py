@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -25,6 +26,7 @@ from freqbin.counting import (
     _BLOCK,
     _KERNEL_ROWS,
     _block_text,
+    _parse_lines,
     write_rows,
 )
 from freqbin.errors import DomainError
@@ -448,16 +450,22 @@ def _traced(call):
     return result, peak
 
 
-@pytest.mark.parametrize("headers", [True, False], ids=["grid_headers", "column_only"])
-def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, detector, headers):
+@pytest.mark.parametrize("headers, layout", [(True, None), (False, None), (True, "pause"),
+                                             (True, "crlf")],
+                         ids=["grid_headers", "column_only", "pause_line", "crlf"])
+def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, monkeypatch, detector, headers,
+                                                  layout):
     """From 100,001 to 800,001 points, the peak of simulate_fringe, to_csv
-    and load_dataset above the arrays each needs grows by less than 1 MiB:
+    and load_dataset above the arrays each returns grows by less than 1 MiB:
     they work one block at a time (a structural check, not a timing).
 
-    load_dataset needs numpy's record array (16 bytes a row) and the counts
-    copied out of it; what it returns holds exactly 16 bytes a point, and
-    on the larger scan it peaks at most 1.6 times that.
+    What load_dataset returns holds exactly 16 bytes a point, and on the
+    larger scan it peaks at most 1.6 times that, also for a file with a
+    `# pause` line mid-file (one chunk read line by line) or CRLF line ends
+    (every chunk on the numpy path).
     """
+    if layout != "pause":
+        _without_line_pass(monkeypatch)
     scratch = []
     for points in (100_001, 800_001):
         scan = ScanConfig(0.0, (points - 1) * 1e-13, 1e-13, 1.0)
@@ -468,12 +476,16 @@ def test_scan_scratch_does_not_grow_with_the_scan(tmp_path, detector, headers):
             ds = FringeDataset(ds.taus, ds.counts, ds.dwell)
         path = tmp_path / f"{points}.csv"
         _, write = _traced(lambda: ds.to_csv(path))
+        if layout == "pause":
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(lines[:points // 2] + [b"# pause\n"] + lines[points // 2:]))
+        elif layout == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         back, load = _traced(lambda: load_dataset(path))
         held = back.taus.nbytes + back.counts.nbytes
         assert held == 16 * points
         np.testing.assert_array_equal(back.counts, ds.counts)
-        scratch.append((simulate - ds.taus.nbytes - ds.counts.nbytes, write,
-                        load - 24 * points))
+        scratch.append((simulate - ds.taus.nbytes - ds.counts.nbytes, write, load - held))
     assert load <= 1.6 * held
     for name, small, large in zip(("simulate_fringe", "to_csv", "load_dataset"), *scratch):
         assert large - small < 2**20, name
@@ -491,6 +503,25 @@ def test_loaded_arrays_own_contiguous_memory(tmp_path, detector, headers):
     back = load_dataset(path)
     for values in (back.taus, back.counts):
         assert values.flags.c_contiguous and values.base is None
+
+
+def test_load_under_a_tracer_that_reads_locals(tmp_path):
+    """A debugger's snapshot of load_dataset's locals holds the arrays it
+    trims: the trim still takes place, and the arrays own their memory."""
+    path = tmp_path / "data.csv"
+    path.write_text("# dwell_s=2.0\ndelay_ps,counts\n1.5,10\n# pause\n2.5,11\n")
+
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        ds = load_dataset(path)
+    finally:
+        sys.settrace(previous)
+    assert ds.counts.tolist() == [10, 11] and ds.taus.base is None
 
 
 @pytest.mark.parametrize("points", [3 * _BLOCK + 7, 1])
@@ -515,10 +546,10 @@ def test_blocked_counts_equal_one_shot_draws(detector, points):
                               for at in ("first", "block_end", "block_start", "last")])
 def test_header_grid_checked_in_every_block(tmp_path, monkeypatch, detector, row, pause):
     """A delay 2 ulp off its header grid is refused wherever it lies, by
-    either reader: a `# pause` line after the first row sends the file to
-    np.loadtxt.  The clean file reloads to the grid bit for bit."""
+    either pass: a `# pause` line after the first row sends the first chunk
+    to the per-line pass.  The clean file reloads to the grid bit for bit."""
     if not pause:
-        _without_loadtxt(monkeypatch)
+        _without_line_pass(monkeypatch)
     scan = ScanConfig(-1e-9, -1e-9 + 2 * _BLOCK * 1e-13, 1e-13, 1.0)
     ds = simulate_fringe(flat_model(0.5), scan, detector, 100.0, seed=6)
     path = tmp_path / "fringe.csv"
@@ -591,14 +622,28 @@ def test_load_dataset_accepts_layouts(tmp_path, text, taus_ps, counts):
     ("1.5,-3\n", "non-negative"),
     ("2.5,10\n1.5,11\n", "increasing"),
     ("nan,10\n", "finite"),
+    ("1.5,10\r2.5,11\r", "3 were found"),
+    ("1.5,1_0\n", "line 3 '1.5,1_0': '_' digit separators"),
 ], ids=["count", "third_column", "delay", "fractional_count", "negative_count",
-        "unordered", "nan_delay"])
+        "unordered", "nan_delay", "bare_cr", "underscore_digits"])
 def test_malformed_csv_rejected_naming_file(tmp_path, body, match):
     path = tmp_path / "bad.csv"
-    path.write_text("# dwell_s=2.0\ndelay_ps,counts\n" + body)
+    path.write_bytes(b"# dwell_s=2.0\ndelay_ps,counts\n" + body.encode())
     with pytest.raises(DomainError, match=match) as err:
         load_dataset(path)
     assert str(path) in str(err.value)
+
+
+def test_malformed_row_named_by_its_line_in_the_file(tmp_path):
+    """The bad row's line number counts the headers and every line of the
+    earlier chunks, rows and comments alike."""
+    rows = [f"{i}.5,{i}\n" for i in range(6 * _BLOCK)]
+    path = tmp_path / "bad.csv"
+    path.write_text("# dwell_s=2.0\n# note=x\ndelay_ps,counts\n" + "".join(
+        rows[:10] + ["# pause\n", "\n"] + rows[10:] + ["1.5,ten\n"]))
+    assert path.stat().st_size > 2 * 32 * _BLOCK  # three chunks
+    with pytest.raises(DomainError, match=f"line {6 * _BLOCK + 6} '1.5,ten'"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("header", ["", "# dwell_s=soon\n"], ids=["missing", "bad"])
@@ -610,11 +655,11 @@ def test_dwell_header_required(tmp_path, header):
     assert str(path) in str(err.value)
 
 
-def _without_loadtxt(monkeypatch):
-    """Make load_dataset fail if it hands the file to np.loadtxt."""
+def _without_line_pass(monkeypatch):
+    """Make load_dataset fail if it hands a chunk to the per-line pass."""
     def refuse(*args):
-        raise AssertionError("load_dataset fell back to np.loadtxt")
-    monkeypatch.setattr(freqbin.counting, "_loadtxt_rows", refuse)
+        raise AssertionError("load_dataset read a chunk line by line")
+    monkeypatch.setattr(freqbin.counting, "_parse_lines", refuse)
 
 
 @st.composite
@@ -644,7 +689,7 @@ def test_column_delays_equal_float_of_their_text(tmp_path_factory, texts):
     path.write_text("# dwell_s=1.0\ndelay_ps,counts\n"
                     + "".join(f"{by_value[v]},{i}\n" for i, v in enumerate(values)))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _without_loadtxt(monkeypatch)
+        _without_line_pass(monkeypatch)
         ds = load_dataset(path)
     expected = np.array([float(by_value[v]) * 1e-12 for v in values])
     _assert_same(ds.taus.tobytes(), expected.tobytes())
@@ -663,7 +708,7 @@ def test_column_delay_ties_round_as_float(tmp_path, monkeypatch, text, sign):
     text = sign + text
     path = tmp_path / "tie.csv"
     path.write_text(f"# dwell_s=1.0\ndelay_ps,counts\n{text},7\n")
-    _without_loadtxt(monkeypatch)
+    _without_line_pass(monkeypatch)
     ds = load_dataset(path)
     assert ds.taus.tobytes() == np.array([float(text) * 1e-12]).tobytes()
     assert ds.counts.tolist() == [7]
@@ -690,7 +735,7 @@ def test_one_chunk_mixes_plain_corrected_and_tied_delays(tmp_path, monkeypatch):
             parsed.append(x)
         return float(x)
 
-    _without_loadtxt(monkeypatch)
+    _without_line_pass(monkeypatch)
     monkeypatch.setattr(freqbin.counting, "float", recording_float, raising=False)
     ds = load_dataset(path)
     assert ds.taus.tobytes() == np.array([float(t) * 1e-12 for t in texts]).tobytes()
@@ -702,15 +747,16 @@ def test_one_chunk_mixes_plain_corrected_and_tied_delays(tmp_path, monkeypatch):
                          ids=["to_csv_rows", "comment_row", "exponent_delay"])
 def test_multi_chunk_file_reads_as_loadtxt(tmp_path, monkeypatch, row):
     """A 200,001-row headerless file reads as np.loadtxt reads it: by the
-    chunk parser, or whole by np.loadtxt for a line near row 150,000 that
-    is outside to_csv's form.  The delays cross zero there."""
+    chunk parser, or, for the chunk holding a line near row 150,000 that is
+    outside to_csv's form, by the per-line pass.  The delays cross zero
+    there."""
     taus = -15e-9 + 1e-13 * np.arange(200_001)
     taus[150_000] = 0.0  # not 2e-21 s, which repr writes in exponent form
     counts = np.random.default_rng(5).poisson(4000.0, taus.size)
     path = tmp_path / "dense.csv"
     FringeDataset(taus, counts, 1.0).to_csv(path)
     if row is None:
-        _without_loadtxt(monkeypatch)
+        _without_line_pass(monkeypatch)
     else:
         lines = path.read_text().splitlines(keepends=True)
         at = 2 + 150_000  # dwell_s and delay_ps lines, then row 150,000
@@ -725,13 +771,40 @@ def test_multi_chunk_file_reads_as_loadtxt(tmp_path, monkeypatch, row):
     np.testing.assert_array_equal(ds.counts, rows["n"])
 
 
+@pytest.mark.parametrize("headers", [True, False], ids=["grid_headers", "column_only"])
+def test_zero_crossing_grid_reloads_bit_for_bit(tmp_path, monkeypatch, detector, headers):
+    """to_csv writes the delay nearest zero of a -15 to 5 ns grid in exponent
+    form; only the chunk holding it is read line by line, and the file
+    reloads bit for bit: the grid, or each ps value written times 1e-12."""
+    scan = ScanConfig(-15e-9, 5e-9, 1e-13, 1.0)
+    ds = simulate_fringe(flat_model(0.5), scan, detector, 100.0, seed=9)
+    if not headers:
+        ds = FringeDataset(ds.taus, ds.counts, ds.dwell)
+    path = tmp_path / "zero.csv"
+    ds.to_csv(path)
+    assert re.search(r"\n-?\d\.\d+e-\d+,", path.read_text())
+    chunks = []
+
+    def spy(text, line):
+        chunks.append(line)
+        return _parse_lines(text, line)
+
+    monkeypatch.setattr(freqbin.counting, "_parse_lines", spy)
+    back = load_dataset(path)
+    expected = scan.grid() if headers else ds.taus * 1e12 * 1e-12
+    _assert_same(back.taus.tobytes(), expected.tobytes())
+    np.testing.assert_array_equal(back.counts, ds.counts)
+    assert len(chunks) == 1
+
+
 @pytest.mark.parametrize("row, taus_ps, counts", [
     ("12345678901234567890.5,3", [12345678901234567890.5], [3]),
     ("1.5,9223372036854775807", [1.5], [2**63 - 1]),
     ("1.5,9223372036854775808", None, "9223372036854775808"),
 ], ids=["delay_digits_past_2_62", "count_2_63_minus_1", "count_2_63"])
 def test_digits_past_int64_read_as_loadtxt(tmp_path, row, taus_ps, counts):
-    """numpy reads an integer past int64 as 2**63 - 1: such rows go to np.loadtxt."""
+    """numpy reads an integer past int64 as 2**63 - 1: such rows go to the
+    per-line pass, which refuses a count past int64."""
     path = tmp_path / "data.csv"
     path.write_text(f"# dwell_s=2.0\ndelay_ps,counts\n{row}\n")
     if taus_ps is None:
@@ -745,7 +818,7 @@ def test_digits_past_int64_read_as_loadtxt(tmp_path, row, taus_ps, counts):
 def test_last_row_without_newline_is_read(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_text("# dwell_s=2.0\ndelay_ps,counts\n1.5,10\n2.5,11")
-    _without_loadtxt(monkeypatch)
+    _without_line_pass(monkeypatch)
     ds = load_dataset(path)
     assert ds.taus.tolist() == [1.5e-12, 2.5e-12] and ds.counts.tolist() == [10, 11]
 
@@ -816,6 +889,15 @@ def test_basis_counts_validation():
         computational_basis_counts(1.2, 100.0, 1.0, 0)
     with pytest.raises(DomainError):
         computational_basis_counts(0.5, -1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("total_rate, dwell, name", [
+    (math.nan, 1.0, "total_rate"), (math.inf, 1.0, "total_rate"),
+    (1.0, math.nan, "dwell"), (1.0, math.inf, "dwell"),
+], ids=["rate_nan", "rate_inf", "dwell_nan", "dwell_inf"])
+def test_basis_counts_refuse_non_finite(total_rate, dwell, name):
+    with pytest.raises(DomainError, match=f"{name} must be non-negative and finite"):
+        computational_basis_counts(0.5, total_rate, dwell, 0)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32),
